@@ -8,8 +8,8 @@ id sequences, and timing, using 12 significant digits so outputs are
 stable across runs.
 
 Exit codes: 0 success (or decision "yes"), 1 decision "no", 2 malformed
-input, 3 state budget exceeded, 4 decision "unknown". The environment
-variable ``RRP_STATE_BUDGET`` overrides the state cap.
+input or arguments, 3 state budget exceeded, 4 decision "unknown". The
+environment variable ``RRP_STATE_BUDGET`` overrides the state cap.
 """
 
 from __future__ import annotations
@@ -51,17 +51,31 @@ class GraphFileError(RewardRoutingError):
 
 @dataclass(frozen=True)
 class GraphModel:
-    """A parsed graph file: structure, reward parameters, id mapping."""
+    """A parsed graph file: structure, reward parameters, id mapping.
+
+    ``decays[v]`` is node ``v``'s survival probability ``gamma``, or its
+    :class:`DecayProfile`. ``index`` maps each id to its position in ``ids``.
+    """
 
     graph: Graph
-    spec: RewardSpec
-    profiles: tuple[DecayProfile | None, ...]
+    lam: tuple[float, ...]
+    decays: tuple[float | DecayProfile, ...]
     ids: tuple[str, ...]
+    index: dict[str, int]
+
+    @property
+    def spec(self) -> RewardSpec:
+        """The gamma-only reward parameters; fails if any node has a profile."""
+        if any(isinstance(d, DecayProfile) for d in self.decays):
+            raise GraphFileError(
+                "nodes", "this command needs gamma values, not decay profiles"
+            )
+        return RewardSpec(self.lam, self.decays)  # type: ignore[arg-type]
 
     def index_of(self, node_id: str) -> int:
         try:
-            return self.ids.index(node_id)
-        except ValueError:
+            return self.index[node_id]
+        except KeyError:
             raise GraphFileError("start", f"unknown node id {node_id!r}") from None
 
     def id_path(self, nodes: Sequence[int]) -> list[str]:
@@ -74,18 +88,39 @@ def _require(obj: dict, key: str, field: str) -> Any:
     return obj[key]
 
 
+def _is_number(raw: Any) -> bool:
+    """A finite JSON number; booleans, NaN and the infinities are not."""
+    return (
+        isinstance(raw, (int, float))
+        and not isinstance(raw, bool)
+        and abs(raw) <= sys.float_info.max
+    )
+
+
+def _parse_lambda(raw: Any, field: str) -> float:
+    if not _is_number(raw) or raw < 0:
+        raise GraphFileError(field, "must be a non-negative number")
+    return float(raw)
+
+
+def _parse_gamma(raw: Any, field: str) -> float:
+    if not _is_number(raw) or not 0 < raw <= 1:
+        raise GraphFileError(field, "must be a number in (0, 1]")
+    return float(raw)
+
+
 def _parse_profile(raw: Any, field: str) -> DecayProfile:
     if not isinstance(raw, dict):
         raise GraphFileError(field, "decay profile must be an object")
     table = _require(raw, "table", f"{field}.table")
-    if not isinstance(table, list) or not all(
-        isinstance(x, (int, float)) for x in table
-    ):
+    if not isinstance(table, list) or not all(_is_number(x) for x in table):
         raise GraphFileError(f"{field}.table", "must be a list of numbers")
     tail = _require(raw, "tail", f"{field}.tail")
     if tail not in ("geometric", "zero"):
         raise GraphFileError(f"{field}.tail", "must be 'geometric' or 'zero'")
     ratio = raw.get("ratio")
+    if ratio is not None and not _is_number(ratio):
+        raise GraphFileError(f"{field}.ratio", "must be a number")
     try:
         return DecayProfile(
             tuple(float(x) for x in table),
@@ -103,14 +138,17 @@ def parse_graph_document(doc: Any) -> GraphModel:
     defaults = doc.get("defaults", {})
     if not isinstance(defaults, dict):
         raise GraphFileError("defaults", "must be an object")
+    if "lambda" in defaults:
+        _parse_lambda(defaults["lambda"], "defaults.lambda")
+    if "gamma" in defaults:
+        _parse_gamma(defaults["gamma"], "defaults.gamma")
     raw_nodes = _require(doc, "nodes", "nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise GraphFileError("nodes", "must be a non-empty list")
 
-    ids: list[str] = []
+    index: dict[str, int] = {}
     lams: list[float] = []
-    gammas: list[float] = []
-    profiles: list[DecayProfile | None] = []
+    decays: list[float | DecayProfile] = []
     for i, raw in enumerate(raw_nodes):
         field = f"nodes[{i}]"
         if not isinstance(raw, dict):
@@ -118,18 +156,16 @@ def parse_graph_document(doc: Any) -> GraphModel:
         node_id = _require(raw, "id", f"{field}.id")
         if not isinstance(node_id, str):
             raise GraphFileError(f"{field}.id", "must be a string")
-        if node_id in ids:
+        if node_id in index:
             raise GraphFileError(f"{field}.id", f"duplicate id {node_id!r}")
-        ids.append(node_id)
+        index[node_id] = i
 
         lam = raw.get("lambda", defaults.get("lambda"))
         if lam is None:
             raise GraphFileError(
                 f"{field}.lambda", "missing and no default provided"
             )
-        if not isinstance(lam, (int, float)) or lam < 0:
-            raise GraphFileError(f"{field}.lambda", "must be a non-negative number")
-        lams.append(float(lam))
+        lams.append(_parse_lambda(lam, f"{field}.lambda"))
 
         gamma = raw.get("gamma")
         profile_raw = raw.get("decay_profile")
@@ -138,8 +174,7 @@ def parse_graph_document(doc: Any) -> GraphModel:
                 field, "gamma and decay_profile are mutually exclusive"
             )
         if profile_raw is not None:
-            profiles.append(_parse_profile(profile_raw, f"{field}.decay_profile"))
-            gammas.append(1.0)  # placeholder, unused behind a profile
+            decays.append(_parse_profile(profile_raw, f"{field}.decay_profile"))
             continue
         if gamma is None:
             gamma = defaults.get("gamma")
@@ -147,10 +182,7 @@ def parse_graph_document(doc: Any) -> GraphModel:
             raise GraphFileError(
                 f"{field}.gamma", "missing and no default provided"
             )
-        if not isinstance(gamma, (int, float)) or not 0 < gamma <= 1:
-            raise GraphFileError(f"{field}.gamma", "must be a number in (0, 1]")
-        gammas.append(float(gamma))
-        profiles.append(None)
+        decays.append(_parse_gamma(gamma, f"{field}.gamma"))
 
     raw_edges = _require(doc, "edges", "edges")
     if not isinstance(raw_edges, list):
@@ -160,16 +192,14 @@ def parse_graph_document(doc: Any) -> GraphModel:
         field = f"edges[{i}]"
         if not isinstance(raw, list) or len(raw) != 2:
             raise GraphFileError(field, "must be a [from, to] pair")
-        endpoints = []
         for endpoint in raw:
-            if endpoint not in ids:
+            if not isinstance(endpoint, str) or endpoint not in index:
                 raise GraphFileError(field, f"unknown node id {endpoint!r}")
-            endpoints.append(ids.index(endpoint))
-        edges.append((endpoints[0], endpoints[1]))
+        edges.append((index[raw[0]], index[raw[1]]))
 
+    ids = tuple(index)
     graph = Graph.from_edges(len(ids), edges, labels=ids)
-    spec = RewardSpec(tuple(lams), tuple(gammas))
-    return GraphModel(graph, spec, tuple(profiles), tuple(ids))
+    return GraphModel(graph, tuple(lams), tuple(decays), ids, index)
 
 
 def load_graph_file(path: str) -> GraphModel:
@@ -187,15 +217,15 @@ def dump_graph_document(model: GraphModel) -> dict:
     """Serialize a model back to the graph file schema (round-trips)."""
     nodes = []
     for v, node_id in enumerate(model.ids):
-        entry: dict[str, Any] = {"id": node_id, "lambda": model.spec.lam[v]}
-        profile = model.profiles[v]
-        if profile is not None:
-            body: dict[str, Any] = {"table": list(profile.table), "tail": profile.tail}
-            if profile.ratio is not None:
-                body["ratio"] = profile.ratio
+        entry: dict[str, Any] = {"id": node_id, "lambda": model.lam[v]}
+        decay = model.decays[v]
+        if isinstance(decay, DecayProfile):
+            body: dict[str, Any] = {"table": list(decay.table), "tail": decay.tail}
+            if decay.ratio is not None:
+                body["ratio"] = decay.ratio
             entry["decay_profile"] = body
         else:
-            entry["gamma"] = model.spec.gamma[v]
+            entry["gamma"] = decay
         nodes.append(entry)
     edges = [
         [model.ids[u], model.ids[v]] for u, v in model.graph.edges()
@@ -215,13 +245,14 @@ def _round_floats(value: Any) -> Any:
 
 
 def _emit(document: dict) -> None:
-    print(json.dumps(_round_floats(document), indent=2, sort_keys=True))
+    rounded = _round_floats(document)
+    print(json.dumps(rounded, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _state_budget() -> int:
     raw = os.environ.get("RRP_STATE_BUDGET")
     if raw is None:
-        return infinite.DEFAULT_STATE_BUDGET
+        return finite.DEFAULT_STATE_BUDGET
     try:
         budget = int(raw)
     except ValueError:
@@ -260,37 +291,30 @@ def _lasso_document(model: GraphModel, lasso: Lasso) -> dict:
 def cmd_finite(args: argparse.Namespace) -> int:
     model = load_graph_file(args.graph)
     v0 = model.index_of(args.start)
+    profiled = [isinstance(d, DecayProfile) for d in model.decays]
+    if args.decay and not all(profiled):
+        raise GraphFileError("nodes", "--decay requires a decay_profile on every node")
+    if not args.decay and any(profiled):
+        raise GraphFileError("nodes", "graph declares decay profiles; pass --decay")
     started = time.perf_counter()
     if args.decay:
-        if any(p is None for p in model.profiles):
-            raise GraphFileError(
-                "nodes", "--decay requires a decay_profile on every node"
-            )
         solution = finite.solve_finite_decay(
             model.graph,
-            model.spec.lam,
-            [p for p in model.profiles if p is not None],
+            model.lam,
+            model.decays,
             v0,
             args.horizon,
             state_budget=_state_budget(),
         )
-        replay = decayed_path_reward(
-            [p for p in model.profiles if p is not None],
-            model.spec.lam,
-            solution.witness,
-        ).value
+        replay = decayed_path_reward(model.decays, model.lam, solution.witness)
     else:
-        if any(p is not None for p in model.profiles):
-            raise GraphFileError(
-                "nodes", "graph declares decay profiles; pass --decay"
-            )
         solution = finite.solve_finite(
             model.graph, model.spec, v0, args.horizon, state_budget=_state_budget()
         )
-        replay = path_reward(model.spec, solution.witness).value
+        replay = path_reward(model.spec, solution.witness)
     elapsed = time.perf_counter() - started
     validate_path(model.graph, solution.witness.nodes)
-    _check_rescore(solution.value.value, replay)
+    _check_rescore(solution.value.value, replay.value)
     doc = _base_document("finite", args, model)
     doc.update(
         {
@@ -316,25 +340,18 @@ def _bracket_document(model: GraphModel, bracket: infinite.ValueBracket) -> dict
     }
 
 
-def _require_plain_gammas(model: GraphModel) -> None:
-    if any(p is not None for p in model.profiles):
-        raise GraphFileError(
-            "nodes", "this command needs gamma values, not decay profiles"
-        )
-
-
 def cmd_infinite(args: argparse.Namespace) -> int:
     model = load_graph_file(args.graph)
-    _require_plain_gammas(model)
+    spec = model.spec
     v0 = model.index_of(args.start)
     doc = _base_document("infinite", args, model)
     started = time.perf_counter()
-    if all(g == 1.0 for g in model.spec.gamma):
-        solution = infinite.solve_nondiscounted(model.graph, model.spec.lam, v0)
+    if all(g == 1.0 for g in spec.gamma):
+        solution = infinite.solve_nondiscounted(model.graph, spec.lam, v0)
         elapsed = time.perf_counter() - started
         _check_rescore(
             solution.value.value,
-            average_reward(model.spec, solution.witness).value,
+            average_reward(spec, solution.witness).value,
         )
         doc.update(
             {
@@ -347,11 +364,11 @@ def cmd_infinite(args: argparse.Namespace) -> int:
         _emit(doc)
         return EXIT_OK
     bracket = infinite.solve_infinite_approx(
-        model.graph, model.spec, v0, args.epsilon, state_budget=_state_budget()
+        model.graph, spec, v0, args.epsilon, state_budget=_state_budget()
     )
     elapsed = time.perf_counter() - started
     _check_rescore(
-        bracket.r_under, average_reward(model.spec, bracket.pi_under).value
+        bracket.r_under, average_reward(spec, bracket.pi_under).value
     )
     doc.update(
         {
@@ -366,12 +383,12 @@ def cmd_infinite(args: argparse.Namespace) -> int:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     model = load_graph_file(args.graph)
-    _require_plain_gammas(model)
+    spec = model.spec
     v0 = model.index_of(args.start)
     started = time.perf_counter()
     decision, bracket = infinite.decide_infinite_value(
         model.graph,
-        model.spec,
+        spec,
         v0,
         args.threshold,
         args.epsilon,
@@ -400,7 +417,7 @@ def cmd_nondiscounted(args: argparse.Namespace) -> int:
     model = load_graph_file(args.graph)
     v0 = model.index_of(args.start)
     started = time.perf_counter()
-    solution = infinite.solve_nondiscounted(model.graph, model.spec.lam, v0)
+    solution = infinite.solve_nondiscounted(model.graph, model.lam, v0)
     elapsed = time.perf_counter() - started
     doc = _base_document("nondiscounted", args, model)
     doc.update(
@@ -417,16 +434,16 @@ def cmd_nondiscounted(args: argparse.Namespace) -> int:
 
 def cmd_bounded(args: argparse.Namespace) -> int:
     model = load_graph_file(args.graph)
-    _require_plain_gammas(model)
+    spec = model.spec
     v0 = model.index_of(args.start)
     started = time.perf_counter()
     solution = memory.solve_bounded_memory(
-        model.graph, model.spec, v0, args.memory
+        model.graph, spec, v0, args.memory
     )
     elapsed = time.perf_counter() - started
     _check_rescore(
         solution.value.value,
-        average_reward(model.spec, solution.witness).value,
+        average_reward(spec, solution.witness).value,
     )
     doc = _base_document("bounded", args, model)
     doc.update(
@@ -445,15 +462,15 @@ def _parse_id_list(model: GraphModel, raw: str, field: str) -> list[int]:
     nodes = []
     for part in raw.split(","):
         part = part.strip()
-        if part not in model.ids:
+        if part not in model.index:
             raise GraphFileError(field, f"unknown node id {part!r}")
-        nodes.append(model.ids.index(part))
+        nodes.append(model.index[part])
     return nodes
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = load_graph_file(args.graph)
-    _require_plain_gammas(model)
+    spec = model.spec
     doc = _base_document("simulate", args, model)
     cfg = simulate.SimConfig(
         trials=args.trials,
@@ -467,8 +484,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise GraphFileError("path", "--path excludes --prefix/--cycle")
         nodes = _parse_id_list(model, args.path, "path")
         route = validate_path(model.graph, nodes)
-        result = simulate.simulate_finite_reward(model.graph, model.spec, route, cfg)
-        expected = path_reward(model.spec, route).value
+        result = simulate.simulate_finite_reward(model.graph, spec, route, cfg)
+        expected = path_reward(spec, route).value
         doc["route"] = {"path": model.id_path(route.nodes)}
     else:
         if args.cycle is None:
@@ -480,8 +497,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         cycle = _parse_id_list(model, args.cycle, "cycle")
         lasso = validate_lasso(model.graph, prefix, cycle)
-        result = simulate.simulate_average_reward(model.graph, model.spec, lasso, cfg)
-        expected = average_reward(model.spec, lasso).value
+        result = simulate.simulate_average_reward(model.graph, spec, lasso, cfg)
+        expected = average_reward(spec, lasso).value
         doc["route"] = _lasso_document(model, lasso)
     elapsed = time.perf_counter() - started
     doc.update(
@@ -558,13 +575,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except StateBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except RewardRoutingError as exc:
+    except (RewardRoutingError, ValueError) as exc:
+        # A ValueError is a library argument check, e.g. a negative horizon.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

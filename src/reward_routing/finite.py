@@ -21,15 +21,16 @@ from .rewards import (
     RewardSpec,
     RewardValue,
     make_step_reward,
-    make_step_reward_decay,
 )
 
-#: Cap on reachable visit-age states across all layers.
+#: Cap on reachable visit-age states, across all layers here and in the
+#: truncated graph of :mod:`reward_routing.infinite`.
 DEFAULT_STATE_BUDGET = 5_000_000
 
 #: The layer loop is linear in the horizon; refuse absurd horizons.
 DEFAULT_HORIZON_CAP = 1_000_000
 
+#: A visit-age state: the current node and every node's age.
 State = tuple[int, tuple[int, ...]]
 
 
@@ -136,9 +137,8 @@ def solve_finite(
     """
     if spec.node_count != g.node_count:
         raise ValueError("spec size disagrees with the graph")
-    return _solve_layered(
-        g, v0, horizon, make_step_reward(spec), state_budget, horizon_cap
-    )
+    step_reward = make_step_reward(spec.lam, spec.survival_sums())
+    return _solve_layered(g, v0, horizon, step_reward, state_budget, horizon_cap)
 
 
 def solve_finite_decay(
@@ -154,14 +154,8 @@ def solve_finite_decay(
     """As :func:`solve_finite` but with explicit per-node decay profiles."""
     if len(lam) != g.node_count or len(profiles) != g.node_count:
         raise ValueError("lam/profiles size disagrees with the graph")
-    return _solve_layered(
-        g,
-        v0,
-        horizon,
-        make_step_reward_decay(profiles, lam),
-        state_budget,
-        horizon_cap,
-    )
+    step_reward = make_step_reward(lam, [p.sum_first for p in profiles])
+    return _solve_layered(g, v0, horizon, step_reward, state_budget, horizon_cap)
 
 
 def decide_finite_value(

@@ -27,6 +27,7 @@ from .errors import (
     NotStronglyConnectedError,
     StateBudgetExceededError,
 )
+from .finite import DEFAULT_STATE_BUDGET, State
 from .graph import (
     Graph,
     Lasso,
@@ -44,13 +45,9 @@ from .rewards import (
     geometric_series,
 )
 
-DEFAULT_STATE_BUDGET = 5_000_000
-
 # Karp's table holds (m + 1) * m floats for m states; refuse sizes where
 # that stops fitting comfortably in memory.
 _KARP_CELL_LIMIT = 60_000_000
-
-State = tuple[int, tuple[int, ...]]
 
 
 def truncation_depth(spec: RewardSpec, epsilon: float) -> int:

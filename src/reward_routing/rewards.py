@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .errors import NodeVariantSpecError, ProfileTableExhaustedError
@@ -80,6 +81,10 @@ class RewardSpec:
             raise NodeVariantSpecError("lam differs between nodes")
         return self.lam[0]
 
+    def survival_sums(self) -> list[Callable[[int], float]]:
+        """Per node, ``age -> 1 + gamma + ... + gamma ** (age - 1)``."""
+        return [partial(geometric_series, gamma) for gamma in self.gamma]
+
 
 @dataclass(frozen=True)
 class RewardValue:
@@ -104,8 +109,41 @@ def accumulated_reward(spec: RewardSpec, p: Path, t: int, v: int) -> float:
     age: ``lam * (1 + gamma + ... + gamma**(age-1))`` where ``age`` is
     :func:`last_visit`.
     """
-    age = last_visit(p, t, v)
-    return spec.lam[v] * geometric_series(spec.gamma[v], age)
+    step = make_step_reward(spec.lam, spec.survival_sums())
+    return step(v, last_visit(p, t, v))
+
+
+def make_step_reward(
+    lam: Sequence[float], sums: Sequence[Callable[[int], float]]
+) -> Callable[[int, int], float]:
+    """Memoized ``(node, age) -> lam[node] * sums[node](age)``.
+
+    This is the reward one visit collects. ``sums[v](age)`` is the sum of
+    the first ``age`` survival fractions of ``v``: an entry of
+    :meth:`RewardSpec.survival_sums` for geometric decay, or
+    :meth:`DecayProfile.sum_first` for an explicit profile.
+    """
+    cache: dict[tuple[int, int], float] = {}
+
+    def step(v: int, age: int) -> float:
+        key = (v, age)
+        hit = cache.get(key)
+        if hit is None:
+            hit = lam[v] * sums[v](age)
+            cache[key] = hit
+        return hit
+
+    return step
+
+
+def _collected(
+    lam: Sequence[float],
+    sums: Sequence[Callable[[int], float]],
+    nodes: Sequence[int],
+    ages: Sequence[int],
+) -> float:
+    """Exact total of the step rewards of the visits ``zip(nodes, ages)``."""
+    return math.fsum(map(make_step_reward(lam, sums), nodes, ages))
 
 
 def _visit_ages(nodes: Sequence[int]) -> list[int]:
@@ -120,10 +158,7 @@ def _visit_ages(nodes: Sequence[int]) -> list[int]:
 
 def path_reward(spec: RewardSpec, p: Path) -> RewardValue:
     """Total expected reward collected along a finite path."""
-    total = math.fsum(
-        spec.lam[v] * geometric_series(spec.gamma[v], age)
-        for v, age in zip(p.nodes, _visit_ages(p.nodes))
-    )
+    total = _collected(spec.lam, spec.survival_sums(), p.nodes, _visit_ages(p.nodes))
     return RewardValue(total, "finite_sum", horizon=p.length)
 
 
@@ -140,26 +175,11 @@ def path_cost(spec: RewardSpec, p: Path) -> float:
 def _steady_cycle_ages(lasso: Lasso) -> list[int]:
     """Per-position visit ages over one steady period of the lasso.
 
-    Unrolls the prefix and up to four periods of the cycle; the age vector
-    must repeat between consecutive periods (it always does, from the
-    second period on), otherwise this fails loudly.
+    From the second period on, every cycle node was last visited inside the
+    previous period, so the ages of period two repeat forever and the prefix
+    never affects them.
     """
-    seen: dict[int, int] = {}
-    t = 0
-    for v in lasso.prefix:
-        seen[v] = t
-        t += 1
-    previous: list[int] | None = None
-    for _ in range(4):
-        ages = []
-        for v in lasso.cycle:
-            ages.append(t - seen[v] if v in seen else t + 1)
-            seen[v] = t
-            t += 1
-        if previous is not None and ages == previous:
-            return ages
-        previous = ages
-    raise RuntimeError("visit ages did not reach a steady state")
+    return _visit_ages(lasso.cycle * 2)[len(lasso.cycle) :]
 
 
 def average_reward(spec: RewardSpec, lasso: Lasso) -> RewardValue:
@@ -168,10 +188,8 @@ def average_reward(spec: RewardSpec, lasso: Lasso) -> RewardValue:
     The average over one steady period of the cycle; the prefix only
     shifts which period is steady and never affects the value.
     """
-    ages = _steady_cycle_ages(lasso)
-    total = math.fsum(
-        spec.lam[v] * geometric_series(spec.gamma[v], age)
-        for v, age in zip(lasso.cycle, ages)
+    total = _collected(
+        spec.lam, spec.survival_sums(), lasso.cycle, _steady_cycle_ages(lasso)
     )
     return RewardValue(total / len(lasso.cycle), "limit_average")
 
@@ -272,10 +290,8 @@ def decayed_path_reward(
     previous ``age - 1`` steps, decayed by ``profile(0) .. profile(age-1)``.
     With a geometric profile this reproduces :func:`path_reward` exactly.
     """
-    total = math.fsum(
-        lam[v] * profiles[v].sum_first(age)
-        for v, age in zip(p.nodes, _visit_ages(p.nodes))
-    )
+    sums = [profile.sum_first for profile in profiles]
+    total = _collected(lam, sums, p.nodes, _visit_ages(p.nodes))
     return RewardValue(total, "finite_sum", horizon=p.length)
 
 
@@ -298,35 +314,3 @@ def average_reward_bounds(
     lower = lam * (1.0 - gamma**p) / (1.0 - gamma)
     upper = lam * (1.0 - gamma**n) / (1.0 - gamma)
     return lower, upper
-
-
-def make_step_reward(spec: RewardSpec) -> Callable[[int, int], float]:
-    """Memoized ``(node, age) -> collected reward`` for the DP solvers."""
-    cache: dict[tuple[int, int], float] = {}
-
-    def step(v: int, age: int) -> float:
-        key = (v, age)
-        hit = cache.get(key)
-        if hit is None:
-            hit = spec.lam[v] * geometric_series(spec.gamma[v], age)
-            cache[key] = hit
-        return hit
-
-    return step
-
-
-def make_step_reward_decay(
-    profiles: Sequence[DecayProfile], lam: Sequence[float]
-) -> Callable[[int, int], float]:
-    """Memoized step reward under explicit decay profiles."""
-    cache: dict[tuple[int, int], float] = {}
-
-    def step(v: int, age: int) -> float:
-        key = (v, age)
-        hit = cache.get(key)
-        if hit is None:
-            hit = lam[v] * profiles[v].sum_first(age)
-            cache[key] = hit
-        return hit
-
-    return step

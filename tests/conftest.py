@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from reward_routing import Graph, RewardSpec
+from reward_routing import Graph, Lasso, RewardSpec, validate_lasso
 
 settings.register_profile(
     "suite",
@@ -42,6 +42,28 @@ def random_graph(
         for w in rng.sample(range(node_count), degree):
             edges.append((v, w))
     return Graph.from_edges(node_count, edges)
+
+
+def random_lasso(rng: random.Random, g: Graph) -> Lasso | None:
+    """A random walk of 1-6 steps, then a cycle closed at its last node.
+
+    The cycle ends at the first return to its head, so other nodes may
+    repeat in it; None when the walk does not close within 12 steps.
+    """
+    start = rng.randrange(g.node_count)
+    nodes = [start]
+    for _ in range(rng.randint(1, 6)):
+        nodes.append(rng.choice(g.successors(nodes[-1])))
+    head = nodes[-1]
+    cycle = [head]
+    while True:
+        nxt = rng.choice(g.successors(cycle[-1]))
+        if nxt == head:
+            break
+        cycle.append(nxt)
+        if len(cycle) > 12:
+            return None
+    return validate_lasso(g, nodes[:-1], cycle)
 
 
 def spell(g: Graph, nodes) -> str:

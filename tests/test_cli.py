@@ -28,6 +28,7 @@ from reward_routing.cli import (
 )
 
 FIXTURES = resources.files("reward_routing") / "fixtures"
+NAN, INF = float("nan"), float("inf")
 
 
 def fixture_path(name: str) -> str:
@@ -68,13 +69,40 @@ class TestGraphFiles:
         assert err.value.field == "nodes"
 
     def test_bad_gamma_is_named_with_its_index(self):
-        doc = {
-            "nodes": [{"id": "a", "lambda": 1.0, "gamma": 2.0}],
-            "edges": [["a", "a"]],
-        }
-        with pytest.raises(GraphFileError) as err:
-            parse_graph_document(doc)
-        assert err.value.field == "nodes[0].gamma"
+        for gamma in (2.0, NAN, INF, True):
+            doc = {
+                "nodes": [{"id": "a", "lambda": 1.0, "gamma": gamma}],
+                "edges": [["a", "a"]],
+            }
+            with pytest.raises(GraphFileError) as err:
+                parse_graph_document(doc)
+            assert err.value.field == "nodes[0].gamma"
+
+    def test_non_finite_and_boolean_numbers_are_named(self):
+        profile = {"table": [1.0, 0.5], "tail": "geometric", "ratio": 0.5}
+        for bad in (NAN, INF, -INF, True, False):
+            cases = {
+                "nodes[0].lambda": {"id": "a", "lambda": bad, "gamma": 0.5},
+                "defaults.lambda": {"id": "a", "lambda": 1, "gamma": 0.5},
+                "defaults.gamma": {"id": "a", "lambda": 1, "gamma": 0.5},
+                "nodes[0].decay_profile.table": {
+                    "id": "a",
+                    "lambda": 1,
+                    "decay_profile": {**profile, "table": [1.0, bad]},
+                },
+                "nodes[0].decay_profile.ratio": {
+                    "id": "a",
+                    "lambda": 1,
+                    "decay_profile": {**profile, "ratio": bad},
+                },
+            }
+            for field, node in cases.items():
+                doc = {"nodes": [node], "edges": [["a", "a"]]}
+                if field.startswith("defaults."):
+                    doc["defaults"] = {field.split(".")[1]: bad}
+                with pytest.raises(GraphFileError) as err:
+                    parse_graph_document(doc)
+                assert err.value.field == field, (bad, field)
 
     def test_duplicate_id_rejected(self):
         doc = {
@@ -89,13 +117,14 @@ class TestGraphFiles:
         assert err.value.field == "nodes[1].id"
 
     def test_unknown_edge_endpoint(self):
-        doc = {
-            "nodes": [{"id": "a", "lambda": 1, "gamma": 0.5}],
-            "edges": [["a", "z"]],
-        }
-        with pytest.raises(GraphFileError) as err:
-            parse_graph_document(doc)
-        assert err.value.field == "edges[0]"
+        for endpoint in ("z", 0, ["a"]):
+            doc = {
+                "nodes": [{"id": "a", "lambda": 1, "gamma": 0.5}],
+                "edges": [["a", endpoint]],
+            }
+            with pytest.raises(GraphFileError) as err:
+                parse_graph_document(doc)
+            assert err.value.field == "edges[0]"
 
     def test_gamma_and_profile_conflict(self):
         doc = {
@@ -331,6 +360,31 @@ class TestCommands:
         )
         assert code3 == EXIT_BAD_INPUT and "decay_profile" in err3
 
+    def test_only_finite_and_nondiscounted_take_decay_profiles(self, tmp_path):
+        doc = {
+            "defaults": {"lambda": 1.0},
+            "nodes": [
+                {"id": "a", "decay_profile": {"table": [1.0, 0.5], "tail": "zero"}},
+                {"id": "b", "gamma": 0.5},
+            ],
+            "edges": [["a", "b"], ["b", "a"]],
+        }
+        graph_file = tmp_path / "profiles.json"
+        graph_file.write_text(json.dumps(doc))
+        common = ["--graph", str(graph_file), "--start", "a"]
+        for argv in (
+            ["infinite", *common, "--epsilon", "1e-3"],
+            ["decide", *common, "--threshold", "1", "--epsilon", "1e-3"],
+            ["bounded", *common, "--memory", "1"],
+            ["simulate", "--graph", str(graph_file), "--cycle", "a,b"],
+        ):
+            code, out, err = run(argv)
+            assert code == EXIT_BAD_INPUT and out is None, argv
+            assert "needs gamma values" in err
+        code, out, _ = run(["nondiscounted", *common])
+        assert code == EXIT_OK
+        assert out["value"] == pytest.approx(2.0)
+
     def test_simulate_average_mode(self):
         code, doc, _ = run(
             [
@@ -390,3 +444,54 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_BAD_INPUT
+
+    def test_nan_lambda_is_bad_input(self, tmp_path):
+        graph_file = tmp_path / "nan.json"
+        graph_file.write_text(
+            '{"nodes": [{"id": "a", "lambda": NaN, "gamma": 0.5}],'
+            ' "edges": [["a", "a"]]}'
+        )
+        code, out, err = run(
+            ["finite", "--graph", str(graph_file), "--start", "a", "--horizon", "2"]
+        )
+        assert code == EXIT_BAD_INPUT and out is None
+        assert err.startswith("error: nodes[0].lambda")
+
+    def test_negative_horizon_is_bad_input(self):
+        code, out, err = run(
+            [
+                "finite",
+                "--graph", fixture_path("two_cycles_gamma_0.5.json"),
+                "--start", "a",
+                "--horizon", "-3",
+            ]
+        )
+        assert code == EXIT_BAD_INPUT and out is None
+        assert err == "error: horizon must be non-negative\n"
+
+    def test_negative_epsilon_is_bad_input(self):
+        code, out, err = run(
+            [
+                "decide",
+                "--graph", fixture_path("two_cycles_gamma_0.5.json"),
+                "--start", "a",
+                "--threshold", "1",
+                "--epsilon", "-1",
+            ]
+        )
+        assert code == EXIT_BAD_INPUT and out is None
+        assert err == "error: epsilon must be positive\n"
+
+    def test_mixed_decay_is_bad_input(self, tmp_path):
+        doc = {
+            "defaults": {"lambda": 1.0},
+            "nodes": [{"id": "a", "gamma": 1.0}, {"id": "b", "gamma": 0.5}],
+            "edges": [["a", "b"], ["b", "a"]],
+        }
+        graph_file = tmp_path / "mixed.json"
+        graph_file.write_text(json.dumps(doc))
+        code, out, err = run(
+            ["infinite", "--graph", str(graph_file), "--start", "a", "--epsilon", "1e-3"]
+        )
+        assert code == EXIT_BAD_INPUT and out is None
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -23,9 +23,16 @@ from reward_routing import (
     validate_lasso,
     validate_path,
 )
+from reward_routing.rewards import _steady_cycle_ages
 
 import oracles
-from conftest import parse_route, random_graph, ring_graph, two_cycles_graph
+from conftest import (
+    parse_route,
+    random_graph,
+    random_lasso,
+    ring_graph,
+    two_cycles_graph,
+)
 
 TWO_CYCLES = two_cycles_graph()
 ROUTE = validate_path(TWO_CYCLES, parse_route(TWO_CYCLES, "adabcad"))
@@ -210,27 +217,32 @@ class TestAverageReward:
     def test_matches_long_horizon_average(self, data):
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         g = random_graph(rng, rng.randint(2, 4))
-        start = rng.randrange(g.node_count)
-        nodes = [start]
-        for _ in range(rng.randint(1, 6)):
-            nodes.append(rng.choice(g.successors(nodes[-1])))
-        # Close the walk into a cycle at the first repeat of its head.
-        head = nodes[-1]
-        cycle = [head]
-        while True:
-            nxt = rng.choice(g.successors(cycle[-1]))
-            if nxt == head:
-                break
-            cycle.append(nxt)
-            if len(cycle) > 12:
-                return  # walk failed to close; skip this draw
-        l = validate_lasso(g, nodes[:-1], cycle)
+        l = random_lasso(rng, g)
+        if l is None:
+            return  # walk failed to close; skip this draw
         lam = tuple(rng.uniform(0, 2) for _ in range(g.node_count))
         gamma = tuple(rng.uniform(0.2, 0.8) for _ in range(g.node_count))
         spec = RewardSpec(lam, gamma)
         exact = average_reward(spec, l).value
         approx = oracles.long_horizon_average(lam, gamma, l.prefix, l.cycle, 4000)
         assert exact == pytest.approx(approx, abs=1e-2)
+
+    @given(st.data())
+    def test_steady_ages_match_backward_scan(self, data):
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        g = random_graph(rng, rng.randint(1, 5))
+        l = random_lasso(rng, g)
+        if l is None:
+            return  # walk failed to close; skip this draw
+        # Any suffix of the prefix, the empty one included, still leads
+        # into the cycle.
+        l = Lasso(l.prefix[rng.randint(0, len(l.prefix)) :], l.cycle)
+        period = len(l.cycle)
+        nodes = l.unroll(len(l.prefix) + 5 * period - 1)
+        fifth = range(len(l.prefix) + 4 * period, len(nodes))
+        assert _steady_cycle_ages(l) == [
+            oracles.backward_scan_age(nodes, t, nodes[t]) for t in fifth
+        ]
 
     def test_average_cost_duality(self):
         gamma = 0.26
