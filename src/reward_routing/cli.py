@@ -8,7 +8,8 @@ id sequences, and timing, using 12 significant digits so outputs are
 stable across runs.
 
 Exit codes: 0 success (or decision "yes"), 1 decision "no", 2 malformed
-input or arguments, 3 state budget exceeded, 4 decision "unknown". The
+input or arguments, 3 state budget exceeded, 4 decision "unknown", 5 an
+internal solver fault (an answer failed the solver's own check). The
 environment variable ``RRP_STATE_BUDGET`` overrides the state cap.
 """
 
@@ -23,7 +24,11 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import finite, infinite, memory, simulate
-from .errors import RewardRoutingError, StateBudgetExceededError
+from .errors import (
+    RewardRoutingError,
+    SolverContractError,
+    StateBudgetExceededError,
+)
 from .graph import Graph, Lasso, Path, validate_lasso, validate_path
 from .rewards import (
     TOLERANCE,
@@ -39,6 +44,7 @@ EXIT_NO = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_UNKNOWN = 4
+EXIT_INTERNAL = 5
 
 
 class GraphFileError(RewardRoutingError):
@@ -276,7 +282,7 @@ def _base_document(command: str, args: argparse.Namespace, model: GraphModel) ->
 
 def _check_rescore(emitted: float, replayed: float) -> None:
     if abs(emitted - replayed) > TOLERANCE * max(1.0, abs(emitted)):
-        raise RuntimeError(
+        raise SolverContractError(
             f"witness re-scores to {replayed}, document says {emitted}"
         )
 
@@ -578,6 +584,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except StateBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except SolverContractError as exc:
+        print(f"error: internal solver fault: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (RewardRoutingError, ValueError) as exc:
         # A ValueError is a library argument check, e.g. a negative horizon.
         print(f"error: {exc}", file=sys.stderr)

@@ -53,6 +53,15 @@ class StateBudgetExceededError(RewardRoutingError):
         super().__init__(message or f"state budget of {budget} states exceeded")
 
 
+class SolverContractError(RewardRoutingError, RuntimeError):
+    """A solver's answer failed a check the solver makes on its own output.
+
+    This is an internal fault, never a property of the input: a witness
+    that does not re-score to the reported value, a bracket that breaks
+    its contract, or a mean-cycle solver that does not converge.
+    """
+
+
 class NodeVariantSpecError(RewardRoutingError):
     """Operation is only defined for node-invariant reward parameters."""
 

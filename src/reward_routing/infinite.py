@@ -7,10 +7,12 @@ component, collected by looping a covering walk; that solver is polynomial.
 With decay the problem is approximated on a truncated visit-age graph:
 states ``(node, ages)`` track how long ago each node was visited, capped at
 a depth ``K`` (age 0 encodes "longer ago than K"). Each state carries a
-pessimistic and an optimistic weight; Karp's minimum mean cycle recurrence
-on the reachable component then yields a bracket ``[r_under, r_over]``
-around the true optimum whose width is controlled by ``K``, together with
-ultimately periodic witness paths.
+pessimistic and an optimistic weight; Howard's policy iteration for the
+maximum mean cycle, run once per weighting over the whole reachable graph,
+then yields a bracket ``[r_under, r_over]`` around the true optimum whose
+width is controlled by ``K``, together with ultimately periodic witness
+paths. Karp's recurrence (:func:`karp_mean_cycle`) stays as the reference
+the tests check Howard against.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +28,7 @@ import numpy as np
 from .errors import (
     NoCycleError,
     NotStronglyConnectedError,
+    SolverContractError,
     StateBudgetExceededError,
 )
 from .finite import DEFAULT_STATE_BUDGET, State
@@ -48,6 +52,10 @@ from .rewards import (
 # Karp's table holds (m + 1) * m floats for m states; refuse sizes where
 # that stops fitting comfortably in memory.
 _KARP_CELL_LIMIT = 60_000_000
+
+# Policy iteration settles in a handful of rounds on truncated graphs; the
+# cap only turns a numerical livelock into an error.
+_HOWARD_MAX_ITERATIONS = 1000
 
 
 def truncation_depth(spec: RewardSpec, epsilon: float) -> int:
@@ -231,6 +239,18 @@ def _edge_arrays(
     return arr[:, 0], arr[:, 1]
 
 
+def _adjacency_arrays(
+    adjacency: Sequence[Sequence[int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` of every edge of an adjacency list.
+
+    Several times faster than pairing up ``Graph.edges()`` on large graphs.
+    """
+    src = np.repeat(np.arange(len(adjacency)), [len(a) for a in adjacency])
+    dst = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=len(src))
+    return src, dst
+
+
 def _verify_strongly_connected(m: int, src: np.ndarray, dst: np.ndarray) -> None:
     if m < 1:
         raise NotStronglyConnectedError("empty subgraph")
@@ -273,7 +293,9 @@ def karp_mean_cycle(
     ``mode="max"`` negates the weights. States should be indexed in the
     caller's preferred tie-break order: index 0 seeds the walks and ties
     resolve toward lower indices. Returns ``(mean, cycle)`` where ``cycle``
-    lists state indices once, in traversal order.
+    lists state indices once, in traversal order. The table holds
+    ``(m + 1) * m`` floats, so this is a reference for small graphs; past
+    ``_KARP_CELL_LIMIT`` cells it raises :class:`StateBudgetExceededError`.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
@@ -341,10 +363,161 @@ def karp_mean_cycle(
 
     achieved = float(np.mean(w[cycle]))
     if abs(achieved - mean) > TOLERANCE * max(1.0, abs(mean)):
-        raise RuntimeError(
+        raise SolverContractError(
             f"extracted cycle mean {achieved} disagrees with {mean}"
         )
     return mean, cycle
+
+
+def _trim_dead_ends(m: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Mask of the states that can reach a cycle.
+
+    Peels states whose out-degree has dropped to 0, one layer per round.
+    """
+    degree = np.bincount(src, minlength=m)
+    alive = np.ones(m, dtype=bool)
+    dying = degree == 0
+    while dying.any():
+        alive &= ~dying
+        degree -= np.bincount(src[dying[dst]], minlength=m)
+        dying = alive & (degree == 0)
+    return alive
+
+
+def _first_successor(
+    mask: np.ndarray, starts: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """Per source segment, the target of its first edge where ``mask`` holds.
+
+    Segments without such an edge get -1.
+    """
+    pick = np.where(mask, np.arange(len(mask)), len(mask))
+    return np.append(dst, -1)[np.minimum.reduceat(pick, starts)]
+
+
+def _evaluate_policy(
+    policy: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cycle mean ``eta``, bias ``h`` and a cycle state ``landing`` per state.
+
+    Each state follows ``policy`` into one cycle; ``eta`` is that cycle's
+    mean weight. The bias is 0 at the cycle's lowest state and satisfies
+    ``h[u] = w[u] - eta[u] + h[policy[u]]`` elsewhere. Cycles and biases
+    come from pointer doubling, ``2**rounds >= m`` steps deep.
+    """
+    m = len(policy)
+    rounds = max(1, (m - 1).bit_length())
+    jump, low = policy, np.arange(m)
+    for _ in range(rounds):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    # jump[u] now lies on u's cycle, and low[jump[u]] is that cycle's lowest
+    # state; the cycle states are exactly the image of jump.
+    rep = low[jump]
+    on_cycle = np.zeros(m, dtype=bool)
+    on_cycle[jump] = True
+    cyc_rep = rep[on_cycle]
+    count = np.bincount(cyc_rep, minlength=m)
+    total = np.bincount(cyc_rep, weights=w[on_cycle], minlength=m)
+    eta = total[rep] / count[rep]
+
+    roots = np.flatnonzero(count)
+    step = policy.copy()
+    step[roots] = roots
+    bias = w - eta
+    bias[roots] = 0.0
+    for _ in range(rounds):
+        bias = bias + bias[step]
+        step = step[step]
+    return eta, bias, jump
+
+
+def howard_max_mean_cycle(
+    state_count: int,
+    edges: Sequence[tuple[int, int]] | tuple[np.ndarray, np.ndarray],
+    weights: Sequence[float],
+    start: int = 0,
+) -> tuple[float, list[int]]:
+    """Best mean node weight over the cycles reachable from ``start``.
+
+    Howard's policy iteration (Cochet-Terrasson et al. 1998) on the whole
+    graph, which need not be strongly connected. States that cannot reach
+    a cycle are trimmed first. A policy picks one successor per state; it
+    starts at the heaviest successor and switches only on an improvement
+    beyond ``TOLERANCE`` times the largest weight magnitude (at least 1),
+    first of the cycle mean reached, then of the bias; the returned mean
+    falls short of the best by at most that margin. Ties go to the lowest
+    successor index, so results are deterministic. Returns ``(mean, cycle)``: ``cycle`` is the cycle the
+    final policy reaches from ``start``, listed once in traversal order,
+    and ``mean`` is its exactly summed mean weight.
+
+    Raises :class:`NoCycleError` when no cycle is reachable from ``start``
+    and :class:`SolverContractError` after ``_HOWARD_MAX_ITERATIONS``
+    improvements.
+    """
+    src, dst = _edge_arrays(edges)
+    w_all = np.asarray(weights, dtype=np.float64)
+    if len(w_all) != state_count:
+        raise ValueError("weights length disagrees with state_count")
+    if not 0 <= start < state_count:
+        raise ValueError(f"start state {start} out of range")
+    alive = _trim_dead_ends(state_count, src, dst)
+    if not alive[start]:
+        raise NoCycleError(f"no cycle is reachable from state {start}")
+
+    # Compact to the live states, keeping their order (and so the ties).
+    kept = np.flatnonzero(alive)
+    new_index = np.cumsum(alive) - 1
+    live = alive[src] & alive[dst]
+    src, dst = new_index[src[live]], new_index[dst[live]]
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    # Every live state keeps a live successor, so no segment is empty.
+    starts = np.searchsorted(src, np.arange(len(kept)))
+    w = w_all[kept]
+    tol = TOLERANCE * max(1.0, float(np.abs(w).max()))
+
+    def improves(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+        return new > old + tol
+
+    def switch(
+        value: np.ndarray, current: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Per state: does some successor's value beat the current one, and
+        # the lowest successor that does while tying the best.
+        best = np.maximum.reduceat(value, starts)
+        pick = improves(value, current[src]) & ~improves(best[src], value)
+        return improves(best, current), _first_successor(pick, starts, dst)
+
+    heaviest = np.maximum.reduceat(w[dst], starts)
+    policy = _first_successor(w[dst] == heaviest[src], starts, dst)
+    for _ in range(_HOWARD_MAX_ITERATIONS + 1):
+        eta, bias, landing = _evaluate_policy(policy, w)
+        # Improve the cycle mean reached first; among successors that reach
+        # the same mean, improve the bias.
+        eta_next = eta[dst]
+        raise_eta, to_eta = switch(eta_next, eta)
+        same = ~improves(eta_next, eta[src]) & ~improves(eta[src], eta_next)
+        current = bias[policy]
+        bias_next = np.where(same, bias[dst], current[src])
+        raise_bias, to_bias = switch(bias_next, current)
+        raise_bias &= ~raise_eta
+        if not (raise_eta.any() or raise_bias.any()):
+            break
+        policy = np.where(raise_eta, to_eta, np.where(raise_bias, to_bias, policy))
+    else:
+        raise SolverContractError(
+            "policy iteration did not converge in "
+            f"{_HOWARD_MAX_ITERATIONS} iterations"
+        )
+
+    head = int(landing[new_index[start]])
+    cycle = [int(kept[head])]
+    cursor = int(policy[head])
+    while cursor != head:
+        cycle.append(int(kept[cursor]))
+        cursor = int(policy[cursor])
+    return math.fsum(w_all[cycle]) / len(cycle), cycle
 
 
 @dataclass(frozen=True)
@@ -385,7 +558,10 @@ def _cycle_bearing_components(state_graph: Graph) -> list[tuple[int, ...]]:
 def _component_karp(
     tg: TruncatedGraph, comp: tuple[int, ...], weights: np.ndarray, mode: str
 ) -> tuple[float, list[int]]:
-    """Run Karp on one component; returns the mean and global state cycle."""
+    """Run Karp on one component; returns the mean and global state cycle.
+
+    The per-component reference the tests check the production path against.
+    """
     local = {s: i for i, s in enumerate(comp)}
     edges = [
         (local[u], local[v])
@@ -460,11 +636,13 @@ def solve_infinite_approx(
 ) -> ValueBracket:
     """Bracket the optimal limit-average reward to within ``epsilon``.
 
-    Builds the truncated visit-age graph, runs Karp's recurrence per
-    reachable cycle-bearing component under both weightings, and returns
-    the best pessimistic and optimistic cycles. ``r_under`` is reported as
-    the exact replay value of its witness, so
-    ``average_reward(spec, pi_under) == r_under`` holds identically.
+    Builds the truncated visit-age graph and runs
+    :func:`howard_max_mean_cycle` over all of it once per weighting, from
+    the initial state; the cycles it reaches are the pessimistic and
+    optimistic witnesses. ``r_under`` is reported as the exact replay value
+    of its witness, so ``average_reward(spec, pi_under) == r_under`` holds
+    identically. The state budget is the only size limit. Raises
+    :class:`SolverContractError` if the bracket breaks its contract.
 
     All survival probabilities must be below 1 (with no decay anywhere,
     the exact solver takes over and the bracket collapses to a point).
@@ -499,30 +677,25 @@ def solve_infinite_approx(
             "should fit the budget",
         ) from exc
     weights = tg.weights(spec)
+    edges = _adjacency_arrays(tg.state_graph.adjacency)
+    try:
+        _, cycle_under = howard_max_mean_cycle(
+            tg.state_count, edges, weights.reward_under, tg.initial
+        )
+        mean_over, cycle_over = howard_max_mean_cycle(
+            tg.state_count, edges, weights.reward_over, tg.initial
+        )
+    except NoCycleError:
+        raise NoCycleError(f"no infinite path starts at node {v0}") from None
 
-    components = _cycle_bearing_components(tg.state_graph)
-    if not components:
-        raise NoCycleError(f"no infinite path starts at node {v0}")
-
-    best_under: tuple[float, list[int]] | None = None
-    best_over: tuple[float, list[int]] | None = None
-    for comp in components:
-        mean_u, cycle_u = _component_karp(tg, comp, weights.reward_under, "max")
-        if best_under is None or mean_u > best_under[0]:
-            best_under = (mean_u, cycle_u)
-        mean_o, cycle_o = _component_karp(tg, comp, weights.reward_over, "max")
-        if best_over is None or mean_o > best_over[0]:
-            best_over = (mean_o, cycle_o)
-    assert best_under is not None and best_over is not None
-
-    pi_under = _cycle_to_lasso(tg, best_under[1])
-    pi_over = _cycle_to_lasso(tg, best_over[1])
+    pi_under = _cycle_to_lasso(tg, cycle_under)
+    pi_over = _cycle_to_lasso(tg, cycle_over)
     r_under = average_reward(spec, pi_under).value
     # r_under is the exact value of a real path, so it never exceeds the
     # optimum; lifting r_over to it only sheds rounding noise.
-    r_over = max(best_over[0], r_under)
+    r_over = max(mean_over, r_under)
     if r_under > r_over + TOLERANCE or r_over - r_under > epsilon + TOLERANCE:
-        raise RuntimeError(
+        raise SolverContractError(
             f"bracket [{r_under}, {r_over}] violates its contract at "
             f"epsilon {epsilon}"
         )

@@ -51,6 +51,10 @@ class RewardSpec:
             raise ValueError("lam and gamma must have equal length")
         if not self.lam:
             raise ValueError("spec needs at least one node")
+        for name, values in (("lam", self.lam), ("gamma", self.gamma)):
+            for v, value in enumerate(values):
+                if isinstance(value, bool) or not math.isfinite(value):
+                    raise ValueError(f"{name}[{v}] must be a finite number")
         for v, value in enumerate(self.lam):
             if value < 0:
                 raise ValueError(f"lam[{v}] must be non-negative")

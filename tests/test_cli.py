@@ -9,7 +9,10 @@ from importlib import resources
 import pytest
 
 from reward_routing import (
+    RewardValue,
     average_reward,
+    cli,
+    infinite,
     path_reward,
     validate_lasso,
     validate_path,
@@ -17,6 +20,7 @@ from reward_routing import (
 from reward_routing.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_NO,
     EXIT_OK,
     EXIT_UNKNOWN,
@@ -495,3 +499,94 @@ class TestExitCodes:
         )
         assert code == EXIT_BAD_INPUT and out is None
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, replayer",
+        [("infinite", infinite), ("decide", infinite), ("infinite", cli)],
+    )
+    def test_contract_failure_is_internal(self, monkeypatch, command, replayer):
+        # A replay that disagrees with the solver trips the bracket check
+        # inside the solver, or the CLI's re-score of the emitted witness.
+        def disagreeing(spec, lasso):
+            return RewardValue(average_reward(spec, lasso).value - 1.0, "limit_average")
+
+        monkeypatch.setattr(replayer, "average_reward", disagreeing)
+        argv = [
+            command,
+            "--graph", fixture_path("two_cycles_gamma_0.26.json"),
+            "--start", "a",
+            "--epsilon", "1e-3",
+        ]
+        if command == "decide":
+            argv += ["--threshold", "0"]
+        code, out, err = run(argv)
+        assert code == EXIT_INTERNAL and out is None
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def complete_graph_file(tmp_path, node_count: int, gamma: float) -> str:
+    ids = [chr(ord("a") + i) for i in range(node_count)]
+    doc = {
+        "defaults": {"lambda": 1.0, "gamma": gamma},
+        "nodes": [{"id": i} for i in ids],
+        "edges": [[u, v] for u in ids for v in ids if u != v],
+    }
+    graph_file = tmp_path / f"k{node_count}.json"
+    graph_file.write_text(json.dumps(doc))
+    return str(graph_file)
+
+
+def rescored_under(graph: str, doc: dict) -> float:
+    model = load_graph_file(graph)
+    under = doc["bracket"]["witness_under"]
+    lasso = validate_lasso(
+        model.graph,
+        [model.index_of(i) for i in under["prefix"]],
+        [model.index_of(i) for i in under["cycle"]],
+    )
+    return average_reward(model.spec, lasso).value
+
+
+class TestInfiniteBeyondKarpTable:
+    """Instances whose truncated graphs outgrew Karp's dense table."""
+
+    @pytest.mark.parametrize("node_count, epsilon", [(5, 1e-3), (6, 1e-2)])
+    def test_complete_graph_is_answered(self, tmp_path, node_count, epsilon):
+        graph = complete_graph_file(tmp_path, node_count, 0.3)
+        code, doc, err = run(
+            ["infinite", "--graph", graph, "--start", "a", "--epsilon", str(epsilon)]
+        )
+        assert code == EXIT_OK, err
+        assert doc["state_count"] > 10_000
+        bracket = doc["bracket"]
+        assert bracket["r_under"] <= bracket["r_over"]
+        assert bracket["r_over"] - bracket["r_under"] <= epsilon
+        assert rescored_under(graph, doc) == pytest.approx(bracket["r_under"], abs=1e-9)
+
+    def test_dead_end_start_takes_the_cycle(self, tmp_path):
+        # The sink is the heavier successor, but no infinite path goes there.
+        doc = {
+            "defaults": {"gamma": 0.5},
+            "nodes": [
+                {"id": "s", "lambda": 1.0},
+                {"id": "sink", "lambda": 50.0},
+                {"id": "a", "lambda": 1.0},
+                {"id": "b", "lambda": 1.0},
+            ],
+            "edges": [["s", "sink"], ["s", "a"], ["a", "b"], ["b", "a"]],
+        }
+        graph = tmp_path / "dead_end.json"
+        graph.write_text(json.dumps(doc))
+        code, out, err = run(
+            ["infinite", "--graph", str(graph), "--start", "s", "--epsilon", "1e-4"]
+        )
+        assert code == EXIT_OK, err
+        for side in ("witness_under", "witness_over"):
+            witness = out["bracket"][side]
+            assert witness["prefix"][0] == "s"
+            assert set(witness["prefix"][1:]) <= {"a", "b"}
+            assert sorted(witness["cycle"]) == ["a", "b"]
+        assert out["bracket"]["r_under"] == pytest.approx(1.5, abs=1e-4)
+        assert rescored_under(str(graph), out) == pytest.approx(
+            out["bracket"]["r_under"], abs=1e-9
+        )

@@ -10,6 +10,7 @@ from reward_routing import (
     NoCycleError,
     NotStronglyConnectedError,
     RewardSpec,
+    SolverContractError,
     StateBudgetExceededError,
     average_reward,
     build_truncated,
@@ -22,7 +23,12 @@ from reward_routing import (
     validate_lasso,
     weight_pair,
 )
-from reward_routing.infinite import _cycle_bearing_components
+from reward_routing import infinite
+from reward_routing.infinite import (
+    _component_karp,
+    _cycle_bearing_components,
+    howard_max_mean_cycle,
+)
 
 import oracles
 from conftest import parse_route, random_graph, ring_graph, spell, two_cycles_graph
@@ -158,6 +164,14 @@ class TestKarpMeanCycle:
         assert mean == pytest.approx(3.0)
         assert sorted(cycle) == [0, 1]
 
+    def test_oversized_table_is_refused(self):
+        # A ring just past the cell limit fails cleanly before allocating.
+        m = 7800
+        assert (m + 1) * m > infinite._KARP_CELL_LIMIT
+        edges = [(u, (u + 1) % m) for u in range(m)]
+        with pytest.raises(StateBudgetExceededError):
+            karp_mean_cycle(m, edges, [1.0] * m, "max")
+
     def test_not_strongly_connected_rejected(self):
         with pytest.raises(NotStronglyConnectedError):
             karp_mean_cycle(2, [(0, 1)], [1.0, 1.0])
@@ -194,6 +208,140 @@ class TestKarpMeanCycle:
             mean, _ = karp_mean_cycle(n, edges, weights)
             expected = oracles.min_mean_cycle_by_enumeration(n, edges, weights)
             assert mean == pytest.approx(expected, abs=1e-9)
+
+
+def random_digraph(rng: random.Random, n: int, density: int) -> list[tuple[int, int]]:
+    """Random edges that may leave states without successors."""
+    return sorted(
+        {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, density * n))}
+    )
+
+
+class TestHowardMaxMeanCycle:
+    def test_matches_karp_on_strongly_connected_graphs(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            n = rng.randint(1, 25)
+            g = TestKarpMeanCycle._random_strongly_connected(rng, n)
+            edges = list(g.edges())
+            # Integer weights make exact ties between cycles common.
+            weights = [
+                rng.choice([rng.uniform(-2, 2), float(rng.randint(0, 2))])
+                for _ in range(n)
+            ]
+            start = rng.randrange(n)
+            mean, cycle = howard_max_mean_cycle(n, edges, weights, start)
+            expected, _ = karp_mean_cycle(n, edges, weights, "max")
+            assert mean == pytest.approx(expected, abs=1e-9)
+            achieved = sum(weights[v] for v in cycle) / len(cycle)
+            assert achieved == pytest.approx(mean, abs=1e-12)
+            assert len(set(cycle)) == len(cycle)
+            for i, state in enumerate(cycle):
+                assert g.has_edge(state, cycle[(i + 1) % len(cycle)])
+
+    def test_best_reachable_component_with_dead_ends(self):
+        rng = random.Random(32)
+        for _ in range(80):
+            n = rng.randint(2, 20)
+            edges = random_digraph(rng, n, 2)
+            g = Graph.from_edges(n, edges)
+            weights = [rng.uniform(-1, 3) for _ in range(n)]
+            start = rng.randrange(n)
+            reach = oracles.reachability_closure(g)[start]
+            best = None
+            for comp in oracles.sccs_by_closure(g):
+                if not reach[comp[0]]:
+                    continue
+                if len(comp) == 1 and not g.has_edge(comp[0], comp[0]):
+                    continue
+                local = {s: i for i, s in enumerate(comp)}
+                inner = [(local[u], local[v]) for u, v in edges if u in local and v in local]
+                mean, _ = karp_mean_cycle(
+                    len(comp), inner, [weights[s] for s in comp], "max"
+                )
+                best = mean if best is None else max(best, mean)
+            if best is None:
+                with pytest.raises(NoCycleError):
+                    howard_max_mean_cycle(n, edges, weights, start)
+                continue
+            mean, cycle = howard_max_mean_cycle(n, edges, weights, start)
+            assert mean == pytest.approx(best, abs=1e-9)
+            assert reach[cycle[0]]
+
+    def test_matches_simple_cycle_enumeration(self):
+        rng = random.Random(33)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            edges = random_digraph(rng, n, 3)
+            g = Graph.from_edges(n, edges)
+            weights = [rng.uniform(0, 3) for _ in range(n)]
+            reach = oracles.reachability_closure(g)[0]
+            means = [
+                sum(weights[v] for v in cyc) / len(cyc)
+                for cyc in oracles.simple_cycles(g)
+                if reach[cyc[0]]
+            ]
+            if not means:
+                with pytest.raises(NoCycleError):
+                    howard_max_mean_cycle(n, edges, weights)
+                continue
+            mean, _ = howard_max_mean_cycle(n, edges, weights)
+            assert mean == pytest.approx(max(means), abs=1e-9)
+
+    def test_ties_go_to_the_lowest_successor(self):
+        # Three equal self-loops behind the start; the first one wins.
+        edges = [(0, 3), (0, 2), (0, 1), (1, 1), (2, 2), (3, 3)]
+        assert howard_max_mean_cycle(4, edges, [0.0, 1.0, 1.0, 1.0]) == (1.0, [1])
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # The heavier successor leads into the worse cycle, so the first
+        # policy must improve once.
+        edges = [(0, 0), (0, 1), (1, 2), (2, 0)]
+        weights = [0.0, 5.0, -10.0]
+        monkeypatch.setattr(infinite, "_HOWARD_MAX_ITERATIONS", 1)
+        assert howard_max_mean_cycle(3, edges, weights) == (0.0, [0])
+        monkeypatch.setattr(infinite, "_HOWARD_MAX_ITERATIONS", 0)
+        with pytest.raises(SolverContractError):
+            howard_max_mean_cycle(3, edges, weights)
+
+    def test_long_tail_does_not_hide_a_slightly_better_cycle(self):
+        # States 0..L-1 form a tail of weight 1 into a 0-weight self-loop at
+        # L, so biases grow to about L. The 2-cycle 1 <-> X beats that loop
+        # by only delta, and must still be found: the improvement margin is
+        # absolute, not relative to the bias.
+        tail, delta = 2000, 1e-7
+        loop, extra = tail, tail + 1
+        edges = [(u, u + 1) for u in range(tail)]
+        edges += [(loop, loop), (1, extra), (extra, 1)]
+        weights = [1.0] * tail + [0.0, -1.0 + 2 * delta]
+        mean, cycle = howard_max_mean_cycle(tail + 2, edges, weights)
+        expected, _ = karp_mean_cycle(2, [(0, 1), (1, 0)], [1.0, weights[extra]], "max")
+        assert mean == pytest.approx(expected, abs=1e-12)
+        assert sorted(cycle) == [1, extra]
+
+    def test_matches_component_karp_on_truncated_graphs(self):
+        rng = random.Random(34)
+        for _ in range(15):
+            g = random_graph(rng, rng.randint(2, 4), min_out=0, max_out=2)
+            spec = RewardSpec.uniform(g.node_count, 1.0, rng.uniform(0.2, 0.6))
+            tg = build_truncated(g, 0, rng.randint(2, 5))
+            table = tg.weights(spec)
+            components = _cycle_bearing_components(tg.state_graph)
+            edges = list(tg.state_graph.edges())
+            for weights in (table.reward_under, table.reward_over):
+                if not components:
+                    with pytest.raises(NoCycleError):
+                        howard_max_mean_cycle(
+                            tg.state_count, edges, weights, tg.initial
+                        )
+                    continue
+                best = max(
+                    _component_karp(tg, comp, weights, "max")[0] for comp in components
+                )
+                mean, _ = howard_max_mean_cycle(
+                    tg.state_count, edges, weights, tg.initial
+                )
+                assert mean == pytest.approx(best, abs=1e-9)
 
 
 class TestSolveInfiniteApprox:
@@ -281,10 +429,7 @@ class TestSolveInfiniteApprox:
         # Deeper truncation can only help the pessimistic witness and only
         # lower the optimistic bound.
         spec = RewardSpec.uniform(4, 1.0, 0.1)
-        from reward_routing.infinite import (
-            _component_karp,
-            _cycle_to_lasso,
-        )
+        from reward_routing.infinite import _cycle_to_lasso
 
         previous_under = -1.0
         previous_over = float("inf")
@@ -313,7 +458,6 @@ class TestSolveInfiniteApprox:
         spec = RewardSpec.uniform(4, lam, gamma)
         tg = build_truncated(two_cycles, 0, depth)
         table = tg.weights(spec)
-        from reward_routing.infinite import _component_karp
 
         for comp in _cycle_bearing_components(tg.state_graph):
             reward_under, _ = _component_karp(tg, comp, table.reward_under, "max")

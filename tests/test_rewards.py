@@ -434,3 +434,10 @@ class TestRewardSpecValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             RewardSpec((1.0, 1.0), (0.5,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), True])
+    def test_non_finite_and_boolean_values_are_named(self, bad):
+        with pytest.raises(ValueError, match=r"lam\[1\]"):
+            RewardSpec((1.0, bad), (0.5, 0.5))
+        with pytest.raises(ValueError, match=r"gamma\[1\]"):
+            RewardSpec((1.0, 1.0), (0.5, bad))
