@@ -401,6 +401,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
         state_budget=_state_budget(),
     )
     elapsed = time.perf_counter() - started
+    _check_rescore(
+        bracket.r_under, average_reward(spec, bracket.pi_under).value
+    )
     doc = _base_document("decide", args, model)
     doc.update(
         {

@@ -3,15 +3,25 @@
 A state is ``(node, ages)`` where ``ages[u]`` is the number of steps since
 ``u`` was last visited (``t + 1`` if never). The ages determine every
 future collection exactly, so states reached by different histories can be
-merged keeping the best accumulated value. The frontier is a hash map per
-layer; reachable states are typically far fewer than the crude
-``(N + 1) ** node_count`` bound.
+merged keeping the best accumulated value. Reachable states are typically
+far fewer than the crude ``(N + 1) ** node_count`` bound.
+
+This module also holds the visit-age state engine that the DP shares with
+the truncated graph of :mod:`reward_routing.infinite`. A layer (or BFS
+frontier) is a node vector plus an age matrix with one column per state,
+in the narrowest unsigned dtype that holds the largest age. The successors
+of every state come out of array operations on a CSR view of the
+adjacency, and equal states are merged by one stable ``np.lexsort`` over
+the node and age keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import InstanceTooLargeError, NoPathError, StateBudgetExceededError
 from .graph import Graph, Path
@@ -41,6 +51,116 @@ class FiniteSolution:
     states_expanded: int
 
 
+def _age_dtype(cap: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds every age up to ``cap + 1``."""
+    return np.min_scalar_type(cap + 1)
+
+
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The adjacency as ``(first, degree, targets)`` arrays.
+
+    The successors of ``v`` are ``targets[first[v]:first[v] + degree[v]]``.
+    """
+    degree = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.node_count)
+    first = degree.cumsum() - degree
+    targets = np.fromiter(
+        chain.from_iterable(g.adjacency),
+        dtype=np.min_scalar_type(g.node_count - 1),
+        count=int(degree.sum()),
+    )
+    return first, degree, targets
+
+
+def _expand(
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+    nodes: np.ndarray,
+    ages: np.ndarray,
+    depth: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every successor of every state, as ``(predecessor, nodes, ages)``.
+
+    Successors come grouped by predecessor, in state order, and each
+    state's in adjacency order. Leaving ``v`` resets its age to 1 and every
+    other age ticks up; under a ``depth`` cap an age that would pass it
+    overflows to 0, and 0 stays 0. ``depth=None`` is the uncapped DP.
+    """
+    first, degree, targets = csr
+    degree = degree[nodes]
+    pred = np.arange(len(nodes)).repeat(degree)
+    slots = np.arange(len(pred))
+    # Slot i of predecessor p reads edge first[v] + i - (slots before p).
+    succ = targets[slots + (first[nodes] - degree.cumsum() + degree).repeat(degree)]
+    succ_ages = ages[:, pred]
+    if depth is not None:
+        succ_ages *= succ_ages < depth
+        succ_ages += succ_ages > 0
+    else:
+        succ_ages += 1
+    succ_ages[nodes[pred], slots] = 1
+    return pred, succ, succ_ages
+
+
+def _sort_states(
+    nodes: np.ndarray, ages: np.ndarray, *minor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """State order and, per sorted position, whether it starts a new state.
+
+    One stable ``np.lexsort`` by node, then ages, then the ``minor`` keys,
+    then position: among equal states the first in the returned order has
+    the smallest minor keys and, on ties, comes first in the input. Age
+    rows that are equal in every state cannot change the order and are
+    left out of the sort.
+    """
+    ages = ages[(ages != ages[:, :1]).any(axis=1)]
+    order = np.lexsort((*reversed(minor), *ages[::-1], nodes))
+    fresh = np.empty(len(order), dtype=bool)
+    fresh[:1] = True
+    ordered = nodes[order]
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    ordered = ages[:, order]
+    fresh[1:] |= (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    return order, fresh
+
+
+class _PairTable:
+    """``fn(node, age)`` per array element, each pair computed on first use.
+
+    Only pairs that a lookup asks for are computed, so an ``fn`` that fails
+    past some age (a decay profile without a tail) fails only once a state
+    reaches that age. The table is laid out age-major and grows with the
+    largest age asked for.
+    """
+
+    def __init__(
+        self,
+        fn: Callable[[int, int], object],
+        node_count: int,
+        shape: tuple[int, ...] = (),
+    ) -> None:
+        self._fn = fn
+        self._node_count = node_count
+        self._values = np.zeros((16 * node_count, *shape))
+        self._known = np.zeros(16 * node_count, dtype=bool)
+
+    def __call__(self, nodes: np.ndarray, ages: np.ndarray) -> np.ndarray:
+        index = ages.astype(np.intp)
+        index *= self._node_count
+        index += nodes
+        size = len(self._known)
+        if len(index) and index.max() >= size:
+            size = max(2 * size, int(index.max()) + 1)
+            values = np.zeros((size, *self._values.shape[1:]))
+            values[: len(self._values)] = self._values
+            known = np.zeros(size, dtype=bool)
+            known[: len(self._known)] = self._known
+            self._values, self._known = values, known
+        for i in sorted(set(index[~self._known[index]].tolist())):
+            age, node = divmod(i, self._node_count)
+            self._values[i] = self._fn(node, age)
+            self._known[i] = True
+        return self._values[index]
+
+
 def _solve_layered(
     g: Graph,
     v0: int,
@@ -57,65 +177,46 @@ def _solve_layered(
         raise InstanceTooLargeError(
             f"horizon {horizon} exceeds the layer-loop cap of {horizon_cap}"
         )
-    n = g.node_count
-    start: State = (v0, (1,) * n)
-    # layer maps state -> (value, parent state in the previous layer)
-    layer: dict[State, tuple[float, State | None]] = {
-        start: (step_reward(v0, 1), None)
-    }
-    parents: list[dict[State, State | None]] = [{start: None}]
+    csr = _csr(g)
+    steps = _PairTable(step_reward, g.node_count)
+    nodes = np.full(1, v0, dtype=csr[2].dtype)
+    ages = np.ones((g.node_count, 1), dtype=_age_dtype(horizon))
+    values = steps(nodes, ages[v0])
+    # Each layer is sorted by state; per layer, the nodes and the index of
+    # each state's predecessor in the previous layer.
+    layer_nodes = [nodes]
+    parents = []
     total_states = 1
 
     for _ in range(horizon):
-        nxt: dict[State, tuple[float, State | None]] = {}
-        for (v, ages), (value, _) in layer.items():
-            state_key: State = (v, ages)
-            for w in g.adjacency[v]:
-                new_ages = tuple(
-                    1 if u == v else ages[u] + 1 for u in range(n)
-                )
-                gained = value + step_reward(w, new_ages[w])
-                key: State = (w, new_ages)
-                seen = nxt.get(key)
-                if seen is None:
-                    nxt[key] = (gained, state_key)
-                    total_states += 1
-                    if total_states > state_budget:
-                        raise StateBudgetExceededError(state_budget)
-                elif gained > seen[0] or (
-                    gained == seen[0]
-                    and seen[1] is not None
-                    and state_key < seen[1]
-                ):
-                    # Ties keep the lexicographically smallest predecessor,
-                    # so the witness is schedule-independent.
-                    nxt[key] = (gained, state_key)
-        if not nxt:
+        pred, succ, succ_ages = _expand(csr, nodes, ages, None)
+        gained = values[pred] + steps(succ, succ_ages[succ, np.arange(len(succ))])
+        # The best value wins; ties keep the smallest predecessor, which is
+        # the lexicographically smallest since the layer is sorted.
+        order, fresh = _sort_states(succ, succ_ages, -gained)
+        keep = order[fresh]
+        if not len(keep):
             raise NoPathError(
                 f"no path of length {horizon} from node {v0}"
             )
-        parents.append({key: val[1] for key, val in nxt.items()})
-        layer = nxt
+        total_states += len(keep)
+        if total_states > state_budget:
+            raise StateBudgetExceededError(state_budget)
+        nodes, ages, values = succ[keep], succ_ages[:, keep], gained[keep]
+        layer_nodes.append(nodes)
+        parents.append(pred[keep])
 
-    best_state: State | None = None
-    best_value = -1.0
-    for key, (value, _) in layer.items():
-        if best_state is None or value > best_value or (
-            value == best_value and key < best_state
-        ):
-            best_state, best_value = key, value
-
-    assert best_state is not None
-    nodes = []
-    cursor: State | None = best_state
-    for t in range(horizon, -1, -1):
-        assert cursor is not None
-        nodes.append(cursor[0])
-        cursor = parents[t][cursor]
-    nodes.reverse()
+    # argmax takes the first best state, the smallest in state order.
+    cursor = int(values.argmax())
+    best_value = float(values[cursor])
+    route = [int(nodes[cursor])]
+    for t in range(horizon, 0, -1):
+        cursor = int(parents[t - 1][cursor])
+        route.append(int(layer_nodes[t - 1][cursor]))
+    route.reverse()
     return FiniteSolution(
         RewardValue(best_value, "finite_sum", horizon=horizon),
-        Path(tuple(nodes)),
+        Path(tuple(route)),
         total_states,
     )
 

@@ -18,9 +18,7 @@ the tests check Howard against.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +29,15 @@ from .errors import (
     SolverContractError,
     StateBudgetExceededError,
 )
-from .finite import DEFAULT_STATE_BUDGET, State
+from .finite import (
+    DEFAULT_STATE_BUDGET,
+    State,
+    _age_dtype,
+    _csr,
+    _expand,
+    _PairTable,
+    _sort_states,
+)
 from .graph import (
     Graph,
     Lasso,
@@ -97,20 +103,26 @@ class WeightPair:
     reward_over: float
 
 
-def weight_pair(spec: RewardSpec, state: State, depth: int) -> WeightPair:
-    v, ages = state
+def _weight_values(
+    spec: RewardSpec, v: int, age: int, depth: int
+) -> tuple[float, float, float, float]:
+    """The fields of :class:`WeightPair` for a state at ``v`` of own age ``age``."""
     lam, gamma = spec.lam[v], spec.gamma[v]
-    age = ages[v]
     if age > 0:
         cost = gamma**age
         exact = lam * geometric_series(gamma, age)
-        return WeightPair(cost, cost, exact, exact)
-    return WeightPair(
+        return cost, cost, exact, exact
+    return (
         gamma**depth,
         0.0,
         lam * geometric_series(gamma, depth),
         lam / (1.0 - gamma),
     )
+
+
+def weight_pair(spec: RewardSpec, state: State, depth: int) -> WeightPair:
+    v, ages = state
+    return WeightPair(*_weight_values(spec, v, ages[v], depth))
 
 
 @dataclass(frozen=True)
@@ -129,7 +141,10 @@ class TruncatedGraph:
 
     States are sorted lexicographically (by node, then age vector), so
     state indices double as deterministic tie-break ranks. ``state_graph``
-    is the plain directed graph over state indices.
+    is the plain directed graph over state indices. ``node_array`` and
+    ``age_matrix`` hold the same states as arrays (state ``i`` is column
+    ``i``), and ``edge_arrays`` the edges of ``state_graph`` as ``(src,
+    dst)`` index arrays, sorted by source, then target.
     """
 
     graph: Graph
@@ -137,6 +152,9 @@ class TruncatedGraph:
     states: tuple[State, ...]
     initial: int
     state_graph: Graph
+    node_array: np.ndarray = field(repr=False, compare=False)
+    age_matrix: np.ndarray = field(repr=False, compare=False)
+    edge_arrays: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     @property
     def state_count(self) -> int:
@@ -146,29 +164,20 @@ class TruncatedGraph:
         return self.states[index][0]
 
     def weights(self, spec: RewardSpec) -> WeightTable:
-        pairs = [weight_pair(spec, s, self.depth) for s in self.states]
-        return WeightTable(
-            np.array([p.cost_over for p in pairs]),
-            np.array([p.cost_under for p in pairs]),
-            np.array([p.reward_under for p in pairs]),
-            np.array([p.reward_over for p in pairs]),
+        """The :func:`weight_pair` fields of every state, as arrays.
+
+        Weights depend only on a state's node and its own age, so each
+        such pair is weighed once, with the same arithmetic as
+        :func:`weight_pair`, and the states read it from that table.
+        """
+        own_ages = self.age_matrix[self.node_array, np.arange(self.state_count)]
+        table = _PairTable(
+            lambda v, age: _weight_values(spec, v, age, self.depth),
+            self.graph.node_count,
+            (4,),
         )
-
-
-def _truncated_successor(
-    ages: tuple[int, ...], v: int, w: int, depth: int, n: int
-) -> State:
-    # Leaving v resets its age to 1; every other age ticks up and overflows
-    # to 0 once it passes the cap (0 also stays 0).
-    return (
-        w,
-        tuple(
-            1
-            if u == v
-            else (ages[u] + 1 if 0 < ages[u] and ages[u] + 1 <= depth else 0)
-            for u in range(n)
-        ),
-    )
+        columns = table(self.node_array, own_ages)
+        return WeightTable(*(columns[:, k].copy() for k in range(4)))
 
 
 def build_truncated(
@@ -181,51 +190,68 @@ def build_truncated(
     """Breadth-first expansion of the truncated visit-age graph from ``v0``.
 
     Starts at ``(v0, (1, ..., 1))`` and only materializes reachable states.
-    Raises :class:`StateBudgetExceededError` past the state budget.
+    Each BFS level expands the whole frontier at once with the visit-age
+    engine of :mod:`reward_routing.finite` and sorts the successors with
+    the known states at the same nodes in one ``np.lexsort``; successors
+    found nowhere before form the next frontier. At the end one sort puts
+    the states in order and one more pass finds each edge's target.
+    Raises :class:`StateBudgetExceededError` when a level takes the state
+    count past the budget.
     """
     if depth < 1:
         raise ValueError("truncation depth must be at least 1")
     if not 0 <= v0 < g.node_count:
         raise ValueError(f"start node {v0} out of range")
-    n = g.node_count
-    initial: State = (v0, (1,) * n)
-    discovered: dict[State, int] = {initial: 0}
-    order: list[State] = [initial]
-    edges: list[tuple[int, int]] = []
-    queue = deque([initial])
-    while queue:
-        state = queue.popleft()
-        v, ages = state
-        src = discovered[state]
-        for w in g.adjacency[v]:
-            succ = _truncated_successor(ages, v, w, depth, n)
-            idx = discovered.get(succ)
-            if idx is None:
-                idx = len(order)
-                if idx >= state_budget:
-                    raise StateBudgetExceededError(
-                        state_budget,
-                        f"truncated graph at depth {depth} exceeds "
-                        f"{state_budget} states",
-                    )
-                discovered[succ] = idx
-                order.append(succ)
-                queue.append(succ)
-            edges.append((src, idx))
+    csr = _csr(g)
+    nodes = np.full(1, v0, dtype=csr[2].dtype)
+    ages = np.ones((g.node_count, 1), dtype=_age_dtype(depth))
+    frontier = slice(0, 1)
+    while frontier.start < frontier.stop:
+        _, succ, succ_ages = _expand(csr, nodes[frontier], ages[:, frontier], depth)
+        # Only known states at the successors' nodes can equal a successor;
+        # stability puts each ahead of its rediscoveries.
+        near = np.flatnonzero(np.isin(nodes, succ))
+        order, fresh = _sort_states(
+            np.concatenate((nodes[near], succ)),
+            np.concatenate((ages[:, near], succ_ages), axis=1),
+        )
+        added = order[fresh]
+        added = added[added >= len(near)] - len(near)
+        frontier = slice(len(nodes), len(nodes) + len(added))
+        nodes = np.concatenate((nodes, succ[added]))
+        ages = np.concatenate((ages, succ_ages[:, added]), axis=1)
+        if len(added) and len(nodes) > state_budget:
+            raise StateBudgetExceededError(
+                state_budget,
+                f"truncated graph at depth {depth} exceeds "
+                f"{state_budget} states",
+            )
+    order, _ = _sort_states(nodes, ages)
+    nodes, ages = nodes[order], ages[:, order]
 
-    # Re-rank states lexicographically so indices are stable tie-breakers.
-    ranked = sorted(range(len(order)), key=lambda i: order[i])
-    rank_of = [0] * len(order)
-    for new, old in enumerate(ranked):
-        rank_of[old] = new
-    states = tuple(order[old] for old in ranked)
-    adjacency: list[list[int]] = [[] for _ in range(len(states))]
-    for src, dst in edges:
-        adjacency[rank_of[src]].append(rank_of[dst])
-    state_graph = Graph(
-        len(states), tuple(tuple(sorted(set(a))) for a in adjacency)
+    # Every successor is a known state and sorts right behind it, so its
+    # target index is the number of distinct states before it.
+    m = len(nodes)
+    src, succ, succ_ages = _expand(csr, nodes, ages, depth)
+    order, fresh = _sort_states(
+        np.concatenate((nodes, succ)), np.concatenate((ages, succ_ages), axis=1)
     )
-    return TruncatedGraph(g, depth, states, rank_of[0], state_graph)
+    rank = np.cumsum(fresh) - 1
+    is_edge = order >= m
+    dst = np.empty(len(succ), dtype=np.intp)
+    dst[order[is_edge] - m] = rank[is_edge]
+    # Successors come by source, each source's in ascending node order,
+    # hence ascending target index: the edges are already sorted.
+    initial = int(np.flatnonzero((nodes == v0) & (ages == 1).all(axis=0))[0])
+    states = tuple(zip(nodes.tolist(), map(tuple, ages.T.tolist())))
+    targets = dst.tolist()
+    bounds = np.searchsorted(src, np.arange(m + 1)).tolist()
+    state_graph = Graph(
+        m, tuple(tuple(targets[a:b]) for a, b in zip(bounds, bounds[1:]))
+    )
+    return TruncatedGraph(
+        g, depth, states, initial, state_graph, nodes, ages, (src, dst)
+    )
 
 
 def _edge_arrays(
@@ -237,18 +263,6 @@ def _edge_arrays(
     if arr.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return arr[:, 0], arr[:, 1]
-
-
-def _adjacency_arrays(
-    adjacency: Sequence[Sequence[int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(src, dst)`` of every edge of an adjacency list.
-
-    Several times faster than pairing up ``Graph.edges()`` on large graphs.
-    """
-    src = np.repeat(np.arange(len(adjacency)), [len(a) for a in adjacency])
-    dst = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=len(src))
-    return src, dst
 
 
 def _verify_strongly_connected(m: int, src: np.ndarray, dst: np.ndarray) -> None:
@@ -677,7 +691,7 @@ def solve_infinite_approx(
             "should fit the budget",
         ) from exc
     weights = tg.weights(spec)
-    edges = _adjacency_arrays(tg.state_graph.adjacency)
+    edges = tg.edge_arrays
     try:
         _, cycle_under = howard_max_mean_cycle(
             tg.state_count, edges, weights.reward_under, tg.initial

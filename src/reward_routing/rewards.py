@@ -220,6 +220,13 @@ class DecayProfile:
     ratio: float | None = None
 
     def __post_init__(self) -> None:
+        for i, value in enumerate(self.table):
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"table[{i}] must be a finite number")
+        if self.ratio is not None and (
+            isinstance(self.ratio, bool) or not math.isfinite(self.ratio)
+        ):
+            raise ValueError("ratio must be a finite number")
         if not self.table or self.table[0] != 1.0:
             raise ValueError("profile table must start at 1.0")
         for i in range(1, len(self.table)):

@@ -2,15 +2,28 @@
 
 Everything here is written from the definitions: explicit enumeration,
 backward scans, and per-unit bookkeeping. Nothing calls back into the
-library's closed forms or solvers.
+library's closed forms or solvers. The last two are the one-tuple-per-state
+expansions that the vectorized visit-age engine replaced, kept as its
+references.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from collections import deque
+from typing import Callable, Iterable, Iterator, Sequence
 
-from reward_routing import Graph
+from reward_routing import (
+    FiniteSolution,
+    Graph,
+    InstanceTooLargeError,
+    NoPathError,
+    Path,
+    RewardValue,
+    StateBudgetExceededError,
+)
+
+State = tuple[int, tuple[int, ...]]
 
 
 def backward_scan_age(nodes: Sequence[int], t: int, v: int) -> int:
@@ -188,3 +201,157 @@ def long_horizon_average(
         nodes.extend(cycle)
     nodes = nodes[: horizon + 1]
     return explicit_path_total(lam, gamma, nodes) / (horizon + 1)
+
+
+def layered_dp_reference(
+    g: Graph,
+    v0: int,
+    horizon: int,
+    step_reward: Callable[[int, int], float],
+    state_budget: int,
+    horizon_cap: int,
+) -> FiniteSolution:
+    """The finite-horizon DP with one dict entry per visit-age state.
+
+    The per-state loop the vectorized engine replaced, kept as its
+    reference: same values, witnesses, tie-breaks and state counts.
+    """
+    if not 0 <= v0 < g.node_count:
+        raise ValueError(f"start node {v0} out of range")
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    if horizon > horizon_cap:
+        raise InstanceTooLargeError(
+            f"horizon {horizon} exceeds the layer-loop cap of {horizon_cap}"
+        )
+    n = g.node_count
+    start: State = (v0, (1,) * n)
+    # layer maps state -> (value, parent state in the previous layer)
+    layer: dict[State, tuple[float, State | None]] = {
+        start: (step_reward(v0, 1), None)
+    }
+    parents: list[dict[State, State | None]] = [{start: None}]
+    total_states = 1
+
+    for _ in range(horizon):
+        nxt: dict[State, tuple[float, State | None]] = {}
+        for (v, ages), (value, _) in layer.items():
+            state_key: State = (v, ages)
+            for w in g.adjacency[v]:
+                new_ages = tuple(
+                    1 if u == v else ages[u] + 1 for u in range(n)
+                )
+                gained = value + step_reward(w, new_ages[w])
+                key: State = (w, new_ages)
+                seen = nxt.get(key)
+                if seen is None:
+                    nxt[key] = (gained, state_key)
+                    total_states += 1
+                    if total_states > state_budget:
+                        raise StateBudgetExceededError(state_budget)
+                elif gained > seen[0] or (
+                    gained == seen[0]
+                    and seen[1] is not None
+                    and state_key < seen[1]
+                ):
+                    # Ties keep the lexicographically smallest predecessor,
+                    # so the witness is schedule-independent.
+                    nxt[key] = (gained, state_key)
+        if not nxt:
+            raise NoPathError(
+                f"no path of length {horizon} from node {v0}"
+            )
+        parents.append({key: val[1] for key, val in nxt.items()})
+        layer = nxt
+
+    best_state: State | None = None
+    best_value = -1.0
+    for key, (value, _) in layer.items():
+        if best_state is None or value > best_value or (
+            value == best_value and key < best_state
+        ):
+            best_state, best_value = key, value
+
+    assert best_state is not None
+    nodes = []
+    cursor: State | None = best_state
+    for t in range(horizon, -1, -1):
+        assert cursor is not None
+        nodes.append(cursor[0])
+        cursor = parents[t][cursor]
+    nodes.reverse()
+    return FiniteSolution(
+        RewardValue(best_value, "finite_sum", horizon=horizon),
+        Path(tuple(nodes)),
+        total_states,
+    )
+
+
+def _truncated_successor(
+    ages: tuple[int, ...], v: int, w: int, depth: int, n: int
+) -> State:
+    # Leaving v resets its age to 1; every other age ticks up and overflows
+    # to 0 once it passes the cap (0 also stays 0).
+    return (
+        w,
+        tuple(
+            1
+            if u == v
+            else (ages[u] + 1 if 0 < ages[u] and ages[u] + 1 <= depth else 0)
+            for u in range(n)
+        ),
+    )
+
+
+def truncated_bfs_reference(
+    g: Graph, v0: int, depth: int, *, state_budget: int
+) -> tuple[tuple[State, ...], int, Graph]:
+    """Tuple-per-state BFS of the truncated visit-age graph.
+
+    The per-state loop the vectorized engine replaced, kept as its
+    reference. Returns ``(states, initial, state_graph)`` as
+    :func:`reward_routing.build_truncated` lays them out.
+    """
+    if depth < 1:
+        raise ValueError("truncation depth must be at least 1")
+    if not 0 <= v0 < g.node_count:
+        raise ValueError(f"start node {v0} out of range")
+    n = g.node_count
+    initial: State = (v0, (1,) * n)
+    discovered: dict[State, int] = {initial: 0}
+    order: list[State] = [initial]
+    edges: list[tuple[int, int]] = []
+    queue = deque([initial])
+    while queue:
+        state = queue.popleft()
+        v, ages = state
+        src = discovered[state]
+        for w in g.adjacency[v]:
+            succ = _truncated_successor(ages, v, w, depth, n)
+            idx = discovered.get(succ)
+            if idx is None:
+                idx = len(order)
+                if idx >= state_budget:
+                    raise StateBudgetExceededError(
+                        state_budget,
+                        f"truncated graph at depth {depth} exceeds "
+                        f"{state_budget} states",
+                    )
+                discovered[succ] = idx
+                order.append(succ)
+                queue.append(succ)
+            edges.append((src, idx))
+
+    # Re-rank states lexicographically so indices are stable tie-breakers.
+    ranked = sorted(range(len(order)), key=lambda i: order[i])
+    rank_of = [0] * len(order)
+    for new, old in enumerate(ranked):
+        rank_of[old] = new
+    states = tuple(order[old] for old in ranked)
+    adjacency: list[list[int]] = [[] for _ in range(len(states))]
+    for src, dst in edges:
+        adjacency[rank_of[src]].append(rank_of[dst])
+    state_graph = Graph(
+        len(states), tuple(tuple(sorted(set(a))) for a in adjacency)
+    )
+    return states, rank_of[0], state_graph

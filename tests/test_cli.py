@@ -502,7 +502,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command, replayer",
-        [("infinite", infinite), ("decide", infinite), ("infinite", cli)],
+        [("infinite", infinite), ("decide", infinite), ("infinite", cli), ("decide", cli)],
     )
     def test_contract_failure_is_internal(self, monkeypatch, command, replayer):
         # A replay that disagrees with the solver trips the bracket check

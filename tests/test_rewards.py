@@ -306,6 +306,17 @@ class TestDecayProfile:
         with pytest.raises(ValueError):
             DecayProfile((1.0, 0.5), tail="geometric")  # missing ratio
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), True, False])
+    def test_non_finite_and_boolean_values_are_named(self, bad):
+        with pytest.raises(ValueError, match=r"table\[1\] must be a finite number"):
+            DecayProfile((1.0, bad))
+        with pytest.raises(ValueError, match=r"^ratio must be a finite number"):
+            DecayProfile((1.0, 0.5), tail="geometric", ratio=bad)
+
+    def test_boolean_first_entry_is_named(self):
+        with pytest.raises(ValueError, match=r"table\[0\]"):
+            DecayProfile((True, 0.5))
+
     def test_zero_tail(self):
         profile = DecayProfile((1.0, 0.5, 0.25), tail="zero")
         assert profile.value(1) == 0.5
