@@ -428,6 +428,10 @@ def cmd_nondiscounted(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     solution = infinite.solve_nondiscounted(model.graph, model.lam, v0)
     elapsed = time.perf_counter() - started
+    # Without decay every node is worth its rate; profiles do not matter.
+    no_decay = RewardSpec(model.lam, (1.0,) * model.graph.node_count)
+    replay = average_reward(no_decay, solution.witness)
+    _check_rescore(solution.value.value, replay.value)
     doc = _base_document("nondiscounted", args, model)
     doc.update(
         {

@@ -167,15 +167,14 @@ def _solve_layered(
     horizon: int,
     step_reward: Callable[[int, int], float],
     state_budget: int,
-    horizon_cap: int,
 ) -> FiniteSolution:
     if not 0 <= v0 < g.node_count:
         raise ValueError(f"start node {v0} out of range")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    if horizon > horizon_cap:
+    if horizon > DEFAULT_HORIZON_CAP:
         raise InstanceTooLargeError(
-            f"horizon {horizon} exceeds the layer-loop cap of {horizon_cap}"
+            f"horizon {horizon} exceeds the layer-loop cap of {DEFAULT_HORIZON_CAP}"
         )
     csr = _csr(g)
     steps = _PairTable(step_reward, g.node_count)
@@ -228,7 +227,6 @@ def solve_finite(
     horizon: int,
     *,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
 ) -> FiniteSolution:
     """Optimal expected total reward over all paths of the given length.
 
@@ -239,7 +237,7 @@ def solve_finite(
     if spec.node_count != g.node_count:
         raise ValueError("spec size disagrees with the graph")
     step_reward = make_step_reward(spec.lam, spec.survival_sums())
-    return _solve_layered(g, v0, horizon, step_reward, state_budget, horizon_cap)
+    return _solve_layered(g, v0, horizon, step_reward, state_budget)
 
 
 def solve_finite_decay(
@@ -250,13 +248,12 @@ def solve_finite_decay(
     horizon: int,
     *,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
 ) -> FiniteSolution:
     """As :func:`solve_finite` but with explicit per-node decay profiles."""
     if len(lam) != g.node_count or len(profiles) != g.node_count:
         raise ValueError("lam/profiles size disagrees with the graph")
     step_reward = make_step_reward(lam, [p.sum_first for p in profiles])
-    return _solve_layered(g, v0, horizon, step_reward, state_budget, horizon_cap)
+    return _solve_layered(g, v0, horizon, step_reward, state_budget)
 
 
 def decide_finite_value(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -135,33 +136,42 @@ class WeightTable:
     reward_over: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedGraph:
-    """The reachable part of the truncated visit-age graph.
+    """The reachable part of the truncated visit-age graph, as arrays.
 
-    States are sorted lexicographically (by node, then age vector), so
-    state indices double as deterministic tie-break ranks. ``state_graph``
-    is the plain directed graph over state indices. ``node_array`` and
-    ``age_matrix`` hold the same states as arrays (state ``i`` is column
-    ``i``), and ``edge_arrays`` the edges of ``state_graph`` as ``(src,
-    dst)`` index arrays, sorted by source, then target.
+    States are sorted by node, then age vector, so state indices double as
+    tie-break ranks. State ``i`` is ``node_array[i]`` with ages
+    ``age_matrix[:, i]``; ``edge_arrays`` holds ``(src, dst)`` sorted by
+    source, then target. ``parent[i]`` is the state the build's BFS first
+    reached ``i`` from (``parent[initial] == initial``), so its walks are
+    the paths :func:`shortest_path` finds. ``states`` (tuples) and
+    ``state_graph`` (a :class:`Graph`) are views built on first read.
     """
 
     graph: Graph
     depth: int
-    states: tuple[State, ...]
     initial: int
-    state_graph: Graph
-    node_array: np.ndarray = field(repr=False, compare=False)
-    age_matrix: np.ndarray = field(repr=False, compare=False)
-    edge_arrays: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    node_array: np.ndarray = field(repr=False)
+    age_matrix: np.ndarray = field(repr=False)
+    edge_arrays: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    parent: np.ndarray = field(repr=False)
 
     @property
     def state_count(self) -> int:
-        return len(self.states)
+        return len(self.node_array)
 
-    def node_of(self, index: int) -> int:
-        return self.states[index][0]
+    @cached_property
+    def states(self) -> tuple[State, ...]:
+        ages = map(tuple, self.age_matrix.T.tolist())
+        return tuple(zip(self.node_array.tolist(), ages))
+
+    @cached_property
+    def state_graph(self) -> Graph:
+        src, dst = self.edge_arrays
+        m, targets = self.state_count, dst.tolist()
+        bounds = np.searchsorted(src, np.arange(m + 1)).tolist()
+        return Graph(m, tuple(tuple(targets[a:b]) for a, b in zip(bounds, bounds[1:])))
 
     def weights(self, spec: RewardSpec) -> WeightTable:
         """The :func:`weight_pair` fields of every state, as arrays.
@@ -193,10 +203,11 @@ def build_truncated(
     Each BFS level expands the whole frontier at once with the visit-age
     engine of :mod:`reward_routing.finite` and sorts the successors with
     the known states at the same nodes in one ``np.lexsort``; successors
-    found nowhere before form the next frontier. At the end one sort puts
-    the states in order and one more pass finds each edge's target.
-    Raises :class:`StateBudgetExceededError` when a level takes the state
-    count past the budget.
+    found nowhere before form the next frontier, in FIFO discovery order,
+    each with its first discoverer as parent. At the end one sort puts the
+    states in order and one more pass finds each edge's target. Raises
+    :class:`StateBudgetExceededError` when a level takes the state count
+    past the budget.
     """
     if depth < 1:
         raise ValueError("truncation depth must be at least 1")
@@ -205,9 +216,10 @@ def build_truncated(
     csr = _csr(g)
     nodes = np.full(1, v0, dtype=csr[2].dtype)
     ages = np.ones((g.node_count, 1), dtype=_age_dtype(depth))
+    parent = np.zeros(1, dtype=np.intp)
     frontier = slice(0, 1)
     while frontier.start < frontier.stop:
-        _, succ, succ_ages = _expand(csr, nodes[frontier], ages[:, frontier], depth)
+        pred, succ, succ_ages = _expand(csr, nodes[frontier], ages[:, frontier], depth)
         # Only known states at the successors' nodes can equal a successor;
         # stability puts each ahead of its rediscoveries.
         near = np.flatnonzero(np.isin(nodes, succ))
@@ -216,7 +228,10 @@ def build_truncated(
             np.concatenate((ages[:, near], succ_ages), axis=1),
         )
         added = order[fresh]
-        added = added[added >= len(near)] - len(near)
+        # Successors come by predecessor, each one's in adjacency order, so
+        # position order is discovery order.
+        added = np.sort(added[added >= len(near)] - len(near))
+        parent = np.concatenate((parent, pred[added] + frontier.start))
         frontier = slice(len(nodes), len(nodes) + len(added))
         nodes = np.concatenate((nodes, succ[added]))
         ages = np.concatenate((ages, succ_ages[:, added]), axis=1)
@@ -228,6 +243,10 @@ def build_truncated(
             )
     order, _ = _sort_states(nodes, ages)
     nodes, ages = nodes[order], ages[:, order]
+    # Map BFS indices to sorted ones; the start state was BFS index 0.
+    rank = np.argsort(order)
+    parent = rank[parent[order]]
+    initial = int(rank[0])
 
     # Every successor is a known state and sorts right behind it, so its
     # target index is the number of distinct states before it.
@@ -242,16 +261,7 @@ def build_truncated(
     dst[order[is_edge] - m] = rank[is_edge]
     # Successors come by source, each source's in ascending node order,
     # hence ascending target index: the edges are already sorted.
-    initial = int(np.flatnonzero((nodes == v0) & (ages == 1).all(axis=0))[0])
-    states = tuple(zip(nodes.tolist(), map(tuple, ages.T.tolist())))
-    targets = dst.tolist()
-    bounds = np.searchsorted(src, np.arange(m + 1)).tolist()
-    state_graph = Graph(
-        m, tuple(tuple(targets[a:b]) for a, b in zip(bounds, bounds[1:]))
-    )
-    return TruncatedGraph(
-        g, depth, states, initial, state_graph, nodes, ages, (src, dst)
-    )
+    return TruncatedGraph(g, depth, initial, nodes, ages, (src, dst), parent)
 
 
 def _edge_arrays(
@@ -259,9 +269,7 @@ def _edge_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(edges, tuple) and len(edges) == 2 and isinstance(edges[0], np.ndarray):
         return edges[0].astype(np.int64), edges[1].astype(np.int64)
-    arr = np.asarray(list(edges), dtype=np.int64)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
     return arr[:, 0], arr[:, 1]
 
 
@@ -270,24 +278,10 @@ def _verify_strongly_connected(m: int, src: np.ndarray, dst: np.ndarray) -> None
         raise NotStronglyConnectedError("empty subgraph")
     if len(src) == 0:
         raise NotStronglyConnectedError("subgraph has no edges, hence no cycle")
-    fwd: list[list[int]] = [[] for _ in range(m)]
-    bwd: list[list[int]] = [[] for _ in range(m)]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        fwd[u].append(v)
-        bwd[v].append(u)
-    for adj in (fwd, bwd):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != m:
-            raise NotStronglyConnectedError(
-                f"only {len(seen)} of {m} states are mutually reachable"
-            )
+    decomp = scc_decompose(Graph.from_edges(m, zip(src.tolist(), dst.tolist())))
+    if len(decomp.components) != 1:
+        count = len(decomp.components)
+        raise NotStronglyConnectedError(f"{m} states form {count} components")
 
 
 def karp_mean_cycle(
@@ -590,13 +584,17 @@ def _component_karp(
 
 
 def _cycle_to_lasso(tg: TruncatedGraph, cycle: list[int]) -> Lasso:
-    """Reach path plus cycle, projected from states down to graph nodes."""
+    """Reach path plus cycle, projected from states down to graph nodes.
+
+    The cycle starts at its lowest state, reached along ``tg.parent``.
+    """
     pivot = cycle.index(min(cycle))
     rotated = cycle[pivot:] + cycle[:pivot]
-    reach = shortest_path(tg.state_graph, tg.initial, rotated[0])
-    prefix = [tg.node_of(s) for s in reach.nodes[:-1]]
-    nodes = [tg.node_of(s) for s in rotated]
-    return validate_lasso(tg.graph, prefix, nodes)
+    reach = [rotated[0]]
+    while reach[-1] != tg.initial:
+        reach.append(int(tg.parent[reach[-1]]))
+    prefix = tg.node_array[reach[:0:-1]].tolist()
+    return validate_lasso(tg.graph, prefix, tg.node_array[rotated].tolist())
 
 
 def solve_nondiscounted(

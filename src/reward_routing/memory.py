@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ChoiceNotEdgeError, InstanceTooLargeError
+from .errors import ChoiceNotEdgeError, InstanceTooLargeError, NoCycleError
 from .graph import Graph, Lasso, Path, validate_lasso
 from .rewards import RewardSpec, RewardValue, average_reward
 
@@ -215,6 +215,8 @@ def solve_bounded_memory(
     lasso exactly, and keeps the maximum. The number of strategies is
     exponential, so instances are guarded to stay tiny. Choices at
     unreachable product nodes are fixed to the smallest successor.
+    Strategies that run into a dead end are skipped; raises
+    :class:`NoCycleError` when no strategy closes a lasso.
     """
     if g.node_count > max_nodes or memory_size > max_memory:
         raise InstanceTooLargeError(
@@ -248,7 +250,7 @@ def solve_bounded_memory(
                 for candidate in product.successors(current):
                     choice[current] = candidate
                     explore()
-                del choice[current]
+                choice.pop(current, None)  # a dead end sets no choice
                 return
             if target in pos:
                 value = score(seq, pos[target])
@@ -260,7 +262,8 @@ def solve_bounded_memory(
             current = target
 
     explore()
-    assert best is not None  # every node keeps an outgoing choice or errors
+    if best is None:
+        raise NoCycleError(f"no infinite path starts at node {v0}")
     value, choices, seq, split = best
 
     witness = validate_lasso(

@@ -70,10 +70,6 @@ class RewardSpec:
     def node_count(self) -> int:
         return len(self.lam)
 
-    @property
-    def is_uniform(self) -> bool:
-        return len(set(self.lam)) == 1 and len(set(self.gamma)) == 1
-
     def uniform_gamma(self) -> float:
         """The shared survival probability; errors if it varies by node."""
         if len(set(self.gamma)) != 1:

@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reward_routing import (
     RewardValue,
@@ -277,6 +278,32 @@ class TestCommands:
         assert code == EXIT_OK
         assert len(doc["witness"]["cycle"]) == 8
 
+    @pytest.mark.parametrize(
+        "edges, code, cycle",
+        [
+            ([["a", "a"], ["a", "b"]], EXIT_OK, ["a"]),
+            ([["a", "b"], ["b", "a"], ["a", "c"]], EXIT_OK, ["a", "b"]),
+            ([["a", "b"], ["a", "c"]], EXIT_BAD_INPUT, None),
+        ],
+    )
+    def test_bounded_skips_dead_ends(self, tmp_path, edges, code, cycle):
+        doc = {
+            "defaults": {"lambda": 1.0, "gamma": 0.5},
+            "nodes": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+            "edges": edges,
+        }
+        graph = tmp_path / "dead_ends.json"
+        graph.write_text(json.dumps(doc))
+        got, out, err = run(
+            ["bounded", "--graph", str(graph), "--start", "a", "--memory", "1"]
+        )
+        assert got == code, err
+        if cycle is None:
+            assert out is None
+            assert err == "error: no infinite path starts at node 0\n"
+        else:
+            assert out["witness"] == {"prefix": [], "cycle": cycle}
+
     def test_simulate_deterministic_matches_golden(self):
         code, doc, _ = run(
             [
@@ -502,7 +529,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command, replayer",
-        [("infinite", infinite), ("decide", infinite), ("infinite", cli), ("decide", cli)],
+        [
+            ("infinite", infinite),
+            ("decide", infinite),
+            ("infinite", cli),
+            ("decide", cli),
+            ("nondiscounted", cli),
+        ],
     )
     def test_contract_failure_is_internal(self, monkeypatch, command, replayer):
         # A replay that disagrees with the solver trips the bracket check
@@ -515,8 +548,9 @@ class TestExitCodes:
             command,
             "--graph", fixture_path("two_cycles_gamma_0.26.json"),
             "--start", "a",
-            "--epsilon", "1e-3",
         ]
+        if command != "nondiscounted":
+            argv += ["--epsilon", "1e-3"]
         if command == "decide":
             argv += ["--threshold", "0"]
         code, out, err = run(argv)
@@ -590,3 +624,115 @@ class TestInfiniteBeyondKarpTable:
         assert rescored_under(str(graph), out) == pytest.approx(
             out["bracket"]["r_under"], abs=1e-9
         )
+
+
+def _mostly(valid: list, bad: list, odds: int = 20) -> st.SearchStrategy:
+    """One of ``bad`` about one draw in ``odds``, else one of ``valid``.
+
+    A weighted list rather than a drawn integer, because Hypothesis draws
+    the bounds of an integer range far more often than the rest.
+    """
+    copies = -(-len(bad) * (odds - 1) // len(valid))
+    return st.sampled_from(valid * copies + bad)
+
+
+BAD_NUMBERS = [NAN, INF, -INF, True, "1", None, -1.0]
+IDS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def graph_documents(draw) -> dict:
+    """Graph documents with 1-4 nodes, some malformed, some with dead ends.
+
+    Half the documents are well formed, and in the rest most fields still
+    are; most nodes share the document's kind of decay. So every command
+    also gets past the parser often.
+    """
+    clean = draw(st.booleans())
+
+    def pick(valid: list, bad: list) -> st.SearchStrategy:
+        return st.sampled_from(valid) if clean else _mostly(valid, bad)
+
+    ids = IDS[: draw(st.integers(1, 4))]
+    lam = pick([0, 0.5, 1.0, 2], BAD_NUMBERS)
+    gammas = draw(st.sampled_from([[0.3, 0.5], [1.0], [0.3, 0.5, 1.0]]))
+    gamma = pick(gammas, [*BAD_NUMBERS, 0.0, 1.5])
+    table = pick(
+        [[1.0], [1.0, 0.6], [1.0, 0.6, 0.2]],
+        [[], [0.5], [1.0, NAN], [1.0, 1.5], [1.0, True], "1"],
+    )
+    ratio = pick([0.5, 0.9], [*BAD_NUMBERS, 1.5])
+    profiles = st.one_of(
+        st.fixed_dictionaries({"table": table, "tail": st.just("geometric"), "ratio": ratio}),
+        st.fixed_dictionaries({"table": table, "tail": pick(["zero"], ["linear", None, 3])}),
+    )
+    kind = draw(st.sampled_from(["gamma", "profile"]))
+    nodes = []
+    for node_id in ids:
+        node = {"id": node_id, "lambda": draw(lam)}
+        decay = draw(pick([kind, kind, "default"], ["gamma", "profile", "both"]))
+        if decay in ("gamma", "both"):
+            node["gamma"] = draw(gamma)
+        if decay in ("profile", "both"):
+            node["decay_profile"] = draw(profiles)
+        nodes.append(node)
+    endpoint = pick(ids, ["z", 1, None])
+    edges = draw(st.lists(st.lists(endpoint, min_size=2, max_size=2), max_size=8))
+    doc = {"nodes": nodes, "edges": edges}
+    if draw(pick([True], [False])):
+        doc["defaults"] = {"lambda": draw(lam), "gamma": draw(gamma)}
+    return doc
+
+
+OPTIONS = st.fixed_dictionaries(
+    {
+        "start": _mostly(["a", "b"], ["z"]),
+        "horizon": _mostly(["0", "2", "3"], ["-1"], odds=4),
+        "epsilon": _mostly(["0.1", "0.5"], ["nan", "inf", "-1"], odds=4),
+        "threshold": _mostly(["0.5", "2"], ["nan", "inf"], odds=4),
+        "memory": _mostly(["1", "2"], ["0"], odds=4),
+        "cycle": _mostly(["a", "a,b", "b,a"], ["a,z"], odds=4),
+    }
+)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(graph_documents(), OPTIONS)
+    @example(
+        {"nodes": [{"id": "a", "lambda": 1.0, "gamma": 0.5}], "edges": []},
+        {
+            "start": "a", "horizon": "2", "epsilon": "0.1",
+            "threshold": "0.5", "memory": "1", "cycle": "a",
+        },
+    )
+    def test_every_command_exits_cleanly(self, tmp_path_factory, doc, options):
+        graph = tmp_path_factory.mktemp("fuzz") / "graph.json"
+        graph.write_text(json.dumps(doc))
+        common = ["--graph", str(graph), "--start", options["start"]]
+        horizon = ["--horizon", options["horizon"]]
+        epsilon = ["--epsilon", options["epsilon"]]
+        for argv in (
+            ["finite", *common, *horizon],
+            ["finite", *common, *horizon, "--decay"],
+            ["infinite", *common, *epsilon],
+            ["decide", *common, "--threshold", options["threshold"], *epsilon],
+            ["nondiscounted", *common],
+            ["bounded", *common, "--memory", options["memory"]],
+            [
+                "simulate", "--graph", str(graph), "--cycle", options["cycle"],
+                "--trials", "5", "--horizon", "400",
+            ],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            # An exception escaping main() is the traceback the CLI would print.
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in {0, 1, 2, 3, 4, 5}, argv
+            assert "Traceback" not in err.getvalue()
+            if code in (EXIT_OK, EXIT_NO, EXIT_UNKNOWN):
+                json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -12,6 +12,7 @@ from reward_routing import (
     InstanceTooLargeError,
     Lasso,
     MemoryStructure,
+    NoCycleError,
     ProductGraph,
     RewardSpec,
     average_reward,
@@ -159,6 +160,23 @@ class TestSolveBoundedMemory:
             solve_bounded_memory(g, spec, 0, 2)
         with pytest.raises(InstanceTooLargeError):
             solve_bounded_memory(TWO_CYCLES, SPEC_26, 0, 4)
+
+    @pytest.mark.parametrize(
+        "node_count, edges, cycle",
+        [(2, [(0, 0), (0, 1)], (0,)), (3, [(0, 1), (1, 0), (0, 2)], (0, 1))],
+    )
+    def test_dead_end_branches_are_skipped(self, node_count, edges, cycle):
+        g = Graph.from_edges(node_count, edges)
+        spec = RewardSpec.uniform(node_count, 1.0, 0.5)
+        for slots in (1, 2):
+            solution = solve_bounded_memory(g, spec, 0, slots)
+            assert solution.witness == Lasso((), cycle)
+            assert solution.value == average_reward(spec, solution.witness)
+
+    def test_no_infinite_path_is_no_cycle(self):
+        g = Graph.from_edges(1, [])
+        with pytest.raises(NoCycleError, match="no infinite path starts at node 0"):
+            solve_bounded_memory(g, RewardSpec.uniform(1, 1.0, 0.5), 0, 1)
 
     def test_strategy_outcome_replays_the_witness(self):
         solution = solve_bounded_memory(TWO_CYCLES, SPEC_26, 0, 3)

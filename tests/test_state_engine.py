@@ -15,16 +15,19 @@ from hypothesis import given, settings, strategies as st
 from reward_routing import (
     DecayProfile,
     Graph,
+    NoCycleError,
     NoPathError,
     ProfileTableExhaustedError,
     RewardSpec,
     StateBudgetExceededError,
     build_truncated,
+    shortest_path,
     solve_finite,
     solve_finite_decay,
     weight_pair,
 )
 from reward_routing.finite import DEFAULT_HORIZON_CAP, DEFAULT_STATE_BUDGET
+from reward_routing.infinite import _cycle_to_lasso, howard_max_mean_cycle
 from reward_routing.rewards import make_step_reward
 
 import oracles
@@ -144,6 +147,52 @@ class TestTruncatedAgainstReference:
             column = getattr(table, name)
             assert column.dtype == expected.dtype
             assert column.tobytes() == expected.tobytes()
+
+
+def bfs_tree_path(tg, state: int) -> tuple[int, ...]:
+    """The states from the initial one to ``state`` along ``tg.parent``."""
+    walk = [state]
+    while walk[-1] != tg.initial:
+        assert len(walk) <= tg.state_count, "parent walk does not reach initial"
+        walk.append(int(tg.parent[walk[-1]]))
+    return tuple(reversed(walk))
+
+
+class TestBfsTree:
+    """``TruncatedGraph.parent`` is the BFS tree that witness prefixes use."""
+
+    @settings(max_examples=40)
+    @given(graphs(max_nodes=5), st.integers(1, 4))
+    def test_parent_walk_is_the_shortest_path(self, instance, depth):
+        tg = build_truncated(*instance, depth)
+        for state in range(tg.state_count):
+            expected = shortest_path(tg.state_graph, tg.initial, state).nodes
+            assert bfs_tree_path(tg, state) == expected
+
+    @settings(max_examples=40)
+    @given(graphs(max_nodes=5), st.integers(1, 4))
+    def test_parents_are_edges(self, instance, depth):
+        tg = build_truncated(*instance, depth)
+        assert tg.parent[tg.initial] == tg.initial
+        for state, parent in enumerate(tg.parent.tolist()):
+            if state != tg.initial:
+                assert tg.state_graph.has_edge(parent, state)
+
+    @settings(max_examples=30)
+    @given(graphs(max_nodes=5), st.integers(1, 4))
+    def test_solving_builds_no_tuple_views(self, instance, depth):
+        g, v0 = instance
+        tg = build_truncated(g, v0, depth)
+        table = tg.weights(RewardSpec.uniform(g.node_count, 1.0, 0.5))
+        for weights in (table.reward_under, table.reward_over):
+            try:
+                _, cycle = howard_max_mean_cycle(
+                    tg.state_count, tg.edge_arrays, weights, tg.initial
+                )
+            except NoCycleError:
+                continue
+            _cycle_to_lasso(tg, cycle)
+        assert "states" not in vars(tg) and "state_graph" not in vars(tg)
 
 
 def complete_graph(n: int) -> Graph:
