@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -350,25 +351,7 @@ def cmd_infinite(args: argparse.Namespace) -> int:
     model = load_graph_file(args.graph)
     spec = model.spec
     v0 = model.index_of(args.start)
-    doc = _base_document("infinite", args, model)
     started = time.perf_counter()
-    if all(g == 1.0 for g in spec.gamma):
-        solution = infinite.solve_nondiscounted(model.graph, spec.lam, v0)
-        elapsed = time.perf_counter() - started
-        _check_rescore(
-            solution.value.value,
-            average_reward(spec, solution.witness).value,
-        )
-        doc.update(
-            {
-                "notice": "no decay anywhere; solved exactly instead",
-                "value": solution.value.value,
-                "witness": _lasso_document(model, solution.witness),
-                "wall_time_seconds": elapsed,
-            }
-        )
-        _emit(doc)
-        return EXIT_OK
     bracket = infinite.solve_infinite_approx(
         model.graph, spec, v0, args.epsilon, state_budget=_state_budget()
     )
@@ -376,13 +359,23 @@ def cmd_infinite(args: argparse.Namespace) -> int:
     _check_rescore(
         bracket.r_under, average_reward(spec, bracket.pi_under).value
     )
-    doc.update(
-        {
-            "bracket": _bracket_document(model, bracket),
-            "state_count": bracket.state_count,
-            "wall_time_seconds": elapsed,
-        }
-    )
+    doc = _base_document("infinite", args, model)
+    if bracket.depth == 0:
+        doc.update(
+            {
+                "notice": "no decay anywhere; solved exactly instead",
+                "value": bracket.r_under,
+                "witness": _lasso_document(model, bracket.pi_under),
+            }
+        )
+    else:
+        doc.update(
+            {
+                "bracket": _bracket_document(model, bracket),
+                "state_count": bracket.state_count,
+            }
+        )
+    doc["wall_time_seconds"] = elapsed
     _emit(doc)
     return EXIT_OK
 
@@ -583,10 +576,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numbers(args: argparse.Namespace) -> None:
+    """Refuse non-finite ``--epsilon``/``--threshold`` and ``--epsilon <= 0``."""
+    for name in ("epsilon", "threshold"):
+        if not math.isfinite(getattr(args, name, 0.0)):
+            raise ValueError(f"{name} must be a finite number")
+    if getattr(args, "epsilon", 1.0) <= 0:
+        raise ValueError("epsilon must be positive")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except StateBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

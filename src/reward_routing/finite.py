@@ -236,7 +236,7 @@ def solve_finite(
     """
     if spec.node_count != g.node_count:
         raise ValueError("spec size disagrees with the graph")
-    step_reward = make_step_reward(spec.lam, spec.survival_sums())
+    step_reward = make_step_reward(spec.lam, spec.gamma)
     return _solve_layered(g, v0, horizon, step_reward, state_budget)
 
 
@@ -252,7 +252,7 @@ def solve_finite_decay(
     """As :func:`solve_finite` but with explicit per-node decay profiles."""
     if len(lam) != g.node_count or len(profiles) != g.node_count:
         raise ValueError("lam/profiles size disagrees with the graph")
-    step_reward = make_step_reward(lam, [p.sum_first for p in profiles])
+    step_reward = make_step_reward(lam, profiles)
     return _solve_layered(g, v0, horizon, step_reward, state_budget)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .errors import (
     BadEdgeError,
@@ -263,45 +263,67 @@ def scc_decompose(g: Graph) -> SCCDecomposition:
     )
 
 
-def reachable_from(g: Graph, v0: int) -> tuple[int, ...]:
-    """Nodes reachable from ``v0`` (including ``v0``), ascending."""
-    seen = {v0}
-    queue = deque([v0])
+def _bfs(
+    g: Graph, src: int, stop: Container[int] = (), within: Container[int] | None = None
+) -> tuple[dict[int, int], int | None]:
+    """Breadth-first search from ``src``, inside ``within`` if given.
+
+    Expands successors in ascending order and ends at the first node of
+    ``stop`` it reaches, a nearest one (``src`` included). Returns the
+    parent map (``parent[src] == src``) and that node, or ``None``.
+    """
+    parent = {src: src}
+    queue = deque([src])
     while queue:
         v = queue.popleft()
+        if v in stop:
+            return parent, v
         for w in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
+            if w not in parent and (within is None or w in within):
+                parent[w] = v
                 queue.append(w)
-    return tuple(sorted(seen))
+    return parent, None
 
 
-def shortest_path(g: Graph, src: int, dst: int, within: set[int] | None = None) -> Path:
-    """BFS shortest path from ``src`` to ``dst``, optionally inside a node set.
+def _path_to(parent: dict[int, int], node: int) -> list[int]:
+    """The BFS tree path from the search's source to ``node``."""
+    nodes = [node]
+    while parent[node] != node:
+        node = parent[node]
+        nodes.append(node)
+    return nodes[::-1]
+
+
+def reachable_from(g: Graph, v0: int) -> tuple[int, ...]:
+    """Nodes reachable from ``v0`` (including ``v0``), ascending."""
+    return tuple(sorted(_bfs(g, v0)[0]))
+
+
+def shortest_path(g: Graph, src: int, dst: int) -> Path:
+    """BFS shortest path from ``src`` to ``dst``.
 
     Deterministic: the BFS expands successors in ascending order, so among
     equally short paths the lexicographically smallest one is returned.
     """
-    if within is not None and (src not in within or dst not in within):
-        raise ValueError("endpoints outside the restriction set")
-    if src == dst:
-        return Path((src,))
-    parent: dict[int, int] = {src: -1}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if within is not None and w not in within:
-                continue
-            if w not in parent:
-                parent[w] = v
-                if w == dst:
-                    nodes = [dst]
-                    while nodes[-1] != src:
-                        nodes.append(parent[nodes[-1]])
-                    return Path(tuple(reversed(nodes)))
-                queue.append(w)
-    raise NoCycleError(f"no path from {src} to {dst}")
+    parent, hit = _bfs(g, src, (dst,))
+    if hit is None:
+        raise NoCycleError(f"no path from {src} to {dst}")
+    return Path(tuple(_path_to(parent, dst)))
+
+
+def _heaviest_reachable(
+    g: Graph, v0: int, components: Iterable[tuple[int, ...]], weight: Sequence[float]
+) -> tuple[tuple[int, ...] | None, float]:
+    """The first of ``components`` reachable from ``v0`` with the largest
+    weight sum, and that sum; ``(None, -1.0)`` if none is reachable."""
+    reach = _bfs(g, v0)[0]
+    best, best_weight = None, -1.0
+    for comp in components:
+        if comp[0] in reach:
+            total = sum(weight[v] for v in comp)
+            if total > best_weight:
+                best, best_weight = comp, total
+    return best, best_weight
 
 
 def max_reachable_scc(
@@ -317,16 +339,7 @@ def max_reachable_scc(
         raise ValueError("weight length disagrees with node_count")
     if any(w < 0 for w in weight):
         raise ValueError("weights must be non-negative")
-    decomp = scc_decompose(g)
-    reach = set(reachable_from(g, v0))
-    best: tuple[int, ...] | None = None
-    best_weight = -1.0
-    for comp in decomp.components:
-        if comp[0] not in reach:
-            continue
-        total = sum(weight[v] for v in comp)
-        if total > best_weight:
-            best, best_weight = comp, total
+    best, best_weight = _heaviest_reachable(g, v0, scc_decompose(g).components, weight)
     assert best is not None  # v0's own component is always reachable
     return best, best_weight
 
@@ -334,31 +347,31 @@ def max_reachable_scc(
 def covering_cycle(g: Graph, scc: Iterable[int]) -> Path:
     """Closed walk through every node of a strongly connected component.
 
-    Visits the component's nodes in ascending id order, connecting them by
-    BFS shortest paths inside the component, and returns to the start; the
-    result has length at most ``len(scc) ** 2``. Raises
+    Starts at the smallest node, then repeatedly takes a BFS shortest path
+    inside the component to a nearest node not yet on the walk, and at last
+    returns to the start. At most ``len(scc)`` legs of fewer than
+    ``len(scc)`` steps each bound the length by ``len(scc) ** 2``. Raises
     :class:`NotStronglyConnectedError` if the node set is not strongly
     connected or bears no closed walk (an isolated node without self-loop).
     """
-    nodes = sorted(set(scc))
-    if not nodes:
+    inside = set(scc)
+    if not inside:
         raise NotStronglyConnectedError("empty node set")
-    inside = set(nodes)
-    if len(nodes) == 1:
-        v = nodes[0]
-        if g.has_edge(v, v):
-            return Path((v, v))
-        raise NotStronglyConnectedError(f"node {v} has no closed walk")
-    walk = [nodes[0]]
-    try:
-        for target in nodes[1:]:
-            leg = shortest_path(g, walk[-1], target, within=inside)
-            walk.extend(leg.nodes[1:])
-        back = shortest_path(g, walk[-1], nodes[0], within=inside)
-    except NoCycleError as exc:
-        raise NotStronglyConnectedError(str(exc)) from exc
-    walk.extend(back.nodes[1:])
-    return Path(tuple(walk))
+    start = min(inside)
+    if len(inside) == 1:
+        if g.has_edge(start, start):
+            return Path((start, start))
+        raise NotStronglyConnectedError(f"node {start} has no closed walk")
+    walk, uncovered = [start], inside - {start}
+    while True:
+        targets = uncovered or (start,)
+        parent, hit = _bfs(g, walk[-1], targets, inside)
+        if hit is None:
+            raise NotStronglyConnectedError(f"no path inside the set from {walk[-1]}")
+        walk += _path_to(parent, hit)[1:]
+        if not uncovered:
+            return Path(tuple(walk))
+        uncovered.remove(hit)
 
 
 def _check_desk_scale(g: Graph, max_nodes: int) -> None:

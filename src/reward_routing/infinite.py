@@ -42,8 +42,8 @@ from .finite import (
 from .graph import (
     Graph,
     Lasso,
+    _heaviest_reachable,
     covering_cycle,
-    reachable_from,
     scc_decompose,
     shortest_path,
     validate_lasso,
@@ -72,7 +72,7 @@ def truncation_depth(spec: RewardSpec, epsilon: float) -> int:
     ``lam * gamma**K / (1 - gamma)``; the result is the largest per-node
     requirement, at least 1. Nodes that generate nothing are ignored.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     depth = 1
     for lam, gamma in zip(spec.lam, spec.gamma):
@@ -608,15 +608,7 @@ def solve_nondiscounted(
     """
     if len(lam) != g.node_count:
         raise ValueError("lam length disagrees with the graph")
-    reach = set(reachable_from(g, v0))
-    best: tuple[int, ...] | None = None
-    best_total = -1.0
-    for comp in _cycle_bearing_components(g):
-        if comp[0] not in reach:
-            continue
-        total = sum(lam[v] for v in comp)
-        if total > best_total:
-            best, best_total = comp, total
+    best, best_total = _heaviest_reachable(g, v0, _cycle_bearing_components(g), lam)
     if best is None:
         raise NoCycleError(f"no infinite path starts at node {v0}")
     walk = covering_cycle(g, best)
@@ -656,23 +648,19 @@ def solve_infinite_approx(
     identically. The state budget is the only size limit. Raises
     :class:`SolverContractError` if the bracket breaks its contract.
 
-    All survival probabilities must be below 1 (with no decay anywhere,
-    the exact solver takes over and the bracket collapses to a point).
+    All survival probabilities must be below 1. With no decay anywhere,
+    :func:`solve_nondiscounted` takes over and the bracket collapses to
+    its value, with ``depth`` and ``state_count`` 0.
     """
     if spec.node_count != g.node_count:
         raise ValueError("spec size disagrees with the graph")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if all(gamma == 1.0 for gamma in spec.gamma):
         exact = solve_nondiscounted(g, spec.lam, v0)
+        value, witness = exact.value.value, exact.witness
         return ValueBracket(
-            r_under=exact.value.value,
-            r_over=exact.value.value,
-            pi_under=exact.witness,
-            pi_over=exact.witness,
-            depth=0,
-            epsilon_achieved=0.0,
-            state_count=0,
+            value, value, witness, witness, depth=0, epsilon_achieved=0.0, state_count=0
         )
     if any(gamma == 1.0 for gamma in spec.gamma):
         raise ValueError(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 from .errors import NodeVariantSpecError, ProfileTableExhaustedError
@@ -81,10 +80,6 @@ class RewardSpec:
             raise NodeVariantSpecError("lam differs between nodes")
         return self.lam[0]
 
-    def survival_sums(self) -> list[Callable[[int], float]]:
-        """Per node, ``age -> 1 + gamma + ... + gamma ** (age - 1)``."""
-        return [partial(geometric_series, gamma) for gamma in self.gamma]
-
 
 @dataclass(frozen=True)
 class RewardValue:
@@ -109,19 +104,19 @@ def accumulated_reward(spec: RewardSpec, p: Path, t: int, v: int) -> float:
     age: ``lam * (1 + gamma + ... + gamma**(age-1))`` where ``age`` is
     :func:`last_visit`.
     """
-    step = make_step_reward(spec.lam, spec.survival_sums())
+    step = make_step_reward(spec.lam, spec.gamma)
     return step(v, last_visit(p, t, v))
 
 
 def make_step_reward(
-    lam: Sequence[float], sums: Sequence[Callable[[int], float]]
+    lam: Sequence[float], decays: Sequence[float | DecayProfile]
 ) -> Callable[[int, int], float]:
-    """Memoized ``(node, age) -> lam[node] * sums[node](age)``.
+    """Memoized ``(node, age) -> lam[node] * (sum of age survival fractions)``.
 
-    This is the reward one visit collects. ``sums[v](age)`` is the sum of
-    the first ``age`` survival fractions of ``v``: an entry of
-    :meth:`RewardSpec.survival_sums` for geometric decay, or
-    :meth:`DecayProfile.sum_first` for an explicit profile.
+    This is the reward one visit collects. ``decays[v]`` is node ``v``'s
+    survival probability ``gamma``, summed by :func:`geometric_series`, or
+    its :class:`DecayProfile`, summed by :meth:`DecayProfile.sum_first`.
+    Only the nodes actually scored are read.
     """
     cache: dict[tuple[int, int], float] = {}
 
@@ -129,7 +124,11 @@ def make_step_reward(
         key = (v, age)
         hit = cache.get(key)
         if hit is None:
-            hit = lam[v] * sums[v](age)
+            decay = decays[v]
+            if isinstance(decay, DecayProfile):
+                hit = lam[v] * decay.sum_first(age)
+            else:
+                hit = lam[v] * geometric_series(decay, age)
             cache[key] = hit
         return hit
 
@@ -138,12 +137,12 @@ def make_step_reward(
 
 def _collected(
     lam: Sequence[float],
-    sums: Sequence[Callable[[int], float]],
+    decays: Sequence[float | DecayProfile],
     nodes: Sequence[int],
     ages: Sequence[int],
 ) -> float:
     """Exact total of the step rewards of the visits ``zip(nodes, ages)``."""
-    return math.fsum(map(make_step_reward(lam, sums), nodes, ages))
+    return math.fsum(map(make_step_reward(lam, decays), nodes, ages))
 
 
 def _visit_ages(nodes: Sequence[int]) -> list[int]:
@@ -158,7 +157,7 @@ def _visit_ages(nodes: Sequence[int]) -> list[int]:
 
 def path_reward(spec: RewardSpec, p: Path) -> RewardValue:
     """Total expected reward collected along a finite path."""
-    total = _collected(spec.lam, spec.survival_sums(), p.nodes, _visit_ages(p.nodes))
+    total = _collected(spec.lam, spec.gamma, p.nodes, _visit_ages(p.nodes))
     return RewardValue(total, "finite_sum", horizon=p.length)
 
 
@@ -188,9 +187,7 @@ def average_reward(spec: RewardSpec, lasso: Lasso) -> RewardValue:
     The average over one steady period of the cycle; the prefix only
     shifts which period is steady and never affects the value.
     """
-    total = _collected(
-        spec.lam, spec.survival_sums(), lasso.cycle, _steady_cycle_ages(lasso)
-    )
+    total = _collected(spec.lam, spec.gamma, lasso.cycle, _steady_cycle_ages(lasso))
     return RewardValue(total / len(lasso.cycle), "limit_average")
 
 
@@ -297,8 +294,7 @@ def decayed_path_reward(
     previous ``age - 1`` steps, decayed by ``profile(0) .. profile(age-1)``.
     With a geometric profile this reproduces :func:`path_reward` exactly.
     """
-    sums = [profile.sum_first for profile in profiles]
-    total = _collected(lam, sums, p.nodes, _visit_ages(p.nodes))
+    total = _collected(lam, profiles, p.nodes, _visit_ages(p.nodes))
     return RewardValue(total, "finite_sum", horizon=p.length)
 
 

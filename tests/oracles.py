@@ -93,6 +93,21 @@ def reachability_closure(g: Graph) -> list[list[bool]]:
     return reach
 
 
+def distances_within(g: Graph, src: int, inside: set[int]) -> dict[int, int]:
+    """Fewest edges from ``src`` to each node it reaches without leaving ``inside``.
+
+    Relaxes every edge inside the set once per node (Bellman-Ford with unit
+    weights), so the result follows from the definition alone.
+    """
+    dist = {src: 0}
+    for _ in range(len(inside)):
+        for v in sorted(dist):
+            for w in g.successors(v):
+                if w in inside and dist[v] + 1 < dist.get(w, len(inside) + 1):
+                    dist[w] = dist[v] + 1
+    return dist
+
+
 def sccs_by_closure(g: Graph) -> list[tuple[int, ...]]:
     """Partition into SCCs via mutual reachability in the closure."""
     reach = reachability_closure(g)

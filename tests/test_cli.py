@@ -240,6 +240,12 @@ class TestCommands:
         assert "notice" in doc
         assert doc["value"] == 4.0
 
+    def test_infinite_without_decay_emits_the_nondiscounted_witness(self):
+        graph = ["--graph", fixture_path("two_cycles_no_decay.json"), "--start", "a"]
+        _, doc, _ = run(["infinite", *graph, "--epsilon", "1e-4"])
+        assert doc["witness"] == golden("nondiscounted.json")["witness"]
+        assert "bracket" not in doc and "state_count" not in doc
+
     def test_nondiscounted_matches_golden(self):
         code, doc, _ = run(
             [
@@ -512,6 +518,35 @@ class TestExitCodes:
         )
         assert code == EXIT_BAD_INPUT and out is None
         assert err == "error: epsilon must be positive\n"
+
+    @pytest.mark.parametrize(
+        "fixture", ["two_cycles_gamma_0.5.json", "two_cycles_no_decay.json"]
+    )
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("infinite", "epsilon", "-1"),
+            ("infinite", "epsilon", "0"),
+            ("infinite", "epsilon", "nan"),
+            ("infinite", "epsilon", "inf"),
+            ("decide", "epsilon", "nan"),
+            ("decide", "epsilon", "-inf"),
+            ("decide", "threshold", "nan"),
+            ("decide", "threshold", "inf"),
+            ("decide", "threshold", "-inf"),
+        ],
+    )
+    def test_bad_epsilon_and_threshold_are_named(self, fixture, command, flag, value):
+        options = {"epsilon": "1e-3", "threshold": "1"}
+        options[flag] = value
+        argv = [command, "--graph", fixture_path(fixture), "--start", "a"]
+        # The "=" form keeps argparse from reading "-inf" as an option.
+        argv.append(f"--epsilon={options['epsilon']}")
+        if command == "decide":
+            argv.append(f"--threshold={options['threshold']}")
+        code, out, err = run(argv)
+        assert code == EXIT_BAD_INPUT and out is None
+        assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
 
     def test_mixed_decay_is_bad_input(self, tmp_path):
         doc = {

@@ -208,6 +208,43 @@ class TestCoveringCycle:
                 assert set(walk.nodes) == set(comp)
                 assert walk.length <= len(comp) ** 2
 
+    @given(small_graphs(max_nodes=8))
+    def test_legs_go_to_a_nearest_uncovered_node(self, g):
+        for comp in scc_decompose(g).components:
+            if len(comp) == 1 and not g.has_edge(comp[0], comp[0]):
+                continue
+            walk = covering_cycle(g, comp).nodes
+            validate_path(g, walk)
+            assert walk[0] == walk[-1] == min(comp)
+            assert set(walk) == set(comp)
+            assert len(walk) - 1 <= len(comp) ** 2
+            if len(comp) == 1:
+                assert walk == (comp[0], comp[0])
+                continue
+            # Split the walk where it first reaches a node; each leg must be
+            # as short as the distance, inside the component, from its start
+            # to the nearest node still uncovered (the start, for the last).
+            covered, leg_start = {walk[0]}, 0
+            for i in range(1, len(walk)):
+                last = i == len(walk) - 1
+                if walk[i] in covered and not last:
+                    continue
+                dist = oracles.distances_within(g, walk[leg_start], set(comp))
+                targets = set(comp) - covered or {walk[0]}
+                assert i - leg_start == min(dist[v] for v in targets)
+                covered.add(walk[i])
+                leg_start = i
+
+    def test_shuffled_ring_is_walked_once(self):
+        rng = random.Random(60)
+        ids = list(range(60))
+        rng.shuffle(ids)
+        g = Graph.from_edges(60, [(ids[k], ids[(k + 1) % 60]) for k in range(60)])
+        walk = covering_cycle(g, range(60))
+        assert walk.length == 60
+        assert walk.nodes[0] == walk.nodes[-1] == 0
+        assert sorted(walk.nodes[:-1]) == list(range(60))
+
 
 class TestExactCycleSearch:
     def test_directed_ring(self):

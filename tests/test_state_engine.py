@@ -66,8 +66,8 @@ def outcome(solve):
         return type(exc)
 
 
-def reference(g: Graph, v0: int, horizon: int, lam, sums):
-    step = make_step_reward(lam, sums)
+def reference(g: Graph, v0: int, horizon: int, lam, decays):
+    step = make_step_reward(lam, decays)
     return outcome(
         lambda: oracles.layered_dp_reference(
             g, v0, horizon, step, DEFAULT_STATE_BUDGET, DEFAULT_HORIZON_CAP
@@ -108,7 +108,7 @@ class TestFiniteAgainstReference:
         )
         got = outcome(lambda: solve_finite(g, spec, v0, horizon))
         assert_same_outcome(
-            got, reference(g, v0, horizon, spec.lam, spec.survival_sums())
+            got, reference(g, v0, horizon, spec.lam, spec.gamma)
         )
 
     @settings(max_examples=40)
@@ -120,7 +120,7 @@ class TestFiniteAgainstReference:
         decays = data.draw(st.lists(profiles(), min_size=n, max_size=n))
         got = outcome(lambda: solve_finite_decay(g, lam, decays, v0, horizon))
         assert_same_outcome(
-            got, reference(g, v0, horizon, lam, [p.sum_first for p in decays])
+            got, reference(g, v0, horizon, lam, decays)
         )
 
 
@@ -227,7 +227,7 @@ class TestEdgeCases:
         g = Graph.from_edges(3, [(0, 0), (0, 1), (1, 1), (1, 0), (0, 2)])
         spec = RewardSpec.uniform(3, 1.0, 1.0)
         got = solve_finite(g, spec, 0, 4)
-        assert_same_outcome(got, reference(g, 0, 4, spec.lam, spec.survival_sums()))
+        assert_same_outcome(got, reference(g, 0, 4, spec.lam, spec.gamma))
         assert got.value.value == 12.0
         assert got.witness.nodes == (0, 0, 1, 0, 2)
 
@@ -237,7 +237,7 @@ class TestEdgeCases:
         short = [DecayProfile((1.0, 0.5))] * 2
         got = solve_finite_decay(g, [1.0, 2.0], short, 0, 40)
         assert_same_outcome(
-            got, reference(g, 0, 40, [1.0, 2.0], [p.sum_first for p in short])
+            got, reference(g, 0, 40, [1.0, 2.0], short)
         )
         assert got.value.value == 1.0 + 3.0 + 20 * 1.5 + 19 * 3.0
 
@@ -249,7 +249,7 @@ class TestEdgeCases:
         assert solve_finite_decay(g, [1.0] * 3, short, 0, 1).value.value == 2.5
         with pytest.raises(ProfileTableExhaustedError):
             solve_finite_decay(g, [1.0] * 3, short, 0, 2)
-        assert reference(g, 0, 2, [1.0] * 3, [p.sum_first for p in short]) is (
+        assert reference(g, 0, 2, [1.0] * 3, short) is (
             ProfileTableExhaustedError
         )
 
@@ -259,7 +259,7 @@ class TestEdgeCases:
         spec = RewardSpec((1.0, 1.0, 1.5), (0.9, 0.5, 0.7))
         got = solve_finite(g, spec, 0, 300)
         assert_same_outcome(
-            got, reference(g, 0, 300, spec.lam, spec.survival_sums())
+            got, reference(g, 0, 300, spec.lam, spec.gamma)
         )
 
     def test_depth_past_uint8_ages(self):
@@ -271,7 +271,7 @@ class TestEdgeCases:
         g = Graph.from_edges(1, [(0, 0)])
         spec = RewardSpec.uniform(1, 2.0, 0.5)
         got = solve_finite(g, spec, 0, 4)
-        assert_same_outcome(got, reference(g, 0, 4, spec.lam, spec.survival_sums()))
+        assert_same_outcome(got, reference(g, 0, 4, spec.lam, spec.gamma))
         assert got.states_expanded == 5
         tg = assert_same_truncated(g, 0, 3)
         assert tg.states == ((0, (1,)),) and tg.state_graph.adjacency == ((0,),)
@@ -280,14 +280,14 @@ class TestEdgeCases:
         g = complete_graph(3)
         spec = RewardSpec.uniform(3, 1.5, 0.5)
         got = solve_finite(g, spec, 2, 0)
-        assert_same_outcome(got, reference(g, 2, 0, spec.lam, spec.survival_sums()))
+        assert_same_outcome(got, reference(g, 2, 0, spec.lam, spec.gamma))
         assert got.witness.nodes == (2,) and got.states_expanded == 1
 
     def test_dead_end(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         spec = RewardSpec.uniform(3, 1.0, 0.5)
         assert outcome(lambda: solve_finite(g, spec, 0, 3)) is NoPathError
-        assert reference(g, 0, 3, spec.lam, spec.survival_sums()) is NoPathError
+        assert reference(g, 0, 3, spec.lam, spec.gamma) is NoPathError
         assert solve_finite(g, spec, 0, 2).witness.nodes == (0, 1, 2)
         tg = assert_same_truncated(g, 0, 2)
         assert tg.state_graph.adjacency[-1] == ()
