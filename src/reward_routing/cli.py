@@ -577,17 +577,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args: argparse.Namespace) -> None:
-    """Refuse non-finite ``--epsilon``/``--threshold`` and ``--epsilon <= 0``."""
+    """Refuse bad numeric arguments before the graph loads.
+
+    Non-finite ``--epsilon``/``--threshold``, ``--epsilon <= 0`` and
+    ``--memory``/``--trials`` below 1 raise a message naming the flag.
+    """
     for name in ("epsilon", "threshold"):
         if not math.isfinite(getattr(args, name, 0.0)):
             raise ValueError(f"{name} must be a finite number")
     if getattr(args, "epsilon", 1.0) <= 0:
         raise ValueError("epsilon must be positive")
+    for name in ("memory", "trials"):
+        if getattr(args, name, 1) < 1:
+            raise ValueError(f"{name} must be at least 1")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (status 2) or help (status 0).
+        return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         _check_numbers(args)
         return args.func(args)

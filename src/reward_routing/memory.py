@@ -4,7 +4,15 @@ A strategy with a finite memory of size B corresponds exactly to a
 memoryless strategy in the product of the graph with B memory slots, where
 the memory transition is chosen freely alongside the node transition.
 Memoryless product strategies induce lasso-shaped paths, so an optimal
-B-memory strategy can be found by honest enumeration at desk scale.
+B-memory strategy can be found by exhaustive search at desk scale.
+
+The search walks the product graph depth first and uses one symmetry: the
+slots of a base node that the walk has not visited are interchangeable, so
+only the lowest of them is explored. The skipped branches would only
+repeat lassos, with the same base nodes and value, that an earlier branch
+already found. The best lasso is replaced only on strict improvement, so
+ties go to the first maximal lasso in the search order, and the answer is
+the one a full enumeration in that order gives.
 """
 
 from __future__ import annotations
@@ -210,28 +218,46 @@ def solve_bounded_memory(
 ) -> BoundedMemorySolution:
     """Best limit-average reward over strategies with bounded memory.
 
-    Enumerates every memoryless strategy of the product graph restricted to
-    product nodes reachable under the strategy itself, scores the induced
-    lasso exactly, and keeps the maximum. The number of strategies is
-    exponential, so instances are guarded to stay tiny. Choices at
-    unreachable product nodes are fixed to the smallest successor.
-    Strategies that run into a dead end are skipped; raises
-    :class:`NoCycleError` when no strategy closes a lasso.
+    A depth-first search over memoryless strategies of the product graph,
+    restricted to product nodes reachable under the strategy itself. It
+    extends one walk from ``(v0, 1)``: at each product node it tries, for
+    each base successor ``w`` in adjacency order, every slot of ``w``
+    already on the walk (which closes a lasso, scored exactly) and only the
+    lowest slot of ``w`` not on it (which extends the walk). The other free
+    slots of ``w`` are skipped: swapping two of them is an automorphism of
+    the product graph that fixes the walk, so their subtrees repeat, node
+    for node in the base graph, lassos the lowest slot's subtree has
+    already scored.
+
+    Ties keep the first lasso found: the best changes only on strict
+    improvement, so the result is the first maximal lasso of the full
+    enumeration in the same order. The search is exponential, so instances
+    are guarded to stay tiny. Choices at unreachable product nodes are fixed
+    to the smallest successor. Walks that run into a dead end are skipped;
+    raises :class:`NoCycleError` when no strategy closes a lasso.
     """
-    if g.node_count > max_nodes or memory_size > max_memory:
+    if g.node_count > max_nodes:
         raise InstanceTooLargeError(
-            f"bounded-memory enumeration guarded at {max_nodes} nodes "
-            f"and memory {max_memory}"
+            f"bounded-memory search is limited to {max_nodes} nodes and the "
+            f"graph has {g.node_count}; pass max_nodes= to raise the limit"
+        )
+    if memory_size > max_memory:
+        raise InstanceTooLargeError(
+            f"bounded-memory search is limited to memory {max_memory} and "
+            f"{memory_size} was asked for; pass max_memory= to raise the limit"
         )
     if spec.node_count != g.node_count:
         raise ValueError("spec size disagrees with the graph")
     product = ProductGraph(g, memory_size)
     start: ProductNode = (v0, 1)
+    slots = range(1, memory_size + 1)
+    seq: list[ProductNode] = [start]
+    pos: dict[ProductNode, int] = {start: 0}
     choice: dict[ProductNode, ProductNode] = {}
     cycle_values: dict[tuple[int, ...], float] = {}
     best: tuple[float, dict[ProductNode, ProductNode], list[ProductNode], int] | None = None
 
-    def score(seq: list[ProductNode], split: int) -> float:
+    def score(split: int) -> float:
         key = _canonical_cycle(tuple(p[0] for p in seq[split:]))
         value = cycle_values.get(key)
         if value is None:
@@ -239,35 +265,35 @@ def solve_bounded_memory(
             cycle_values[key] = value
         return value
 
-    def explore() -> None:
+    def explore(current: ProductNode) -> None:
         nonlocal best
-        seq = [start]
-        pos = {start: 0}
-        current = start
-        while True:
-            target = choice.get(current)
-            if target is None:
-                for candidate in product.successors(current):
-                    choice[current] = candidate
-                    explore()
-                choice.pop(current, None)  # a dead end sets no choice
-                return
-            if target in pos:
-                value = score(seq, pos[target])
-                if best is None or value > best[0]:
-                    best = (value, dict(choice), seq, pos[target])
-                return
-            seq.append(target)
-            pos[target] = len(seq) - 1
-            current = target
+        for w in g.adjacency[current[0]]:
+            fresh = True  # the lowest slot of w off the walk is still untried
+            for slot in slots:
+                target = (w, slot)
+                split = pos.get(target)
+                if split is not None:
+                    choice[current] = target
+                    value = score(split)
+                    if best is None or value > best[0]:
+                        best = (value, dict(choice), list(seq), split)
+                elif fresh:
+                    fresh = False
+                    choice[current] = target
+                    pos[target] = len(seq)
+                    seq.append(target)
+                    explore(target)
+                    seq.pop()
+                    del pos[target]
+        choice.pop(current, None)  # current leaves the walk
 
-    explore()
+    explore(start)
     if best is None:
         raise NoCycleError(f"no infinite path starts at node {v0}")
-    value, choices, seq, split = best
+    value, choices, walk, split = best
 
     witness = validate_lasso(
-        g, [p[0] for p in seq[:split]], [p[0] for p in seq[split:]]
+        g, [p[0] for p in walk[:split]], [p[0] for p in walk[split:]]
     )
     exact = average_reward(spec, witness)
 

@@ -2,9 +2,10 @@
 
 Everything here is written from the definitions: explicit enumeration,
 backward scans, and per-unit bookkeeping. Nothing calls back into the
-library's closed forms or solvers. The last two are the one-tuple-per-state
-expansions that the vectorized visit-age engine replaced, kept as its
-references.
+library's closed forms or solvers. The exceptions are kept as references
+for the loops they were replaced by: the one-tuple-per-state expansions of
+the vectorized visit-age engine, and the bounded-memory enumeration that
+restarts its walk for every branch and tries every memory slot.
 """
 
 from __future__ import annotations
@@ -14,14 +15,24 @@ from collections import deque
 from typing import Callable, Iterable, Iterator, Sequence
 
 from reward_routing import (
+    BoundedMemorySolution,
     FiniteSolution,
+    FiniteStrategy,
     Graph,
     InstanceTooLargeError,
+    Lasso,
+    MemoryStructure,
+    NoCycleError,
     NoPathError,
     Path,
+    ProductGraph,
+    RewardSpec,
     RewardValue,
     StateBudgetExceededError,
+    average_reward,
+    validate_lasso,
 )
+from reward_routing.memory import ProductNode, _canonical_cycle
 
 State = tuple[int, tuple[int, ...]]
 
@@ -370,3 +381,94 @@ def truncated_bfs_reference(
         len(states), tuple(tuple(sorted(set(a))) for a in adjacency)
     )
     return states, rank_of[0], state_graph
+
+
+def bounded_memory_reference(
+    g: Graph,
+    spec: RewardSpec,
+    v0: int,
+    memory_size: int,
+    *,
+    max_nodes: int = 4,
+    max_memory: int = 3,
+) -> BoundedMemorySolution:
+    """Bounded-memory synthesis by enumerating every product strategy.
+
+    The search :func:`reward_routing.solve_bounded_memory` replaced, kept as
+    its reference: each branch re-walks from the start, and every memory
+    slot of a successor is tried, used or not. Same guards, value, choice
+    map, witness and tie rule (the first strictly best lasso wins).
+    """
+    if g.node_count > max_nodes or memory_size > max_memory:
+        raise InstanceTooLargeError(
+            f"bounded-memory enumeration guarded at {max_nodes} nodes "
+            f"and memory {max_memory}"
+        )
+    if spec.node_count != g.node_count:
+        raise ValueError("spec size disagrees with the graph")
+    product = ProductGraph(g, memory_size)
+    start: ProductNode = (v0, 1)
+    choice: dict[ProductNode, ProductNode] = {}
+    cycle_values: dict[tuple[int, ...], float] = {}
+    best: tuple[float, dict[ProductNode, ProductNode], list[ProductNode], int] | None = None
+
+    def score(seq: list[ProductNode], split: int) -> float:
+        key = _canonical_cycle(tuple(p[0] for p in seq[split:]))
+        value = cycle_values.get(key)
+        if value is None:
+            value = average_reward(spec, Lasso((), key)).value
+            cycle_values[key] = value
+        return value
+
+    def explore() -> None:
+        nonlocal best
+        seq = [start]
+        pos = {start: 0}
+        current = start
+        while True:
+            target = choice.get(current)
+            if target is None:
+                for candidate in product.successors(current):
+                    choice[current] = candidate
+                    explore()
+                choice.pop(current, None)  # a dead end sets no choice
+                return
+            if target in pos:
+                value = score(seq, pos[target])
+                if best is None or value > best[0]:
+                    best = (value, dict(choice), seq, pos[target])
+                return
+            seq.append(target)
+            pos[target] = len(seq) - 1
+            current = target
+
+    explore()
+    if best is None:
+        raise NoCycleError(f"no infinite path starts at node {v0}")
+    value, choices, seq, split = best
+
+    witness = validate_lasso(
+        g, [p[0] for p in seq[:split]], [p[0] for p in seq[split:]]
+    )
+    exact = average_reward(spec, witness)
+
+    # Fill the unreachable product nodes with the smallest successor and
+    # package the product choices as an explicit memory structure.
+    update: dict[tuple[int, int], int] = {}
+    tau: dict[tuple[int, int], int] = {}
+    for node in product.nodes():
+        v, slot = node
+        picked = choices.get(node)
+        if picked is None:
+            succs = g.adjacency[v]
+            if not succs:
+                update[(slot, v)] = 1
+                continue
+            picked = (succs[0], 1)
+        tau[(v, slot)] = picked[0]
+        update[(slot, v)] = picked[1]
+    strategy = FiniteStrategy(
+        MemoryStructure(memory_size, 1, update), tau, v0
+    )
+    return BoundedMemorySolution(exact, strategy, witness)
+

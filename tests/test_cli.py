@@ -40,12 +40,16 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 
 
-def run(argv: list[str]) -> tuple[int, dict | None, str]:
+def run_text(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    payload = out.getvalue()
-    return code, json.loads(payload) if payload else None, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv: list[str]) -> tuple[int, dict | None, str]:
+    code, payload, err = run_text(argv)
+    return code, json.loads(payload) if payload else None, err
 
 
 def normalized(doc: dict) -> dict:
@@ -547,6 +551,38 @@ class TestExitCodes:
         code, out, err = run(argv)
         assert code == EXIT_BAD_INPUT and out is None
         assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bounded", "--start", "a", "--memory", "0"], "memory"),
+            (["bounded", "--start", "a", "--memory=-2"], "memory"),
+            (["simulate", "--cycle", "a", "--trials", "0"], "trials"),
+            (["simulate", "--cycle", "a", "--trials=-5"], "trials"),
+        ],
+    )
+    def test_memory_and_trials_below_one_are_named(self, argv, flag):
+        # The graph file does not exist: the flag is refused before loading.
+        code, out, err = run([*argv, "--graph", "/no/such/file.json"])
+        assert code == EXIT_BAD_INPUT and out is None
+        assert err == f"error: {flag} must be at least 1\n"
+
+    def test_usage_error_returns_two(self):
+        argv = [
+            "infinite",
+            "--graph", fixture_path("two_cycles_gamma_0.5.json"),
+            "--start", "a",
+            "--epsilon", "-inf",
+        ]
+        code, out, err = run(argv)
+        assert code == EXIT_BAD_INPUT and out is None
+        assert "usage: reward-routing infinite" in err
+        assert "--epsilon: expected one argument" in err
+
+    def test_help_returns_zero(self):
+        code, out, err = run_text(["bounded", "--help"])
+        assert code == EXIT_OK and err == ""
+        assert out.startswith("usage: reward-routing bounded")
 
     def test_mixed_decay_is_bad_input(self, tmp_path):
         doc = {

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reward_routing import (
     ChoiceNotEdgeError,
@@ -23,10 +24,30 @@ from reward_routing import (
     validate_lasso,
 )
 
+import oracles
 from conftest import parse_route, random_graph, spell, two_cycles_graph
 
 TWO_CYCLES = two_cycles_graph()
 SPEC_26 = RewardSpec.uniform(4, 1.0, 0.26)
+
+
+@st.composite
+def sparse_instances(draw) -> tuple[Graph, RewardSpec, int]:
+    """A 1-4 node graph with at most 2n+1 edges, its rewards, and a start.
+
+    Self-loops and dead ends may occur. Rates and survivals come from short
+    lists so that ties between different lassos are common. Denser graphs
+    are left out because the reference takes seconds on them at memory 3.
+    """
+    n = draw(st.integers(1, 4))
+    node = st.integers(0, n - 1)
+    size = draw(st.integers(0, 2 * n + 1))
+    edges = draw(
+        st.lists(st.tuples(node, node), min_size=size, max_size=size, unique=True)
+    )
+    lam = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n))
+    gamma = draw(st.lists(st.sampled_from([0.26, 0.5, 1.0]), min_size=n, max_size=n))
+    return Graph.from_edges(n, edges), RewardSpec(tuple(lam), tuple(gamma)), draw(node)
 
 
 def memoryless(g: Graph, choices: dict[int, int], start: int) -> FiniteStrategy:
@@ -156,10 +177,32 @@ class TestSolveBoundedMemory:
     def test_guard(self):
         g = random_graph(random.Random(0), 5)
         spec = RewardSpec.uniform(5, 1.0, 0.5)
-        with pytest.raises(InstanceTooLargeError):
+        with pytest.raises(
+            InstanceTooLargeError,
+            match=r"limited to 4 nodes and the graph has 5; pass max_nodes=",
+        ):
             solve_bounded_memory(g, spec, 0, 2)
-        with pytest.raises(InstanceTooLargeError):
+        with pytest.raises(
+            InstanceTooLargeError,
+            match=r"limited to memory 3 and 4 was asked for; pass max_memory=",
+        ):
             solve_bounded_memory(TWO_CYCLES, SPEC_26, 0, 4)
+
+    @settings(max_examples=80)
+    @given(sparse_instances(), st.integers(1, 3))
+    def test_matches_the_full_enumeration(self, instance, slots):
+        g, spec, v0 = instance
+
+        def result(solve):
+            try:
+                return solve(g, spec, v0, slots)
+            except NoCycleError as exc:
+                return type(exc)
+
+        # Exact equality: value bits, choice map, memory update and witness.
+        assert result(solve_bounded_memory) == result(
+            oracles.bounded_memory_reference
+        )
 
     @pytest.mark.parametrize(
         "node_count, edges, cycle",
