@@ -16,6 +16,7 @@ environment variable ``RRP_STATE_BUDGET`` overrides the state cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -521,7 +522,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="reward-routing",
         description="Optimal reward collection on graphs with decaying rewards.",

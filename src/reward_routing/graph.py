@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import lt
 from typing import Container, Iterable, Sequence
 
 from .errors import (
@@ -45,12 +46,15 @@ class Graph:
             raise ValueError("graph needs at least one node")
         if len(self.adjacency) != self.node_count:
             raise ValueError("adjacency length disagrees with node_count")
+        n = self.node_count
         for v, succs in enumerate(self.adjacency):
-            if list(succs) != sorted(set(succs)):
+            # Strictly increasing targets are sorted and distinct, so only
+            # the first and the last can leave the node range.
+            if not all(map(lt, succs, succs[1:])):
                 raise ValueError(f"adjacency of node {v} must be sorted and deduplicated")
-            for w in succs:
-                if not 0 <= w < self.node_count:
-                    raise ValueError(f"edge ({v}, {w}) endpoint out of range")
+            if succs and not (0 <= succs[0] and succs[-1] < n):
+                w = next(w for w in succs if not 0 <= w < n)
+                raise ValueError(f"edge ({v}, {w}) endpoint out of range")
         if self.labels is not None and len(self.labels) != self.node_count:
             raise ValueError("labels length disagrees with node_count")
 

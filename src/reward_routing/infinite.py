@@ -142,11 +142,13 @@ class TruncatedGraph:
 
     States are sorted by node, then age vector, so state indices double as
     tie-break ranks. State ``i`` is ``node_array[i]`` with ages
-    ``age_matrix[:, i]``; ``edge_arrays`` holds ``(src, dst)`` sorted by
-    source, then target. ``parent[i]`` is the state the build's BFS first
-    reached ``i`` from (``parent[initial] == initial``), so its walks are
-    the paths :func:`shortest_path` finds. ``states`` (tuples) and
-    ``state_graph`` (a :class:`Graph`) are views built on first read.
+    ``age_matrix[:, i]``; ``edge_arrays`` holds ``(src, dst)`` as ``intp``
+    arrays, strictly increasing by source, then target, so
+    :func:`howard_max_mean_cycle` takes them without a sort. ``parent[i]``
+    is the state the build's BFS first reached ``i`` from
+    (``parent[initial] == initial``), so its walks are the paths
+    :func:`shortest_path` finds. ``states`` (tuples) and ``state_graph``
+    (a :class:`Graph`) are views built on first read.
     """
 
     graph: Graph
@@ -204,8 +206,10 @@ def build_truncated(
     engine of :mod:`reward_routing.finite` and sorts the successors with
     the known states at the same nodes in one ``np.lexsort``; successors
     found nowhere before form the next frontier, in FIFO discovery order,
-    each with its first discoverer as parent. At the end one sort puts the
-    states in order and one more pass finds each edge's target. Raises
+    each with its first discoverer as parent. The same sort gives every
+    successor its BFS index, the target of its edge. At the end one sort
+    puts the states in order, and each source's block of edges moves to
+    the source's sorted place, its targets renumbered. Raises
     :class:`StateBudgetExceededError` when a level takes the state count
     past the budget.
     """
@@ -217,6 +221,9 @@ def build_truncated(
     nodes = np.full(1, v0, dtype=csr[2].dtype)
     ages = np.ones((g.node_count, 1), dtype=_age_dtype(depth))
     parent = np.zeros(1, dtype=np.intp)
+    # Per level, the BFS index of every successor of the frontier: the
+    # edge targets, by BFS source and each source's in adjacency order.
+    targets: list[np.ndarray] = []
     frontier = slice(0, 1)
     while frontier.start < frontier.stop:
         pred, succ, succ_ages = _expand(csr, nodes[frontier], ages[:, frontier], depth)
@@ -227,10 +234,24 @@ def build_truncated(
             np.concatenate((nodes[near], succ)),
             np.concatenate((ages[:, near], succ_ages), axis=1),
         )
-        added = order[fresh]
+        # Positions among the successors; known states are negative.
+        order -= len(near)
+        firsts = order[fresh]
+        found = firsts >= 0
         # Successors come by predecessor, each one's in adjacency order, so
         # position order is discovery order.
-        added = np.sort(added[added >= len(near)] - len(near))
+        is_new = np.zeros(len(succ), dtype=bool)
+        is_new[firsts[found]] = True
+        added = np.flatnonzero(is_new)
+        # The BFS index of each run of equal states: the known state's own,
+        # or the one its first successor gets in discovery order.
+        index = np.empty(len(firsts), dtype=np.intp)
+        index[~found] = near[firsts[~found] + len(near)]
+        index[found] = len(nodes) - 1 + np.cumsum(is_new)[firsts[found]]
+        is_succ = order >= 0
+        level = np.empty(len(succ), dtype=np.intp)
+        level[order[is_succ]] = index[np.cumsum(fresh)[is_succ] - 1]
+        targets.append(level)
         parent = np.concatenate((parent, pred[added] + frontier.start))
         frontier = slice(len(nodes), len(nodes) + len(added))
         nodes = np.concatenate((nodes, succ[added]))
@@ -242,25 +263,24 @@ def build_truncated(
                 f"{state_budget} states",
             )
     order, _ = _sort_states(nodes, ages)
-    nodes, ages = nodes[order], ages[:, order]
     # Map BFS indices to sorted ones; the start state was BFS index 0.
-    rank = np.argsort(order)
+    m = len(nodes)
+    rank = np.empty(m, dtype=np.intp)
+    rank[order] = np.arange(m)
     parent = rank[parent[order]]
     initial = int(rank[0])
 
-    # Every successor is a known state and sorts right behind it, so its
-    # target index is the number of distinct states before it.
-    m = len(nodes)
-    src, succ, succ_ages = _expand(csr, nodes, ages, depth)
-    order, fresh = _sort_states(
-        np.concatenate((nodes, succ)), np.concatenate((ages, succ_ages), axis=1)
-    )
-    rank = np.cumsum(fresh) - 1
-    is_edge = order >= m
-    dst = np.empty(len(succ), dtype=np.intp)
-    dst[order[is_edge] - m] = rank[is_edge]
-    # Successors come by source, each source's in ascending node order,
-    # hence ascending target index: the edges are already sorted.
+    # Move each source's block of edges from its BFS slot to its sorted
+    # one. States sort by node first and a source's successors lie at
+    # distinct nodes in ascending order, so targets stay ascending.
+    degree = csr[1][nodes]
+    first = degree.cumsum() - degree
+    nodes, ages = nodes[order], ages[:, order]
+    degree = degree[order]
+    src = np.arange(m).repeat(degree)
+    slot = (first[order] - degree.cumsum() + degree).repeat(degree)
+    slot += np.arange(len(src))
+    dst = rank[np.concatenate(targets)[slot]]
     return TruncatedGraph(g, depth, initial, nodes, ages, (src, dst), parent)
 
 
@@ -268,7 +288,7 @@ def _edge_arrays(
     edges: Sequence[tuple[int, int]] | tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(edges, tuple) and len(edges) == 2 and isinstance(edges[0], np.ndarray):
-        return edges[0].astype(np.int64), edges[1].astype(np.int64)
+        return edges
     arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
     return arr[:, 0], arr[:, 1]
 
@@ -392,17 +412,6 @@ def _trim_dead_ends(m: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return alive
 
 
-def _first_successor(
-    mask: np.ndarray, starts: np.ndarray, dst: np.ndarray
-) -> np.ndarray:
-    """Per source segment, the target of its first edge where ``mask`` holds.
-
-    Segments without such an edge get -1.
-    """
-    pick = np.where(mask, np.arange(len(mask)), len(mask))
-    return np.append(dst, -1)[np.minimum.reduceat(pick, starts)]
-
-
 def _evaluate_policy(
     policy: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -440,49 +449,79 @@ def _evaluate_policy(
     return eta, bias, jump
 
 
-def howard_max_mean_cycle(
+@dataclass(frozen=True, eq=False)
+class _PolicyGraph:
+    """A graph trimmed to the states that can reach a cycle, for Howard.
+
+    ``alive`` masks the input states that can reach a cycle. Live states
+    keep their order: ``kept[i]`` is the input index of live state ``i``
+    and ``live_index`` maps input indices back. Edges run ``src`` to
+    ``dst`` sorted by source, then target; ``starts`` opens each source's
+    segment, and ``targets`` is ``dst`` with a -1 appended.
+    """
+
+    alive: np.ndarray
+    kept: np.ndarray
+    live_index: np.ndarray
+    src: np.ndarray
+    starts: np.ndarray
+    targets: np.ndarray
+    positions: np.ndarray
+
+    @property
+    def dst(self) -> np.ndarray:
+        return self.targets[:-1]
+
+    def first_successor(self, mask: np.ndarray) -> np.ndarray:
+        """Per source segment, the target of its first edge where ``mask`` holds.
+
+        Segments without such an edge get -1.
+        """
+        pick = np.where(mask, self.positions, len(mask))
+        return self.targets[np.minimum.reduceat(pick, self.starts)]
+
+
+def _policy_graph(
     state_count: int,
     edges: Sequence[tuple[int, int]] | tuple[np.ndarray, np.ndarray],
-    weights: Sequence[float],
-    start: int = 0,
-) -> tuple[float, list[int]]:
-    """Best mean node weight over the cycles reachable from ``start``.
+) -> _PolicyGraph:
+    """Trim, compact and sort a graph once for any number of Howard runs.
 
-    Howard's policy iteration (Cochet-Terrasson et al. 1998) on the whole
-    graph, which need not be strongly connected. States that cannot reach
-    a cycle are trimmed first. A policy picks one successor per state; it
-    starts at the heaviest successor and switches only on an improvement
-    beyond ``TOLERANCE`` times the largest weight magnitude (at least 1),
-    first of the cycle mean reached, then of the bias; the returned mean
-    falls short of the best by at most that margin. Ties go to the lowest
-    successor index, so results are deterministic. Returns ``(mean, cycle)``: ``cycle`` is the cycle the
-    final policy reaches from ``start``, listed once in traversal order,
-    and ``mean`` is its exactly summed mean weight.
-
-    Raises :class:`NoCycleError` when no cycle is reachable from ``start``
-    and :class:`SolverContractError` after ``_HOWARD_MAX_ITERATIONS``
-    improvements.
+    The edges are sorted only when they are not already in ``(src, dst)``
+    order, as :func:`build_truncated` emits them.
     """
     src, dst = _edge_arrays(edges)
-    w_all = np.asarray(weights, dtype=np.float64)
-    if len(w_all) != state_count:
-        raise ValueError("weights length disagrees with state_count")
-    if not 0 <= start < state_count:
-        raise ValueError(f"start state {start} out of range")
     alive = _trim_dead_ends(state_count, src, dst)
-    if not alive[start]:
-        raise NoCycleError(f"no cycle is reachable from state {start}")
-
-    # Compact to the live states, keeping their order (and so the ties).
     kept = np.flatnonzero(alive)
-    new_index = np.cumsum(alive) - 1
-    live = alive[src] & alive[dst]
-    src, dst = new_index[src[live]], new_index[dst[live]]
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    live_index = np.cumsum(alive) - 1
+    # Compact to the live states, keeping their order (and so the ties).
+    if len(kept) < state_count:
+        live = alive[src] & alive[dst]
+        src, dst = live_index[src[live]], live_index[dst[live]]
+    descending = (src[1:] < src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] < dst[:-1]))
+    if descending.any():
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
     # Every live state keeps a live successor, so no segment is empty.
     starts = np.searchsorted(src, np.arange(len(kept)))
-    w = w_all[kept]
+    return _PolicyGraph(
+        alive, kept, live_index, src, starts, np.append(dst, -1), np.arange(len(src))
+    )
+
+
+def _howard_run(
+    pg: _PolicyGraph, weights: Sequence[float], start: int
+) -> tuple[float, list[int]]:
+    """:func:`howard_max_mean_cycle` for one weighting of a prepared graph."""
+    w_all = np.asarray(weights, dtype=np.float64)
+    if len(w_all) != len(pg.alive):
+        raise ValueError("weights length disagrees with state_count")
+    if not 0 <= start < len(pg.alive):
+        raise ValueError(f"start state {start} out of range")
+    if not pg.alive[start]:
+        raise NoCycleError(f"no cycle is reachable from state {start}")
+    src, dst, starts = pg.src, pg.dst, pg.starts
+    w = w_all[pg.kept]
     tol = TOLERANCE * max(1.0, float(np.abs(w).max()))
 
     def improves(new: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -495,10 +534,10 @@ def howard_max_mean_cycle(
         # the lowest successor that does while tying the best.
         best = np.maximum.reduceat(value, starts)
         pick = improves(value, current[src]) & ~improves(best[src], value)
-        return improves(best, current), _first_successor(pick, starts, dst)
+        return improves(best, current), pg.first_successor(pick)
 
     heaviest = np.maximum.reduceat(w[dst], starts)
-    policy = _first_successor(w[dst] == heaviest[src], starts, dst)
+    policy = pg.first_successor(w[dst] == heaviest[src])
     for _ in range(_HOWARD_MAX_ITERATIONS + 1):
         eta, bias, landing = _evaluate_policy(policy, w)
         # Improve the cycle mean reached first; among successors that reach
@@ -519,13 +558,43 @@ def howard_max_mean_cycle(
             f"{_HOWARD_MAX_ITERATIONS} iterations"
         )
 
-    head = int(landing[new_index[start]])
+    kept = pg.kept
+    head = int(landing[pg.live_index[start]])
     cycle = [int(kept[head])]
     cursor = int(policy[head])
     while cursor != head:
         cycle.append(int(kept[cursor]))
         cursor = int(policy[cursor])
     return math.fsum(w_all[cycle]) / len(cycle), cycle
+
+
+def howard_max_mean_cycle(
+    state_count: int,
+    edges: Sequence[tuple[int, int]] | tuple[np.ndarray, np.ndarray],
+    weights: Sequence[float],
+    start: int = 0,
+) -> tuple[float, list[int]]:
+    """Best mean node weight over the cycles reachable from ``start``.
+
+    Howard's policy iteration (Cochet-Terrasson et al. 1998) on the whole
+    graph, which need not be strongly connected. States that cannot reach
+    a cycle are trimmed first, and the edges are sorted by source, then
+    target, unless they already are; :func:`solve_infinite_approx` does
+    that preparation once and runs both weightings on it. A policy picks
+    one successor per state; it starts at the heaviest successor and
+    switches only on an improvement beyond ``TOLERANCE`` times the largest
+    weight magnitude (at least 1), first of the cycle mean reached, then of
+    the bias; the returned mean falls short of the best by at most that
+    margin. Ties go to the lowest successor index, so results are
+    deterministic. Returns ``(mean, cycle)``: ``cycle`` is the cycle the
+    final policy reaches from ``start``, listed once in traversal order,
+    and ``mean`` is its exactly summed mean weight.
+
+    Raises :class:`NoCycleError` when no cycle is reachable from ``start``
+    and :class:`SolverContractError` after ``_HOWARD_MAX_ITERATIONS``
+    improvements.
+    """
+    return _howard_run(_policy_graph(state_count, edges), weights, start)
 
 
 @dataclass(frozen=True)
@@ -677,14 +746,10 @@ def solve_infinite_approx(
             "should fit the budget",
         ) from exc
     weights = tg.weights(spec)
-    edges = tg.edge_arrays
+    pg = _policy_graph(tg.state_count, tg.edge_arrays)
     try:
-        _, cycle_under = howard_max_mean_cycle(
-            tg.state_count, edges, weights.reward_under, tg.initial
-        )
-        mean_over, cycle_over = howard_max_mean_cycle(
-            tg.state_count, edges, weights.reward_over, tg.initial
-        )
+        _, cycle_under = _howard_run(pg, weights.reward_under, tg.initial)
+        mean_over, cycle_over = _howard_run(pg, weights.reward_over, tg.initial)
     except NoCycleError:
         raise NoCycleError(f"no infinite path starts at node {v0}") from None
 

@@ -258,11 +258,17 @@ def solve_bounded_memory(
     best: tuple[float, dict[ProductNode, ProductNode], list[ProductNode], int] | None = None
 
     def score(split: int) -> float:
-        key = _canonical_cycle(tuple(p[0] for p in seq[split:]))
-        value = cycle_values.get(key)
+        # Keyed by the raw cycle and by its canonical form; the value is
+        # always that of the canonical form, so rotations score alike.
+        cycle = tuple(p[0] for p in seq[split:])
+        value = cycle_values.get(cycle)
         if value is None:
-            value = average_reward(spec, Lasso((), key)).value
-            cycle_values[key] = value
+            key = _canonical_cycle(cycle)
+            value = cycle_values.get(key)
+            if value is None:
+                value = average_reward(spec, Lasso((), key)).value
+                cycle_values[key] = value
+            cycle_values[cycle] = value
         return value
 
     def explore(current: ProductNode) -> None:

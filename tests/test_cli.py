@@ -170,6 +170,33 @@ class TestCommands:
         assert code == EXIT_OK
         assert normalized(doc) == golden("finite_no_decay_h6.json")
 
+    def test_one_parser_serves_every_call(self):
+        # The parser is built once per process; a simulate call in between
+        # must leave nothing behind in the next finite call's arguments.
+        finite_argv = [
+            "finite",
+            "--graph", fixture_path("two_cycles_gamma_0.5.json"),
+            "--start", "a",
+            "--horizon", "6",
+        ]
+        _, before, _ = run(finite_argv)
+        code, _, _ = run(
+            [
+                "simulate",
+                "--graph", fixture_path("two_cycles_gamma_0.5.json"),
+                "--path", "a,d,a",
+                "--trials", "3",
+                "--seed", "7",
+            ]
+        )
+        assert code == EXIT_OK
+        _, after, _ = run(finite_argv)
+        assert cli.build_parser() is cli.build_parser()
+        before.pop("wall_time_seconds")
+        after.pop("wall_time_seconds")
+        assert after == before
+        assert not {"trials", "seed", "path", "mode"} & set(after["arguments"])
+
     def test_finite_witness_revalidates_and_rescores(self):
         code, doc, _ = run(
             [

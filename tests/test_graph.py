@@ -43,6 +43,45 @@ def small_graphs(max_nodes: int = 6, min_out: int = 0):
     return build()
 
 
+def adjacency_error(n: int, adjacency) -> str | None:
+    """The message the original per-target adjacency check raised, if any."""
+    for v, succs in enumerate(adjacency):
+        if list(succs) != sorted(set(succs)):
+            return f"adjacency of node {v} must be sorted and deduplicated"
+        for w in succs:
+            if not 0 <= w < n:
+                return f"edge ({v}, {w}) endpoint out of range"
+    return None
+
+
+class TestAdjacencyCheck:
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(-2, n + 2), max_size=4).map(tuple),
+                min_size=n,
+                max_size=n,
+            ),
+        )
+    ))
+    def test_accepts_and_names_what_the_full_check_did(self, instance):
+        n, adjacency = instance
+        expected = adjacency_error(n, adjacency)
+        if expected is None:
+            assert Graph(n, tuple(adjacency)).adjacency == tuple(adjacency)
+        else:
+            with pytest.raises(ValueError) as err:
+                Graph(n, tuple(adjacency))
+            assert str(err.value) == expected
+
+    def test_first_out_of_range_target_is_named(self):
+        with pytest.raises(ValueError, match=r"^edge \(1, 3\) endpoint out of range$"):
+            Graph(3, ((0,), (1, 3, 4), ()))
+        with pytest.raises(ValueError, match="must be sorted and deduplicated"):
+            Graph(3, ((0, 0), (), ()))
+
+
 class TestValidatePath:
     def test_worked_route_is_valid(self, two_cycles):
         p = validate_path(two_cycles, parse_route(two_cycles, "adabcad"))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from reward_routing import (
@@ -27,6 +28,7 @@ from reward_routing import infinite
 from reward_routing.infinite import (
     _component_karp,
     _cycle_bearing_components,
+    _cycle_to_lasso,
     howard_max_mean_cycle,
 )
 
@@ -293,6 +295,33 @@ class TestHowardMaxMeanCycle:
         edges = [(0, 3), (0, 2), (0, 1), (1, 1), (2, 2), (3, 3)]
         assert howard_max_mean_cycle(4, edges, [0.0, 1.0, 1.0, 1.0]) == (1.0, [1])
 
+    def test_edge_order_and_container_do_not_matter(self):
+        # Shuffled edges take the sorting path, sorted ones skip it; both
+        # must give the same mean and cycle, as a list or as arrays.
+        rng = random.Random(35)
+        for _ in range(120):
+            n = rng.randint(1, 12)
+            edges = random_digraph(rng, n, 3)
+            weights = [
+                rng.choice([rng.uniform(-2, 2), float(rng.randint(0, 2))])
+                for _ in range(n)
+            ]
+            start = rng.randrange(n)
+            shuffled = edges[:]
+            rng.shuffle(shuffled)
+            columns = np.array(shuffled, dtype=np.intp).reshape(-1, 2).T
+            forms = [edges, shuffled, (columns[0], columns[1])]
+            if edges:
+                ordered = np.array(edges, dtype=np.intp).T
+                forms.append((ordered[0], ordered[1]))
+            results = []
+            for form in forms:
+                try:
+                    results.append(howard_max_mean_cycle(n, form, weights, start))
+                except NoCycleError:
+                    results.append(NoCycleError)
+            assert results == [results[0]] * len(forms)
+
     def test_iteration_cap_raises(self, monkeypatch):
         # The heavier successor leads into the worse cycle, so the first
         # policy must improve once.
@@ -389,6 +418,40 @@ class TestSolveInfiniteApprox:
         spec = RewardSpec((1.0,) * 4, (0.5, 1.0, 0.5, 0.5))
         with pytest.raises(ValueError):
             solve_infinite_approx(two_cycles, spec, 0, 1e-3)
+
+    def test_shared_policy_graph_matches_independent_runs(self):
+        # The solve prepares one graph for both weightings; two separate
+        # Howard calls on shuffled edges must find the same witnesses.
+        rng = random.Random(36)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            g = random_graph(rng, n, min_out=0, max_out=min(n, 3))
+            spec = RewardSpec.uniform(g.node_count, 1.0, rng.uniform(0.2, 0.6))
+            depth = truncation_depth(spec, 0.05)
+            tg = build_truncated(g, 0, depth)
+            table = tg.weights(spec)
+            perm = np.random.default_rng(rng.randrange(2**32)).permutation(
+                len(tg.edge_arrays[0])
+            )
+            edges = (tg.edge_arrays[0][perm], tg.edge_arrays[1][perm])
+            try:
+                bracket = solve_infinite_approx(g, spec, 0, 0.05)
+            except NoCycleError:
+                with pytest.raises(NoCycleError):
+                    howard_max_mean_cycle(
+                        tg.state_count, edges, table.reward_under, tg.initial
+                    )
+                continue
+            _, under = howard_max_mean_cycle(
+                tg.state_count, edges, table.reward_under, tg.initial
+            )
+            mean_over, over = howard_max_mean_cycle(
+                tg.state_count, edges, table.reward_over, tg.initial
+            )
+            assert bracket.pi_under == _cycle_to_lasso(tg, under)
+            assert bracket.pi_over == _cycle_to_lasso(tg, over)
+            assert bracket.r_over == max(mean_over, bracket.r_under)
+            assert bracket.depth == depth and bracket.state_count == tg.state_count
 
     def test_budget_error_reports_feasible_epsilon(self, two_cycles):
         spec = RewardSpec.uniform(4, 1.0, 0.5)

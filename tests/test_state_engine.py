@@ -130,6 +130,19 @@ class TestTruncatedAgainstReference:
     def test_states_initial_and_edges(self, instance, depth):
         assert_same_truncated(*instance, depth)
 
+    @settings(max_examples=40)
+    @given(graphs(), st.integers(1, 4))
+    def test_edge_arrays_are_sorted_and_match(self, instance, depth):
+        g, v0 = instance
+        src, dst = build_truncated(g, v0, depth).edge_arrays
+        _, _, state_graph = oracles.truncated_bfs_reference(
+            g, v0, depth, state_budget=DEFAULT_STATE_BUDGET
+        )
+        assert src.dtype == dst.dtype == np.intp
+        assert list(zip(src.tolist(), dst.tolist())) == list(state_graph.edges())
+        increasing = (src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))
+        assert increasing.all()
+
     @settings(max_examples=30)
     @given(graphs(max_nodes=5), st.integers(1, 4), st.data())
     def test_weight_table_matches_weight_pair(self, instance, depth, data):
