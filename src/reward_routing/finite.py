@@ -8,11 +8,12 @@ far fewer than the crude ``(N + 1) ** node_count`` bound.
 
 This module also holds the visit-age state engine that the DP shares with
 the truncated graph of :mod:`reward_routing.infinite`. A layer (or BFS
-frontier) is a node vector plus an age matrix with one column per state,
-in the narrowest unsigned dtype that holds the largest age. The successors
-of every state come out of array operations on a CSR view of the
-adjacency, and equal states are merged by one stable ``np.lexsort`` over
-the node and age keys.
+frontier) is a node vector plus a row-major age matrix with one column
+per state, in the narrowest unsigned dtype that holds the largest age.
+The successors of every state come out of array operations on a CSR view
+of the adjacency. Equal states are found by one stable ``np.lexsort``
+over the integer node and age keys only; the DP then keeps one state per
+run of equals by a segmented max over the run.
 """
 
 from __future__ import annotations
@@ -82,7 +83,9 @@ def _expand(
     Successors come grouped by predecessor, in state order, and each
     state's in adjacency order. Leaving ``v`` resets its age to 1 and every
     other age ticks up; under a ``depth`` cap an age that would pass it
-    overflows to 0, and 0 stays 0. ``depth=None`` is the uncapped DP.
+    overflows to 0, and 0 stays 0. ``depth=None`` is the uncapped DP. The
+    age matrix comes out C-ordered, so each node's ages are one contiguous
+    row.
     """
     first, degree, targets = csr
     degree = degree[nodes]
@@ -90,7 +93,7 @@ def _expand(
     slots = np.arange(len(pred))
     # Slot i of predecessor p reads edge first[v] + i - (slots before p).
     succ = targets[slots + (first[nodes] - degree.cumsum() + degree).repeat(degree)]
-    succ_ages = ages[:, pred]
+    succ_ages = ages.take(pred, axis=1)
     if depth is not None:
         succ_ages *= succ_ages < depth
         succ_ages += succ_ages > 0
@@ -100,24 +103,21 @@ def _expand(
     return pred, succ, succ_ages
 
 
-def _sort_states(
-    nodes: np.ndarray, ages: np.ndarray, *minor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _sort_states(nodes: np.ndarray, ages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """State order and, per sorted position, whether it starts a new state.
 
-    One stable ``np.lexsort`` by node, then ages, then the ``minor`` keys,
-    then position: among equal states the first in the returned order has
-    the smallest minor keys and, on ties, comes first in the input. Age
-    rows that are equal in every state cannot change the order and are
-    left out of the sort.
+    One stable ``np.lexsort`` by node, then ages, then position, all
+    integer keys: equal states come out in input order. Age rows that are
+    equal in every state cannot change the order and are left out of the
+    sort.
     """
     ages = ages[(ages != ages[:, :1]).any(axis=1)]
-    order = np.lexsort((*reversed(minor), *ages[::-1], nodes))
+    order = np.lexsort((*ages[::-1], nodes))
     fresh = np.empty(len(order), dtype=bool)
     fresh[:1] = True
     ordered = nodes[order]
     np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    ordered = ages[:, order]
+    ordered = ages.take(order, axis=1)
     fresh[1:] |= (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
     return order, fresh
 
@@ -190,10 +190,21 @@ def _solve_layered(
     for _ in range(horizon):
         pred, succ, succ_ages = _expand(csr, nodes, ages, None)
         gained = values[pred] + steps(succ, succ_ages[succ, np.arange(len(succ))])
-        # The best value wins; ties keep the smallest predecessor, which is
-        # the lexicographically smallest since the layer is sorted.
-        order, fresh = _sort_states(succ, succ_ages, -gained)
-        keep = order[fresh]
+        order, fresh = _sort_states(succ, succ_ages)
+        if fresh.all():
+            keep = order
+        else:
+            # The best value wins; ties keep the smallest predecessor, which
+            # is the lexicographically smallest since the layer is sorted.
+            # A run of equal states lists its members by predecessor, so
+            # keep its first position that holds the run's maximum: every
+            # run holds one, so the first such position at or after a
+            # run's start is the run's own.
+            starts = np.flatnonzero(fresh)
+            ranked = gained[order]
+            best = np.maximum.reduceat(ranked, starts)
+            hits = np.flatnonzero(ranked == best.repeat(np.diff(starts, append=len(order))))
+            keep = order[hits[np.searchsorted(hits, starts)]]
         if not len(keep):
             raise NoPathError(
                 f"no path of length {horizon} from node {v0}"
@@ -201,7 +212,7 @@ def _solve_layered(
         total_states += len(keep)
         if total_states > state_budget:
             raise StateBudgetExceededError(state_budget)
-        nodes, ages, values = succ[keep], succ_ages[:, keep], gained[keep]
+        nodes, ages, values = succ[keep], succ_ages.take(keep, axis=1), gained[keep]
         layer_nodes.append(nodes)
         parents.append(pred[keep])
 

@@ -142,7 +142,8 @@ class TruncatedGraph:
 
     States are sorted by node, then age vector, so state indices double as
     tie-break ranks. State ``i`` is ``node_array[i]`` with ages
-    ``age_matrix[:, i]``; ``edge_arrays`` holds ``(src, dst)`` as ``intp``
+    ``age_matrix[:, i]``; the matrix is C-ordered, one contiguous row of
+    ages per node. ``edge_arrays`` holds ``(src, dst)`` as ``intp``
     arrays, strictly increasing by source, then target, so
     :func:`howard_max_mean_cycle` takes them without a sort. ``parent[i]``
     is the state the build's BFS first reached ``i`` from
@@ -232,7 +233,7 @@ def build_truncated(
         near = np.flatnonzero(np.isin(nodes, succ))
         order, fresh = _sort_states(
             np.concatenate((nodes[near], succ)),
-            np.concatenate((ages[:, near], succ_ages), axis=1),
+            np.concatenate((ages.take(near, axis=1), succ_ages), axis=1),
         )
         # Positions among the successors; known states are negative.
         order -= len(near)
@@ -255,7 +256,7 @@ def build_truncated(
         parent = np.concatenate((parent, pred[added] + frontier.start))
         frontier = slice(len(nodes), len(nodes) + len(added))
         nodes = np.concatenate((nodes, succ[added]))
-        ages = np.concatenate((ages, succ_ages[:, added]), axis=1)
+        ages = np.concatenate((ages, succ_ages.take(added, axis=1)), axis=1)
         if len(added) and len(nodes) > state_budget:
             raise StateBudgetExceededError(
                 state_budget,
@@ -275,7 +276,7 @@ def build_truncated(
     # distinct nodes in ascending order, so targets stay ascending.
     degree = csr[1][nodes]
     first = degree.cumsum() - degree
-    nodes, ages = nodes[order], ages[:, order]
+    nodes, ages = nodes[order], ages.take(order, axis=1)
     degree = degree[order]
     src = np.arange(m).repeat(degree)
     slot = (first[order] - degree.cumsum() + degree).repeat(degree)

@@ -26,7 +26,13 @@ from reward_routing import (
     solve_finite_decay,
     weight_pair,
 )
-from reward_routing.finite import DEFAULT_HORIZON_CAP, DEFAULT_STATE_BUDGET
+from reward_routing.finite import (
+    DEFAULT_HORIZON_CAP,
+    DEFAULT_STATE_BUDGET,
+    _age_dtype,
+    _csr,
+    _expand,
+)
 from reward_routing.infinite import _cycle_to_lasso, howard_max_mean_cycle
 from reward_routing.rewards import make_step_reward
 
@@ -122,6 +128,58 @@ class TestFiniteAgainstReference:
         assert_same_outcome(
             got, reference(g, v0, horizon, lam, decays)
         )
+
+
+class TestMergeTieRule:
+    """Equal states keep the first predecessor, in state order, of best value."""
+
+    @settings(max_examples=60)
+    @given(graphs(), st.integers(0, 7), st.data())
+    def test_tie_heavy_specs(self, instance, horizon, data):
+        g, v0 = instance
+        n = g.node_count
+        spec = RewardSpec(
+            tuple(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))),
+            tuple(data.draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=n, max_size=n))),
+        )
+        got = outcome(lambda: solve_finite(g, spec, v0, horizon))
+        assert_same_outcome(
+            got, reference(g, v0, horizon, spec.lam, spec.gamma)
+        )
+
+    def test_best_predecessor_is_neither_first_nor_unique(self):
+        # The final state (at 0, node 1 left at step 5, node 0 last seen at
+        # step 4 and node 2 at step 3) has three predecessors at node 1
+        # that differ only in node 1's own age: 3, 4 and 6, in state order.
+        # Through their best histories 0 1 1 2 0 1, 0 1 0 2 0 1 and
+        # 0 2 0 2 0 1 it collects 20.75, 23 and 23, so the age-4 one is kept.
+        g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)])
+        spec = RewardSpec((2.0, 2.0, 0.0), (0.5, 1.0, 0.5))
+        got = solve_finite(g, spec, 0, 6)
+        assert_same_outcome(got, reference(g, 0, 6, spec.lam, spec.gamma))
+        assert got.value.value == 23.0
+        assert got.witness.nodes == (0, 1, 0, 2, 0, 1, 0)
+
+
+class TestRowMajorAges:
+    """Age matrices stay C-ordered, one contiguous row per node."""
+
+    @settings(max_examples=30)
+    @given(graphs(), st.sampled_from([None, 1, 3]))
+    def test_expand_emits_c_ordered_ages(self, instance, depth):
+        g, _ = instance
+        n = g.node_count
+        # A column slice, as a BFS frontier is, is not contiguous.
+        ages = np.ones((n, 2 * n), dtype=_age_dtype(8))[:, ::2]
+        _, succ, succ_ages = _expand(_csr(g), np.arange(n, dtype=np.uint8), ages, depth)
+        assert succ_ages.shape == (n, len(succ))
+        assert succ_ages.flags.c_contiguous
+
+    @settings(max_examples=30)
+    @given(graphs(), st.integers(1, 4))
+    def test_truncated_age_matrix_is_c_ordered(self, instance, depth):
+        tg = build_truncated(*instance, depth)
+        assert tg.age_matrix.flags.c_contiguous
 
 
 class TestTruncatedAgainstReference:
