@@ -18,6 +18,7 @@ run of equals by a segmented max over the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
@@ -192,6 +193,8 @@ def _solve_layered(
         gained = values[pred] + steps(succ, succ_ages[succ, np.arange(len(succ))])
         order, fresh = _sort_states(succ, succ_ages)
         if fresh.all():
+            # Small solves mostly have no duplicates; skipping the
+            # selection here keeps their per-layer cost at the sort's.
             keep = order
         else:
             # The best value wins; ties keep the smallest predecessor, which
@@ -260,9 +263,18 @@ def solve_finite_decay(
     *,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> FiniteSolution:
-    """As :func:`solve_finite` but with explicit per-node decay profiles."""
+    """As :func:`solve_finite` but with explicit per-node decay profiles.
+
+    ``lam`` is checked as :class:`reward_routing.rewards.RewardSpec` checks
+    it: finite and non-negative, so no state's value can be NaN.
+    """
     if len(lam) != g.node_count or len(profiles) != g.node_count:
         raise ValueError("lam/profiles size disagrees with the graph")
+    for v, value in enumerate(lam):
+        if isinstance(value, bool) or not math.isfinite(value):
+            raise ValueError(f"lam[{v}] must be a finite number")
+        if value < 0:
+            raise ValueError(f"lam[{v}] must be non-negative")
     step_reward = make_step_reward(lam, profiles)
     return _solve_layered(g, v0, horizon, step_reward, state_budget)
 

@@ -50,19 +50,6 @@ class RewardSpec:
             raise ValueError("lam and gamma must have equal length")
         if not self.lam:
             raise ValueError("spec needs at least one node")
-        # Whole-tuple passes accept a valid spec; only one that fails them
-        # is walked value by value, so the error names the first bad field.
-        # A value math.isfinite cannot take raises the same TypeError here
-        # as in the walk.
-        if (
-            bool not in set(map(type, self.lam)) | set(map(type, self.gamma))
-            and all(map(math.isfinite, self.lam))
-            and all(map(math.isfinite, self.gamma))
-            and min(self.lam) >= 0
-            and 0.0 < min(self.gamma)
-            and max(self.gamma) <= 1.0
-        ):
-            return
         for name, values in (("lam", self.lam), ("gamma", self.gamma)):
             for v, value in enumerate(values):
                 if isinstance(value, bool) or not math.isfinite(value):

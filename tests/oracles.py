@@ -4,15 +4,13 @@ Everything here is written from the definitions: explicit enumeration,
 backward scans, and per-unit bookkeeping. Nothing calls back into the
 library's closed forms or solvers. The exceptions are kept as references
 for the loops they were replaced by: the one-tuple-per-state expansions of
-the vectorized visit-age engine, the bounded-memory enumeration that
-restarts its walk for every branch and tries every memory slot, and the
-value-by-value ``RewardSpec`` field check.
+the vectorized visit-age engine, and the bounded-memory enumeration that
+restarts its walk for every branch and tries every memory slot.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -229,24 +227,6 @@ def long_horizon_average(
         nodes.extend(cycle)
     nodes = nodes[: horizon + 1]
     return explicit_path_total(lam, gamma, nodes) / (horizon + 1)
-
-
-def reward_spec_check(lam: Sequence[float], gamma: Sequence[float]) -> None:
-    """``RewardSpec``'s field check as one loop per value: raises what it did."""
-    if len(lam) != len(gamma):
-        raise ValueError("lam and gamma must have equal length")
-    if not lam:
-        raise ValueError("spec needs at least one node")
-    for name, values in (("lam", lam), ("gamma", gamma)):
-        for v, value in enumerate(values):
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise ValueError(f"{name}[{v}] must be a finite number")
-    for v, value in enumerate(lam):
-        if value < 0:
-            raise ValueError(f"lam[{v}] must be non-negative")
-    for v, value in enumerate(gamma):
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"gamma[{v}] must lie in (0, 1]")
 
 
 def layered_dp_reference(

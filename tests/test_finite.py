@@ -164,6 +164,21 @@ class TestSolveFiniteDecay:
         replay = decayed_path_reward(profiles, lam, solution.witness).value
         assert replay == pytest.approx(solution.value.value, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (float("nan"), r"lam\[1\] must be a finite number"),
+            (float("inf"), r"lam\[1\] must be a finite number"),
+            (True, r"lam\[1\] must be a finite number"),
+            (-1.0, r"lam\[1\] must be non-negative"),
+        ],
+        ids=["nan", "inf", "bool", "negative"],
+    )
+    def test_rates_are_checked_like_a_spec(self, bad, message):
+        profiles = [DecayProfile.geometric(0.5)] * 4
+        with pytest.raises(ValueError, match=message):
+            solve_finite_decay(TWO_CYCLES, [1.0, bad, 1.0, 1.0], profiles, 0, 3)
+
 
 class TestDecideFiniteValue:
     @staticmethod

@@ -103,14 +103,19 @@ def assert_same_truncated(g: Graph, v0: int, depth: int):
 
 
 class TestFiniteAgainstReference:
-    @settings(max_examples=40)
+    @settings(max_examples=100)
     @given(graphs(), st.integers(0, 7), st.data())
     def test_gamma_specs(self, instance, horizon, data):
         g, v0 = instance
         n = g.node_count
+        # Specs over {0, 1} x {0.5, 1} make equal states tie on value often.
+        lams, decays = data.draw(st.sampled_from([
+            (rates, gammas),
+            (st.sampled_from([0.0, 1.0]), st.sampled_from([0.5, 1.0])),
+        ]))
         spec = RewardSpec(
-            tuple(data.draw(st.lists(rates, min_size=n, max_size=n))),
-            tuple(data.draw(st.lists(gammas, min_size=n, max_size=n))),
+            tuple(data.draw(st.lists(lams, min_size=n, max_size=n))),
+            tuple(data.draw(st.lists(decays, min_size=n, max_size=n))),
         )
         got = outcome(lambda: solve_finite(g, spec, v0, horizon))
         assert_same_outcome(
@@ -132,20 +137,6 @@ class TestFiniteAgainstReference:
 
 class TestMergeTieRule:
     """Equal states keep the first predecessor, in state order, of best value."""
-
-    @settings(max_examples=60)
-    @given(graphs(), st.integers(0, 7), st.data())
-    def test_tie_heavy_specs(self, instance, horizon, data):
-        g, v0 = instance
-        n = g.node_count
-        spec = RewardSpec(
-            tuple(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))),
-            tuple(data.draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=n, max_size=n))),
-        )
-        got = outcome(lambda: solve_finite(g, spec, v0, horizon))
-        assert_same_outcome(
-            got, reference(g, v0, horizon, spec.lam, spec.gamma)
-        )
 
     def test_best_predecessor_is_neither_first_nor_unique(self):
         # The final state (at 0, node 1 left at step 5, node 0 last seen at
