@@ -65,6 +65,73 @@ def golden(name: str) -> dict:
         return json.load(handle)
 
 
+# Documents with no golden file, pinned as ``normalized`` leaves them. On
+# two_cycles_gamma_0.26.json the counting route goes round a-b-c twice per
+# visit of d; epsilon 1 truncates at depth 1 and cannot separate 1.32765.
+COUNTING_CYCLE = ["a", "b", "c", "a", "b", "c", "a", "d"]
+COUNTING_LASSO = {"prefix": ["a", "b", "c", "a", "d"], "cycle": COUNTING_CYCLE}
+TIGHT_BRACKET = {
+    "epsilon_achieved": 3.52748419896e-06,
+    "r_over": 1.32765535892,
+    "r_under": 1.32765183143,
+    "truncation_depth": 6,
+    "witness_over": COUNTING_LASSO,
+    "witness_under": COUNTING_LASSO,
+}
+DECIDE_YES = {
+    "arguments": {
+        "epsilon": 0.001,
+        "graph": "two_cycles_gamma_0.26.json",
+        "start": "a",
+        "subcommand": "decide",
+        "threshold": 0.0,
+    },
+    "bracket": TIGHT_BRACKET,
+    "command": "decide",
+    "decision": "yes",
+    "node_order": ["a", "b", "c", "d"],
+    "state_count": 29,
+    "threshold": 0.0,
+}
+DECIDE_NO = {
+    "arguments": {
+        "epsilon": 0.001,
+        "graph": "two_cycles_gamma_0.26.json",
+        "start": "a",
+        "subcommand": "decide",
+        "threshold": 10.0,
+    },
+    "bracket": TIGHT_BRACKET,
+    "command": "decide",
+    "decision": "no",
+    "node_order": ["a", "b", "c", "d"],
+    "state_count": 29,
+    "threshold": 10.0,
+}
+DECIDE_UNKNOWN = {
+    "arguments": {
+        "epsilon": 1.0,
+        "graph": "two_cycles_gamma_0.26.json",
+        "start": "a",
+        "subcommand": "decide",
+        "threshold": 1.32765,
+    },
+    "bracket": {
+        "epsilon_achieved": 0.0237513513514,
+        "r_over": 1.35135135135,
+        "r_under": 1.3276,
+        "truncation_depth": 1,
+        "witness_over": {"prefix": ["a", "b", "c"], "cycle": ["a", "b", "c"]},
+        "witness_under": {"prefix": ["a", "b", "c"], "cycle": ["a", "b", "c"]},
+    },
+    "command": "decide",
+    "decision": "unknown",
+    "node_order": ["a", "b", "c", "d"],
+    "state_count": 6,
+    "threshold": 1.32765,
+}
+
+
 class TestGraphFiles:
     def test_round_trip_is_identity(self):
         model = load_graph_file(fixture_path("two_cycles_gamma_0.5.json"))
@@ -288,20 +355,27 @@ class TestCommands:
         assert code == EXIT_OK
         assert normalized(doc) == golden("nondiscounted.json")
 
-    def test_decide_exit_codes(self):
-        base = [
-            "decide",
-            "--graph", fixture_path("two_cycles_gamma_0.26.json"),
-            "--start", "a",
-        ]
-        yes, doc_yes, _ = run(base + ["--threshold", "0", "--epsilon", "1e-3"])
-        assert yes == EXIT_OK and doc_yes["decision"] == "yes"
-        no, doc_no, _ = run(base + ["--threshold", "10", "--epsilon", "1e-3"])
-        assert no == EXIT_NO and doc_no["decision"] == "no"
-        unknown, doc_unknown, _ = run(
-            base + ["--threshold", "1.32765", "--epsilon", "1"]
+    @pytest.mark.parametrize(
+        "threshold, epsilon, code, expected",
+        [
+            ("0", "1e-3", EXIT_OK, DECIDE_YES),
+            ("10", "1e-3", EXIT_NO, DECIDE_NO),
+            ("1.32765", "1", EXIT_UNKNOWN, DECIDE_UNKNOWN),
+        ],
+        ids=["yes", "no", "unknown"],
+    )
+    def test_decide_exit_codes(self, threshold, epsilon, code, expected):
+        got, doc, _ = run(
+            [
+                "decide",
+                "--graph", fixture_path("two_cycles_gamma_0.26.json"),
+                "--start", "a",
+                "--threshold", threshold,
+                "--epsilon", epsilon,
+            ]
         )
-        assert unknown == EXIT_UNKNOWN and doc_unknown["decision"] == "unknown"
+        assert got == code
+        assert normalized(doc) == expected
 
     def test_bounded_finds_the_counting_route(self):
         code, doc, _ = run(
@@ -313,7 +387,19 @@ class TestCommands:
             ]
         )
         assert code == EXIT_OK
-        assert len(doc["witness"]["cycle"]) == 8
+        assert normalized(doc) == {
+            "arguments": {
+                "graph": "two_cycles_gamma_0.26.json",
+                "memory": 3,
+                "start": "a",
+                "subcommand": "bounded",
+            },
+            "command": "bounded",
+            "memory": 3,
+            "node_order": ["a", "b", "c", "d"],
+            "value": 1.32765183143,
+            "witness": {"prefix": [], "cycle": COUNTING_CYCLE},
+        }
 
     @pytest.mark.parametrize(
         "edges, code, cycle",
@@ -354,6 +440,38 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert normalized(doc) == golden("simulate_deterministic.json")
+
+    def test_simulate_deterministic_cycle(self):
+        code, doc, _ = run(
+            [
+                "simulate",
+                "--graph", fixture_path("two_cycles_gamma_0.5.json"),
+                "--cycle", "a,b,c",
+                "--mode", "deterministic",
+                "--horizon", "600",
+                "--trials", "2",
+            ]
+        )
+        assert code == EXIT_OK
+        assert normalized(doc) == {
+            "arguments": {
+                "cycle": "a,b,c",
+                "graph": "two_cycles_gamma_0.5.json",
+                "horizon": 600,
+                "mode": "deterministic",
+                "seed": 0,
+                "subcommand": "simulate",
+                "trials": 2,
+            },
+            "closed_form": 1.75,
+            "command": "simulate",
+            "mean": 1.74833610649,
+            "node_order": ["a", "b", "c", "d"],
+            "route": {"prefix": [], "cycle": ["a", "b", "c"]},
+            "seed": 0,
+            "stderr": 0.0,
+            "trials": 2,
+        }
 
     def test_simulate_matches_finite_command_exactly(self):
         args = [
