@@ -1,11 +1,16 @@
 """Command-line interface: graph files in, result documents out.
 
 Graph files are JSON: a ``nodes`` list ({id, lambda, gamma or
-decay_profile}), an ``edges`` list of [from, to] id pairs, and optional
-``defaults`` applied to nodes that omit lambda/gamma. Every command prints
-a single JSON result document with the command echo, values, witnesses as
-id sequences, and timing, using 12 significant digits so outputs are
-stable across runs.
+decay_profile}, where ``null`` counts as absent), an ``edges`` list of
+[from, to] id pairs, and optional ``defaults`` applied to nodes that omit
+lambda/gamma. Every command prints a single JSON result document with the
+command echo, values, witnesses as id sequences, and timing, using 12
+significant digits so outputs are stable across runs.
+
+:func:`main` loads the graph, times one ``cmd_*`` call (start lookup,
+checks, solve, witness check) and emits the document with its fields.
+``finite`` solves γ and decay-profile graphs alike; ``--decay`` declares
+which of the two the graph holds.
 
 Exit codes: 0 success (or decision "yes"), 1 decision "no", 2 malformed
 input or arguments, 3 state budget exceeded, 4 decision "unknown", 5 an
@@ -168,7 +173,9 @@ def parse_graph_document(doc: Any) -> GraphModel:
             raise GraphFileError(f"{field}.id", f"duplicate id {node_id!r}")
         index[node_id] = i
 
-        lam = raw.get("lambda", defaults.get("lambda"))
+        lam = raw.get("lambda")
+        if lam is None:
+            lam = defaults.get("lambda")
         if lam is None:
             raise GraphFileError(
                 f"{field}.lambda", "missing and no default provided"
@@ -270,18 +277,6 @@ def _state_budget() -> int:
     return budget
 
 
-def _base_document(command: str, args: argparse.Namespace, model: GraphModel) -> dict:
-    return {
-        "command": command,
-        "arguments": {
-            key: value
-            for key, value in sorted(vars(args).items())
-            if key != "func" and value is not None
-        },
-        "node_order": list(model.ids),
-    }
-
-
 def _check_rescore(emitted: float, replayed: float) -> None:
     if abs(emitted - replayed) > TOLERANCE * max(1.0, abs(emitted)):
         raise SolverContractError(
@@ -296,96 +291,70 @@ def _lasso_document(model: GraphModel, lasso: Lasso) -> dict:
     }
 
 
-def cmd_finite(args: argparse.Namespace) -> int:
-    model = load_graph_file(args.graph)
+def cmd_finite(args: argparse.Namespace, model: GraphModel) -> tuple[dict, int]:
     v0 = model.index_of(args.start)
     profiled = [isinstance(d, DecayProfile) for d in model.decays]
     if args.decay and not all(profiled):
         raise GraphFileError("nodes", "--decay requires a decay_profile on every node")
     if not args.decay and any(profiled):
         raise GraphFileError("nodes", "graph declares decay profiles; pass --decay")
-    started = time.perf_counter()
-    if args.decay:
-        solution = finite.solve_finite_decay(
-            model.graph,
-            model.lam,
-            model.decays,
-            v0,
-            args.horizon,
-            state_budget=_state_budget(),
-        )
-        replay = decayed_path_reward(model.decays, model.lam, solution.witness)
-    else:
-        solution = finite.solve_finite(
-            model.graph, model.spec, v0, args.horizon, state_budget=_state_budget()
-        )
-        replay = path_reward(model.spec, solution.witness)
-    elapsed = time.perf_counter() - started
+    solution = finite.solve_finite_decay(
+        model.graph,
+        model.lam,
+        model.decays,
+        v0,
+        args.horizon,
+        state_budget=_state_budget(),
+    )
+    replay = decayed_path_reward(model.decays, model.lam, solution.witness)
     validate_path(model.graph, solution.witness.nodes)
     _check_rescore(solution.value.value, replay.value)
-    doc = _base_document("finite", args, model)
-    doc.update(
-        {
-            "value": solution.value.value,
-            "horizon": args.horizon,
-            "witness": {"path": model.id_path(solution.witness.nodes)},
-            "state_count": solution.states_expanded,
-            "wall_time_seconds": elapsed,
-        }
-    )
-    _emit(doc)
-    return EXIT_OK
-
-
-def _bracket_document(model: GraphModel, bracket: infinite.ValueBracket) -> dict:
     return {
-        "r_under": bracket.r_under,
-        "r_over": bracket.r_over,
-        "epsilon_achieved": bracket.epsilon_achieved,
-        "truncation_depth": bracket.depth,
-        "witness_under": _lasso_document(model, bracket.pi_under),
-        "witness_over": _lasso_document(model, bracket.pi_over),
+        "value": solution.value.value,
+        "horizon": args.horizon,
+        "witness": {"path": model.id_path(solution.witness.nodes)},
+        "state_count": solution.states_expanded,
+    }, EXIT_OK
+
+
+def _bracket_fields(model: GraphModel, bracket: infinite.ValueBracket) -> dict:
+    return {
+        "bracket": {
+            "r_under": bracket.r_under,
+            "r_over": bracket.r_over,
+            "epsilon_achieved": bracket.epsilon_achieved,
+            "truncation_depth": bracket.depth,
+            "witness_under": _lasso_document(model, bracket.pi_under),
+            "witness_over": _lasso_document(model, bracket.pi_over),
+        },
+        "state_count": bracket.state_count,
     }
 
 
-def cmd_infinite(args: argparse.Namespace) -> int:
-    model = load_graph_file(args.graph)
+def cmd_infinite(args: argparse.Namespace, model: GraphModel) -> tuple[dict, int]:
     spec = model.spec
     v0 = model.index_of(args.start)
-    started = time.perf_counter()
     bracket = infinite.solve_infinite_approx(
         model.graph, spec, v0, args.epsilon, state_budget=_state_budget()
     )
-    elapsed = time.perf_counter() - started
     _check_rescore(
         bracket.r_under, average_reward(spec, bracket.pi_under).value
     )
-    doc = _base_document("infinite", args, model)
     if bracket.depth == 0:
-        doc.update(
-            {
-                "notice": "no decay anywhere; solved exactly instead",
-                "value": bracket.r_under,
-                "witness": _lasso_document(model, bracket.pi_under),
-            }
-        )
-    else:
-        doc.update(
-            {
-                "bracket": _bracket_document(model, bracket),
-                "state_count": bracket.state_count,
-            }
-        )
-    doc["wall_time_seconds"] = elapsed
-    _emit(doc)
-    return EXIT_OK
+        return {
+            "notice": "no decay anywhere; solved exactly instead",
+            "value": bracket.r_under,
+            "witness": _lasso_document(model, bracket.pi_under),
+        }, EXIT_OK
+    return _bracket_fields(model, bracket), EXIT_OK
 
 
-def cmd_decide(args: argparse.Namespace) -> int:
-    model = load_graph_file(args.graph)
+_DECISION_EXIT = {"yes": EXIT_OK, "no": EXIT_NO}
+
+
+def cmd_decide(args: argparse.Namespace, model: GraphModel) -> tuple[dict, int]:
     spec = model.spec
     v0 = model.index_of(args.start)
-    started = time.perf_counter()
     decision, bracket = infinite.decide_infinite_value(
         model.graph,
         spec,
@@ -394,75 +363,45 @@ def cmd_decide(args: argparse.Namespace) -> int:
         args.epsilon,
         state_budget=_state_budget(),
     )
-    elapsed = time.perf_counter() - started
     _check_rescore(
         bracket.r_under, average_reward(spec, bracket.pi_under).value
     )
-    doc = _base_document("decide", args, model)
-    doc.update(
-        {
-            "decision": decision,
-            "threshold": args.threshold,
-            "bracket": _bracket_document(model, bracket),
-            "state_count": bracket.state_count,
-            "wall_time_seconds": elapsed,
-        }
-    )
-    _emit(doc)
-    if decision == "yes":
-        return EXIT_OK
-    if decision == "no":
-        return EXIT_NO
-    return EXIT_UNKNOWN
+    return {
+        "decision": decision,
+        "threshold": args.threshold,
+        **_bracket_fields(model, bracket),
+    }, _DECISION_EXIT.get(decision, EXIT_UNKNOWN)
 
 
-def cmd_nondiscounted(args: argparse.Namespace) -> int:
-    model = load_graph_file(args.graph)
+def cmd_nondiscounted(args: argparse.Namespace, model: GraphModel) -> tuple[dict, int]:
     v0 = model.index_of(args.start)
-    started = time.perf_counter()
     solution = infinite.solve_nondiscounted(model.graph, model.lam, v0)
-    elapsed = time.perf_counter() - started
     # Without decay every node is worth its rate; profiles do not matter.
     no_decay = RewardSpec(model.lam, (1.0,) * model.graph.node_count)
     replay = average_reward(no_decay, solution.witness)
     _check_rescore(solution.value.value, replay.value)
-    doc = _base_document("nondiscounted", args, model)
-    doc.update(
-        {
-            "value": solution.value.value,
-            "component": model.id_path(solution.component),
-            "witness": _lasso_document(model, solution.witness),
-            "wall_time_seconds": elapsed,
-        }
-    )
-    _emit(doc)
-    return EXIT_OK
+    return {
+        "value": solution.value.value,
+        "component": model.id_path(solution.component),
+        "witness": _lasso_document(model, solution.witness),
+    }, EXIT_OK
 
 
-def cmd_bounded(args: argparse.Namespace) -> int:
-    model = load_graph_file(args.graph)
+def cmd_bounded(args: argparse.Namespace, model: GraphModel) -> tuple[dict, int]:
     spec = model.spec
     v0 = model.index_of(args.start)
-    started = time.perf_counter()
     solution = memory.solve_bounded_memory(
         model.graph, spec, v0, args.memory
     )
-    elapsed = time.perf_counter() - started
     _check_rescore(
         solution.value.value,
         average_reward(spec, solution.witness).value,
     )
-    doc = _base_document("bounded", args, model)
-    doc.update(
-        {
-            "value": solution.value.value,
-            "memory": args.memory,
-            "witness": _lasso_document(model, solution.witness),
-            "wall_time_seconds": elapsed,
-        }
-    )
-    _emit(doc)
-    return EXIT_OK
+    return {
+        "value": solution.value.value,
+        "memory": args.memory,
+        "witness": _lasso_document(model, solution.witness),
+    }, EXIT_OK
 
 
 def _parse_id_list(model: GraphModel, raw: str, field: str) -> list[int]:
@@ -475,17 +414,14 @@ def _parse_id_list(model: GraphModel, raw: str, field: str) -> list[int]:
     return nodes
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    model = load_graph_file(args.graph)
+def cmd_simulate(args: argparse.Namespace, model: GraphModel) -> tuple[dict, int]:
     spec = model.spec
-    doc = _base_document("simulate", args, model)
     cfg = simulate.SimConfig(
         trials=args.trials,
         seed=args.seed,
         generation=args.mode,
         horizon=args.horizon,
     )
-    started = time.perf_counter()
     if args.path is not None:
         if args.cycle is not None or args.prefix is not None:
             raise GraphFileError("path", "--path excludes --prefix/--cycle")
@@ -493,7 +429,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         route = validate_path(model.graph, nodes)
         result = simulate.simulate_finite_reward(model.graph, spec, route, cfg)
         expected = path_reward(spec, route).value
-        doc["route"] = {"path": model.id_path(route.nodes)}
+        route_fields = {"path": model.id_path(route.nodes)}
     else:
         if args.cycle is None:
             raise GraphFileError("cycle", "need --path or --cycle")
@@ -506,20 +442,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lasso = validate_lasso(model.graph, prefix, cycle)
         result = simulate.simulate_average_reward(model.graph, spec, lasso, cfg)
         expected = average_reward(spec, lasso).value
-        doc["route"] = _lasso_document(model, lasso)
-    elapsed = time.perf_counter() - started
-    doc.update(
-        {
-            "mean": result.mean,
-            "stderr": result.stderr,
-            "trials": result.trials,
-            "seed": result.seed,
-            "closed_form": expected,
-            "wall_time_seconds": elapsed,
-        }
-    )
-    _emit(doc)
-    return EXIT_OK
+        route_fields = _lasso_document(model, lasso)
+    return {
+        "route": route_fields,
+        "mean": result.mean,
+        "stderr": result.stderr,
+        "trials": result.trials,
+        "seed": result.seed,
+        "closed_form": expected,
+    }, EXIT_OK
 
 
 @functools.cache
@@ -604,7 +535,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         _check_numbers(args)
-        return args.func(args)
+        model = load_graph_file(args.graph)
+        started = time.perf_counter()
+        fields, code = args.func(args, model)
+        elapsed = time.perf_counter() - started
+        _emit(
+            {
+                "command": args.subcommand,
+                "arguments": {
+                    key: value
+                    for key, value in sorted(vars(args).items())
+                    if key != "func" and value is not None
+                },
+                "node_order": list(model.ids),
+                **fields,
+                "wall_time_seconds": elapsed,
+            }
+        )
+        return code
     except StateBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -18,7 +18,6 @@ run of equals by a segmented max over the run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
@@ -26,12 +25,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InstanceTooLargeError, NoPathError, StateBudgetExceededError
-from .graph import Graph, Path
+from .graph import Graph, Path, _check_start
 from .rewards import (
     TOLERANCE,
     DecayProfile,
     RewardSpec,
     RewardValue,
+    _check_param,
     make_step_reward,
 )
 
@@ -169,8 +169,7 @@ def _solve_layered(
     step_reward: Callable[[int, int], float],
     state_budget: int,
 ) -> FiniteSolution:
-    if not 0 <= v0 < g.node_count:
-        raise ValueError(f"start node {v0} out of range")
+    _check_start(g, v0)
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     if horizon > DEFAULT_HORIZON_CAP:
@@ -257,25 +256,29 @@ def solve_finite(
 def solve_finite_decay(
     g: Graph,
     lam: Sequence[float],
-    profiles: Sequence[DecayProfile],
+    decays: Sequence[float | DecayProfile],
     v0: int,
     horizon: int,
     *,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> FiniteSolution:
-    """As :func:`solve_finite` but with explicit per-node decay profiles.
+    """As :func:`solve_finite` with a γ or a :class:`DecayProfile` per node.
 
-    ``lam`` is checked as :class:`reward_routing.rewards.RewardSpec` checks
-    it: finite and non-negative, so no state's value can be NaN.
+    ``decays[v]`` is node ``v``'s survival probability ``gamma`` or its
+    profile; with γ values only, the result is :func:`solve_finite`'s bit
+    for bit. ``lam`` and each γ are checked as
+    :class:`reward_routing.rewards.RewardSpec` checks them, so no state's
+    value can be NaN. :func:`reward_routing.rewards.decayed_path_reward`
+    replays the witness.
     """
-    if len(lam) != g.node_count or len(profiles) != g.node_count:
-        raise ValueError("lam/profiles size disagrees with the graph")
+    if len(lam) != g.node_count or len(decays) != g.node_count:
+        raise ValueError("lam/decays size disagrees with the graph")
     for v, value in enumerate(lam):
-        if isinstance(value, bool) or not math.isfinite(value):
-            raise ValueError(f"lam[{v}] must be a finite number")
-        if value < 0:
-            raise ValueError(f"lam[{v}] must be non-negative")
-    step_reward = make_step_reward(lam, profiles)
+        _check_param("lam", v, value)
+    for v, decay in enumerate(decays):
+        if not isinstance(decay, DecayProfile):
+            _check_param("gamma", v, decay)
+    step_reward = make_step_reward(lam, decays)
     return _solve_layered(g, v0, horizon, step_reward, state_budget)
 
 

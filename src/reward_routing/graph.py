@@ -142,6 +142,12 @@ class Lasso:
         return tuple(nodes)
 
 
+def _check_start(g: Graph, v0: int) -> None:
+    """Refuse a start node outside ``g``, with the message every solver gives."""
+    if not 0 <= v0 < g.node_count:
+        raise ValueError(f"start node {v0} out of range")
+
+
 def validate_path(g: Graph, nodes: Sequence[int]) -> Path:
     """Check a node sequence against the graph and wrap it as a :class:`Path`.
 

@@ -42,6 +42,7 @@ from .finite import (
 from .graph import (
     Graph,
     Lasso,
+    _check_start,
     _heaviest_reachable,
     covering_cycle,
     scc_decompose,
@@ -216,8 +217,7 @@ def build_truncated(
     """
     if depth < 1:
         raise ValueError("truncation depth must be at least 1")
-    if not 0 <= v0 < g.node_count:
-        raise ValueError(f"start node {v0} out of range")
+    _check_start(g, v0)
     csr = _csr(g)
     nodes = np.full(1, v0, dtype=csr[2].dtype)
     ages = np.ones((g.node_count, 1), dtype=_age_dtype(depth))
@@ -678,6 +678,7 @@ def solve_nondiscounted(
     """
     if len(lam) != g.node_count:
         raise ValueError("lam length disagrees with the graph")
+    _check_start(g, v0)
     best, best_total = _heaviest_reachable(g, v0, _cycle_bearing_components(g), lam)
     if best is None:
         raise NoCycleError(f"no infinite path starts at node {v0}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ChoiceNotEdgeError, InstanceTooLargeError, NoCycleError
-from .graph import Graph, Lasso, Path, validate_lasso
+from .graph import Graph, Lasso, Path, _check_start, validate_lasso
 from .rewards import RewardSpec, RewardValue, average_reward
 
 ProductNode = tuple[int, int]
@@ -248,6 +248,7 @@ def solve_bounded_memory(
         )
     if spec.node_count != g.node_count:
         raise ValueError("spec size disagrees with the graph")
+    _check_start(g, v0)
     product = ProductGraph(g, memory_size)
     start: ProductNode = (v0, 1)
     slots = range(1, memory_size + 1)

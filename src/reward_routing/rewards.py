@@ -38,6 +38,25 @@ def geometric_series(gamma: float, count: int) -> float:
     return (1.0 - gamma**count) / (1.0 - gamma)
 
 
+def _check_param(name: str, v: int, value: float) -> None:
+    """Refuse ``lam[v]`` or ``gamma[v]`` unless it is a finite number in range.
+
+    A rate must be non-negative and a survival probability lie in (0, 1].
+    Booleans and non-numbers are refused as not finite.
+    """
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name}[{v}] must be a finite number")
+    if name == "lam":
+        if value < 0:
+            raise ValueError(f"lam[{v}] must be non-negative")
+    elif not 0.0 < value <= 1.0:
+        raise ValueError(f"gamma[{v}] must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class RewardSpec:
     """Per-node expected generation rates and survival probabilities."""
@@ -52,14 +71,7 @@ class RewardSpec:
             raise ValueError("spec needs at least one node")
         for name, values in (("lam", self.lam), ("gamma", self.gamma)):
             for v, value in enumerate(values):
-                if isinstance(value, bool) or not math.isfinite(value):
-                    raise ValueError(f"{name}[{v}] must be a finite number")
-        for v, value in enumerate(self.lam):
-            if value < 0:
-                raise ValueError(f"lam[{v}] must be non-negative")
-        for v, value in enumerate(self.gamma):
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"gamma[{v}] must lie in (0, 1]")
+                _check_param(name, v, value)
 
     @staticmethod
     def uniform(node_count: int, lam: float, gamma: float) -> "RewardSpec":
@@ -286,15 +298,17 @@ class DecayProfile:
 
 
 def decayed_path_reward(
-    profiles: Sequence[DecayProfile], lam: Sequence[float], p: Path
+    decays: Sequence[float | DecayProfile], lam: Sequence[float], p: Path
 ) -> RewardValue:
-    """Total expected reward along a path under per-node decay profiles.
+    """Total expected reward along a path under per-node decays.
 
     Each visit collects ``lam[v]`` units generated at the current and the
     previous ``age - 1`` steps, decayed by ``profile(0) .. profile(age-1)``.
-    With a geometric profile this reproduces :func:`path_reward` exactly.
+    ``decays[v]`` is node ``v``'s survival probability ``gamma`` or its
+    :class:`DecayProfile`, as in :func:`make_step_reward`. With ``gamma``
+    values this is :func:`path_reward`; a geometric profile reproduces it.
     """
-    total = _collected(lam, profiles, p.nodes, _visit_ages(p.nodes))
+    total = _collected(lam, decays, p.nodes, _visit_ages(p.nodes))
     return RewardValue(total, "finite_sum", horizon=p.length)
 
 

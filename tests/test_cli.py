@@ -218,6 +218,37 @@ class TestGraphFiles:
             parse_graph_document(doc)
         assert err.value.field == "nodes[0]"
 
+    @pytest.mark.parametrize(
+        "key, field, taken",
+        [
+            ("lambda", "nodes[0].lambda", (2.0, 0.5)),
+            ("gamma", "nodes[0].gamma", (1.0, 0.25)),
+            # A node whose only decay is a null profile needs a default gamma.
+            ("decay_profile", "nodes[0].gamma", (1.0, 0.25)),
+        ],
+    )
+    @pytest.mark.parametrize("with_default", [True, False], ids=["default", "no_default"])
+    def test_null_counts_as_absent(self, tmp_path, key, field, taken, with_default):
+        node = {"id": "a", "lambda": 1.0, "gamma": 0.5}
+        if key == "decay_profile":
+            del node["gamma"]
+        node[key] = None
+        doc = {"nodes": [node], "edges": [["a", "a"]]}
+        if with_default:
+            doc["defaults"] = {"lambda": 2.0, "gamma": 0.25}
+        graph = tmp_path / "nulls.json"
+        graph.write_text(json.dumps(doc))
+        code, out, err = run(
+            ["finite", "--graph", str(graph), "--start", "a", "--horizon", "2"]
+        )
+        if with_default:
+            assert code == EXIT_OK, err
+            model = load_graph_file(str(graph))
+            assert (model.lam[0], model.decays[0]) == taken
+        else:
+            assert code == EXIT_BAD_INPUT and out is None
+            assert err == f"error: {field}: missing and no default provided\n"
+
     def test_defaults_fill_missing_parameters(self):
         model = load_graph_file(fixture_path("two_cycles_gamma_0.26.json"))
         assert model.spec.gamma == (0.26,) * 4
@@ -751,21 +782,35 @@ class TestExitCodes:
             ("infinite", cli),
             ("decide", cli),
             ("nondiscounted", cli),
+            ("finite", cli),
+            ("finite --decay", cli),
         ],
     )
-    def test_contract_failure_is_internal(self, monkeypatch, command, replayer):
+    def test_contract_failure_is_internal(self, tmp_path, monkeypatch, command, replayer):
         # A replay that disagrees with the solver trips the bracket check
         # inside the solver, or the CLI's re-score of the emitted witness.
-        def disagreeing(spec, lasso):
-            return RewardValue(average_reward(spec, lasso).value - 1.0, "limit_average")
+        name = "decayed_path_reward" if command.startswith("finite") else "average_reward"
+        replay = getattr(replayer, name)
 
-        monkeypatch.setattr(replayer, "average_reward", disagreeing)
-        argv = [
-            command,
-            "--graph", fixture_path("two_cycles_gamma_0.26.json"),
-            "--start", "a",
-        ]
-        if command != "nondiscounted":
+        def disagreeing(*args):
+            value = replay(*args)
+            return RewardValue(value.value - 1.0, value.kind, value.horizon)
+
+        monkeypatch.setattr(replayer, name, disagreeing)
+        graph = fixture_path("two_cycles_gamma_0.26.json")
+        if command == "finite --decay":
+            profile = {"table": [1.0, 0.5], "tail": "zero"}
+            doc = {
+                "defaults": {"lambda": 1.0},
+                "nodes": [{"id": i, "decay_profile": profile} for i in "abcd"],
+                "edges": [["a", "b"], ["b", "c"], ["c", "a"], ["a", "d"], ["d", "a"]],
+            }
+            graph = tmp_path / "profiles.json"
+            graph.write_text(json.dumps(doc))
+        argv = [*command.split(), "--graph", str(graph), "--start", "a"]
+        if command.startswith("finite"):
+            argv += ["--horizon", "4"]
+        elif command != "nondiscounted":
             argv += ["--epsilon", "1e-3"]
         if command == "decide":
             argv += ["--threshold", "0"]

@@ -165,19 +165,30 @@ class TestSolveFiniteDecay:
         assert replay == pytest.approx(solution.value.value, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "bad, message",
+        "rate, decay, message",
         [
-            (float("nan"), r"lam\[1\] must be a finite number"),
-            (float("inf"), r"lam\[1\] must be a finite number"),
-            (True, r"lam\[1\] must be a finite number"),
-            (-1.0, r"lam\[1\] must be non-negative"),
+            (float("nan"), 0.5, r"lam\[1\] must be a finite number"),
+            (float("inf"), 0.5, r"lam\[1\] must be a finite number"),
+            (True, 0.5, r"lam\[1\] must be a finite number"),
+            (-1.0, 0.5, r"lam\[1\] must be non-negative"),
+            (1.0, float("nan"), r"gamma\[1\] must be a finite number"),
+            (1.0, float("inf"), r"gamma\[1\] must be a finite number"),
+            (1.0, -float("inf"), r"gamma\[1\] must be a finite number"),
+            (1.0, True, r"gamma\[1\] must be a finite number"),
+            (1.0, "x", r"gamma\[1\] must be a finite number"),
+            (1.0, 0.0, r"gamma\[1\] must lie in \(0, 1\]"),
+            (1.0, 2.0, r"gamma\[1\] must lie in \(0, 1\]"),
         ],
-        ids=["nan", "inf", "bool", "negative"],
+        ids=[
+            "nan", "inf", "bool", "negative", "gamma-nan", "gamma-inf",
+            "gamma-minus-inf", "gamma-bool", "gamma-str", "gamma-zero", "gamma-two",
+        ],
     )
-    def test_rates_are_checked_like_a_spec(self, bad, message):
-        profiles = [DecayProfile.geometric(0.5)] * 4
+    def test_rates_are_checked_like_a_spec(self, rate, decay, message):
+        # Node 0 keeps a profile: a graph may mix profiles and gamma values.
+        decays = [DecayProfile.geometric(0.5), decay, 0.5, 0.5]
         with pytest.raises(ValueError, match=message):
-            solve_finite_decay(TWO_CYCLES, [1.0, bad, 1.0, 1.0], profiles, 0, 3)
+            solve_finite_decay(TWO_CYCLES, [1.0, rate, 1.0, 1.0], decays, 0, 3)
 
 
 class TestDecideFiniteValue:

@@ -13,12 +13,18 @@ from reward_routing import (
     NoCycleError,
     NotStronglyConnectedError,
     Path,
+    RewardSpec,
     covering_cycle,
     hamiltonian_cycle,
     last_visit,
     longest_simple_cycle,
     max_reachable_scc,
     scc_decompose,
+    solve_bounded_memory,
+    solve_finite,
+    solve_finite_decay,
+    solve_infinite_approx,
+    solve_nondiscounted,
     validate_lasso,
     validate_path,
 )
@@ -108,6 +114,27 @@ class TestValidatePath:
         validate_lasso(two_cycles, [], parse_route(two_cycles, "abc"))
         with pytest.raises(BadEdgeError):
             validate_lasso(two_cycles, [], parse_route(two_cycles, "ab"))
+
+
+# Every public solver, called on the 4-node two-cycles graph from ``v0``;
+# solve_infinite_approx hands a graph without decay to solve_nondiscounted.
+DECAYING, NO_DECAY = RewardSpec.uniform(4, 1.0, 0.5), RewardSpec.uniform(4, 1.0, 1.0)
+SOLVERS = {
+    "finite": lambda g, v0: solve_finite(g, DECAYING, v0, 3),
+    "finite_decay": lambda g, v0: solve_finite_decay(g, [1.0] * 4, [0.5] * 4, v0, 3),
+    "infinite": lambda g, v0: solve_infinite_approx(g, DECAYING, v0, 1e-2),
+    "infinite_no_decay": lambda g, v0: solve_infinite_approx(g, NO_DECAY, v0, 1e-2),
+    "nondiscounted": lambda g, v0: solve_nondiscounted(g, [1.0] * 4, v0),
+    "bounded": lambda g, v0: solve_bounded_memory(g, DECAYING, v0, 2),
+}
+
+
+class TestStartNode:
+    @pytest.mark.parametrize("solver", list(SOLVERS.values()), ids=list(SOLVERS))
+    @pytest.mark.parametrize("v0", [-1, 4], ids=["minus_one", "node_count"])
+    def test_out_of_range_start_is_refused(self, two_cycles, solver, v0):
+        with pytest.raises(ValueError, match=rf"^start node {v0} out of range$"):
+            solver(two_cycles, v0)
 
 
 class TestLastVisit:
