@@ -42,6 +42,7 @@ from .rewards import (
     DecayProfile,
     RewardSpec,
     average_reward,
+    decayed_average_reward,
     decayed_path_reward,
     path_reward,
 )
@@ -145,16 +146,24 @@ def _parse_profile(raw: Any, field: str) -> DecayProfile:
 
 
 def parse_graph_document(doc: Any) -> GraphModel:
-    """Validate a decoded graph document and build the model."""
+    """Validate a decoded graph document and build the model.
+
+    One pass over the nodes and one over the edges; each edge goes straight
+    into its source's successor list. A field name is formatted only for
+    the error it names, and the first fault in document order is the one
+    reported.
+    """
     if not isinstance(doc, dict):
         raise GraphFileError("document", "top level must be an object")
     defaults = doc.get("defaults", {})
     if not isinstance(defaults, dict):
         raise GraphFileError("defaults", "must be an object")
-    if "lambda" in defaults:
-        _parse_lambda(defaults["lambda"], "defaults.lambda")
-    if "gamma" in defaults:
-        _parse_gamma(defaults["gamma"], "defaults.gamma")
+    default_lam = defaults.get("lambda")
+    if default_lam is not None:
+        default_lam = _parse_lambda(default_lam, "defaults.lambda")
+    default_gamma = defaults.get("gamma")
+    if default_gamma is not None:
+        default_gamma = _parse_gamma(default_gamma, "defaults.gamma")
     raw_nodes = _require(doc, "nodes", "nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise GraphFileError("nodes", "must be a non-empty list")
@@ -162,58 +171,71 @@ def parse_graph_document(doc: Any) -> GraphModel:
     index: dict[str, int] = {}
     lams: list[float] = []
     decays: list[float | DecayProfile] = []
+    # The rules of _parse_lambda and _parse_gamma, inline.
+    float_max = sys.float_info.max
     for i, raw in enumerate(raw_nodes):
-        field = f"nodes[{i}]"
         if not isinstance(raw, dict):
-            raise GraphFileError(field, "must be an object")
-        node_id = _require(raw, "id", f"{field}.id")
+            raise GraphFileError(f"nodes[{i}]", "must be an object")
+        node_id = raw.get("id")
         if not isinstance(node_id, str):
-            raise GraphFileError(f"{field}.id", "must be a string")
-        if node_id in index:
-            raise GraphFileError(f"{field}.id", f"duplicate id {node_id!r}")
-        index[node_id] = i
+            _require(raw, "id", f"nodes[{i}].id")
+            raise GraphFileError(f"nodes[{i}].id", "must be a string")
+        if index.setdefault(node_id, i) != i:
+            raise GraphFileError(f"nodes[{i}].id", f"duplicate id {node_id!r}")
 
         lam = raw.get("lambda")
         if lam is None:
-            lam = defaults.get("lambda")
-        if lam is None:
-            raise GraphFileError(
-                f"{field}.lambda", "missing and no default provided"
-            )
-        lams.append(_parse_lambda(lam, f"{field}.lambda"))
+            lam = default_lam
+            if lam is None:
+                raise GraphFileError(f"nodes[{i}].lambda", "missing and no default provided")
+        elif (
+            isinstance(lam, (int, float))
+            and not isinstance(lam, bool)
+            and abs(lam) <= float_max
+            and lam >= 0
+        ):
+            lam = float(lam)
+        else:
+            raise GraphFileError(f"nodes[{i}].lambda", "must be a non-negative number")
+        lams.append(lam)
 
         gamma = raw.get("gamma")
-        profile_raw = raw.get("decay_profile")
-        if gamma is not None and profile_raw is not None:
-            raise GraphFileError(
-                field, "gamma and decay_profile are mutually exclusive"
-            )
-        if profile_raw is not None:
-            decays.append(_parse_profile(profile_raw, f"{field}.decay_profile"))
-            continue
-        if gamma is None:
-            gamma = defaults.get("gamma")
-        if gamma is None:
-            raise GraphFileError(
-                f"{field}.gamma", "missing and no default provided"
-            )
-        decays.append(_parse_gamma(gamma, f"{field}.gamma"))
+        profile = raw.get("decay_profile")
+        if profile is not None:
+            if gamma is not None:
+                raise GraphFileError(
+                    f"nodes[{i}]", "gamma and decay_profile are mutually exclusive"
+                )
+            decays.append(_parse_profile(profile, f"nodes[{i}].decay_profile"))
+        elif gamma is None:
+            if default_gamma is None:
+                raise GraphFileError(f"nodes[{i}].gamma", "missing and no default provided")
+            decays.append(default_gamma)
+        # The range check also refuses NaN, the infinities and huge integers.
+        elif isinstance(gamma, (int, float)) and not isinstance(gamma, bool) and 0 < gamma <= 1:
+            decays.append(float(gamma))
+        else:
+            raise GraphFileError(f"nodes[{i}].gamma", "must be a number in (0, 1]")
 
     raw_edges = _require(doc, "edges", "edges")
     if not isinstance(raw_edges, list):
         raise GraphFileError("edges", "must be a list")
-    edges: list[tuple[int, int]] = []
+    successors: list[list[int]] = [[] for _ in raw_nodes]
+    find = index.get
     for i, raw in enumerate(raw_edges):
-        field = f"edges[{i}]"
         if not isinstance(raw, list) or len(raw) != 2:
-            raise GraphFileError(field, "must be a [from, to] pair")
-        for endpoint in raw:
-            if not isinstance(endpoint, str) or endpoint not in index:
-                raise GraphFileError(field, f"unknown node id {endpoint!r}")
-        edges.append((index[raw[0]], index[raw[1]]))
+            raise GraphFileError(f"edges[{i}]", "must be a [from, to] pair")
+        u, w = raw
+        if isinstance(u, str) and isinstance(w, str):
+            src, dst = find(u), find(w)
+            if src is not None and dst is not None:
+                successors[src].append(dst)
+                continue
+        unknown = w if isinstance(u, str) and u in index else u
+        raise GraphFileError(f"edges[{i}]", f"unknown node id {unknown!r}")
 
     ids = tuple(index)
-    graph = Graph.from_edges(len(ids), edges, labels=ids)
+    graph = Graph.from_successors(successors, ids)
     return GraphModel(graph, tuple(lams), tuple(decays), ids, index)
 
 
@@ -249,13 +271,17 @@ def dump_graph_document(model: GraphModel) -> dict:
 
 
 def _round_floats(value: Any) -> Any:
-    """12 significant digits on every float, recursively."""
+    """12 significant digits on every float, recursively.
+
+    Strings, the bulk of a large document's id lists, are passed over
+    without a call.
+    """
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
+        return {k: v if type(v) is str else _round_floats(v) for k, v in value.items()}
     if isinstance(value, list):
-        return [_round_floats(v) for v in value]
+        return [v if type(v) is str else _round_floats(v) for v in value]
     return value
 
 
@@ -377,8 +403,8 @@ def cmd_nondiscounted(args: argparse.Namespace, model: GraphModel) -> tuple[dict
     v0 = model.index_of(args.start)
     solution = infinite.solve_nondiscounted(model.graph, model.lam, v0)
     # Without decay every node is worth its rate; profiles do not matter.
-    no_decay = RewardSpec(model.lam, (1.0,) * model.graph.node_count)
-    replay = average_reward(no_decay, solution.witness)
+    no_decay = (1.0,) * model.graph.node_count
+    replay = decayed_average_reward(no_decay, model.lam, solution.witness)
     _check_rescore(solution.value.value, replay.value)
     return {
         "value": solution.value.value,

@@ -249,8 +249,7 @@ def solve_finite(
     """
     if spec.node_count != g.node_count:
         raise ValueError("spec size disagrees with the graph")
-    step_reward = make_step_reward(spec.lam, spec.gamma)
-    return _solve_layered(g, v0, horizon, step_reward, state_budget)
+    return solve_finite_decay(g, spec.lam, spec.gamma, v0, horizon, state_budget=state_budget)
 
 
 def solve_finite_decay(
@@ -265,8 +264,8 @@ def solve_finite_decay(
     """As :func:`solve_finite` with a γ or a :class:`DecayProfile` per node.
 
     ``decays[v]`` is node ``v``'s survival probability ``gamma`` or its
-    profile; with γ values only, the result is :func:`solve_finite`'s bit
-    for bit. ``lam`` and each γ are checked as
+    profile; :func:`solve_finite` is this solver with γ values only.
+    ``lam`` and each γ are checked as
     :class:`reward_routing.rewards.RewardSpec` checks them, so no state's
     value can be NaN. :func:`reward_routing.rewards.decayed_path_reward`
     replays the witness.

@@ -12,7 +12,6 @@ node limit, since they are exponential by necessity.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import lt
 from typing import Container, Iterable, Sequence
@@ -65,14 +64,25 @@ class Graph:
         labels: Sequence[str] | None = None,
     ) -> "Graph":
         """Build a graph from an edge list (deduplicated, sorted)."""
-        succs: list[set[int]] = [set() for _ in range(node_count)]
+        succs: list[list[int]] = [[] for _ in range(node_count)]
         for u, v in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"edge ({u}, {v}) endpoint out of range")
-            succs[u].add(v)
+            succs[u].append(v)
+        return Graph.from_successors(succs, labels)
+
+    @staticmethod
+    def from_successors(
+        successors: Sequence[Sequence[int]], labels: Sequence[str] | None = None
+    ) -> "Graph":
+        """Build a graph from per-node successor lists (deduplicated, sorted).
+
+        Targets are not range-checked here; the constructor refuses any
+        outside ``0 .. len(successors) - 1``.
+        """
         return Graph(
-            node_count,
-            tuple(tuple(sorted(s)) for s in succs),
+            len(successors),
+            tuple([tuple(sorted({*s})) if len(s) > 1 else tuple(s) for s in successors]),
             tuple(labels) if labels is not None else None,
         )
 
@@ -208,54 +218,53 @@ class SCCDecomposition:
 def scc_decompose(g: Graph) -> SCCDecomposition:
     """Partition the nodes into maximal strongly connected components.
 
-    Iterative Tarjan; linear in nodes plus edges.
+    Tarjan's algorithm, linear in nodes plus edges, without recursion: a
+    frame of the explicit DFS holds a node, the iterator over its
+    successors (so the frame resumes where it left off) and the height of
+    Tarjan's stack below the node. ``number[v]`` is ``v``'s DFS index while
+    ``v`` is on Tarjan's stack and ``node_count`` once its component is
+    complete, so one comparison updates a low link. The condensation comes
+    from one pass over the adjacency.
     """
+    adjacency = g.adjacency
     n = g.node_count
-    index = [-1] * n
+    number = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
 
     for root in range(n):
-        if index[root] != -1:
+        if number[root] != -1:
             continue
-        # Explicit DFS stack of (node, iterator position).
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            succs = g.adjacency[v]
-            while pos < len(succs):
-                w = succs[pos]
-                pos += 1
-                if index[w] == -1:
-                    work.append((v, pos))
-                    work.append((w, 0))
-                    recurse = True
+        number[root] = low[root] = counter
+        counter += 1
+        frames = [(root, iter(adjacency[root]), len(stack))]
+        stack.append(root)
+        while frames:
+            v, succs, base = frames[-1]
+            for w in succs:
+                seen = number[w]
+                if seen == -1:
+                    number[w] = low[w] = counter
+                    counter += 1
+                    frames.append((w, iter(adjacency[w]), len(stack)))
+                    stack.append(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if seen < low[v]:
+                    low[v] = seen
+            else:
+                frames.pop()
+                if low[v] == number[v]:
+                    comp = stack[base:]
+                    del stack[base:]
+                    for w in comp:
+                        number[w] = n
+                    comp.sort()
+                    components.append(comp)
+                elif low[v] < low[frames[-1][0]]:
+                    # Not a component's first node, so not the DFS root.
+                    low[frames[-1][0]] = low[v]
 
     components.sort(key=lambda c: c[0])
     component_of = [0] * n
@@ -263,11 +272,13 @@ def scc_decompose(g: Graph) -> SCCDecomposition:
         for v in comp:
             component_of[v] = i
     condensation = set()
-    for u, v in g.edges():
-        if component_of[u] != component_of[v]:
-            condensation.add((component_of[u], component_of[v]))
+    for u, succs in enumerate(adjacency):
+        cu = component_of[u]
+        for v in succs:
+            if component_of[v] != cu:
+                condensation.add((cu, component_of[v]))
     return SCCDecomposition(
-        tuple(tuple(c) for c in components),
+        tuple(map(tuple, components)),
         tuple(component_of),
         frozenset(condensation),
     )
@@ -278,19 +289,25 @@ def _bfs(
 ) -> tuple[dict[int, int], int | None]:
     """Breadth-first search from ``src``, inside ``within`` if given.
 
-    Expands successors in ascending order and ends at the first node of
-    ``stop`` it reaches, a nearest one (``src`` included). Returns the
-    parent map (``parent[src] == src``) and that node, or ``None``.
+    Expands successors in ascending order and ends as soon as it discovers
+    a node of ``stop``, a nearest one (``src`` itself when it is in
+    ``stop``). The queue is first in, first out, so the first node of
+    ``stop`` discovered is the first one a search that stopped on popping
+    would reach, by the same tree path. Returns the parent map
+    (``parent[src] == src``), which then holds the nodes discovered so
+    far, and that node, or ``None``.
     """
     parent = {src: src}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if v in stop:
-            return parent, v
-        for w in g.adjacency[v]:
+    if src in stop:
+        return parent, src
+    adjacency = g.adjacency
+    queue = [src]
+    for v in queue:
+        for w in adjacency[v]:
             if w not in parent and (within is None or w in within):
                 parent[w] = v
+                if w in stop:
+                    return parent, w
                 queue.append(w)
     return parent, None
 

@@ -169,8 +169,7 @@ def _visit_ages(nodes: Sequence[int]) -> list[int]:
 
 def path_reward(spec: RewardSpec, p: Path) -> RewardValue:
     """Total expected reward collected along a finite path."""
-    total = _collected(spec.lam, spec.gamma, p.nodes, _visit_ages(p.nodes))
-    return RewardValue(total, "finite_sum", horizon=p.length)
+    return decayed_path_reward(spec.gamma, spec.lam, p)
 
 
 def path_cost(spec: RewardSpec, p: Path) -> float:
@@ -194,12 +193,21 @@ def _steady_cycle_ages(lasso: Lasso) -> list[int]:
 
 
 def average_reward(spec: RewardSpec, lasso: Lasso) -> RewardValue:
-    """Exact limit-average expected reward of an ultimately periodic path.
+    """Exact limit-average expected reward of an ultimately periodic path."""
+    return decayed_average_reward(spec.gamma, spec.lam, lasso)
+
+
+def decayed_average_reward(
+    decays: Sequence[float | DecayProfile], lam: Sequence[float], lasso: Lasso
+) -> RewardValue:
+    """Exact limit-average expected reward of a lasso under per-node decays.
 
     The average over one steady period of the cycle; the prefix only
-    shifts which period is steady and never affects the value.
+    shifts which period is steady and never affects the value. ``decays``
+    is read as by :func:`decayed_path_reward`; with ``gamma`` values this
+    is :func:`average_reward`.
     """
-    total = _collected(spec.lam, spec.gamma, lasso.cycle, _steady_cycle_ages(lasso))
+    total = _collected(lam, decays, lasso.cycle, _steady_cycle_ages(lasso))
     return RewardValue(total / len(lasso.cycle), "limit_average")
 
 

@@ -5,17 +5,21 @@ backward scans, and per-unit bookkeeping. Nothing calls back into the
 library's closed forms or solvers. The exceptions are kept as references
 for the loops they were replaced by: the one-tuple-per-state expansions of
 the vectorized visit-age engine, and the bounded-memory enumeration that
-restarts its walk for every branch and tries every memory slot.
+restarts its walk for every branch and tries every memory slot; and the
+graph-file parser, covering walk and float rounding that the one-pass
+parser, the breadth-first search that stops on discovery and the
+string-skipping rounding replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Container, Iterable, Iterator, Sequence
 
 from reward_routing import (
     BoundedMemorySolution,
+    DecayProfile,
     FiniteSolution,
     FiniteStrategy,
     Graph,
@@ -24,6 +28,7 @@ from reward_routing import (
     MemoryStructure,
     NoCycleError,
     NoPathError,
+    NotStronglyConnectedError,
     Path,
     ProductGraph,
     RewardSpec,
@@ -31,6 +36,14 @@ from reward_routing import (
     StateBudgetExceededError,
     average_reward,
     validate_lasso,
+)
+from reward_routing.cli import (
+    GraphFileError,
+    GraphModel,
+    _parse_gamma,
+    _parse_lambda,
+    _parse_profile,
+    _require,
 )
 from reward_routing.memory import ProductNode, _canonical_cycle
 
@@ -472,3 +485,134 @@ def bounded_memory_reference(
     )
     return BoundedMemorySolution(exact, strategy, witness)
 
+
+
+def parse_graph_document_reference(doc: Any) -> GraphModel:
+    """The graph-file parser :func:`reward_routing.cli.parse_graph_document`
+    replaced, kept as its reference: every item's field name formatted up
+    front, each number checked through the helpers, the edges gathered as
+    pairs and the adjacency built from sets. A ``null`` default counts as
+    absent, as it does on a node.
+    """
+    if not isinstance(doc, dict):
+        raise GraphFileError("document", "top level must be an object")
+    defaults = doc.get("defaults", {})
+    if not isinstance(defaults, dict):
+        raise GraphFileError("defaults", "must be an object")
+    if defaults.get("lambda") is not None:
+        _parse_lambda(defaults["lambda"], "defaults.lambda")
+    if defaults.get("gamma") is not None:
+        _parse_gamma(defaults["gamma"], "defaults.gamma")
+    raw_nodes = _require(doc, "nodes", "nodes")
+    if not isinstance(raw_nodes, list) or not raw_nodes:
+        raise GraphFileError("nodes", "must be a non-empty list")
+
+    index: dict[str, int] = {}
+    lams: list[float] = []
+    decays: list[float | DecayProfile] = []
+    for i, raw in enumerate(raw_nodes):
+        field = f"nodes[{i}]"
+        if not isinstance(raw, dict):
+            raise GraphFileError(field, "must be an object")
+        node_id = _require(raw, "id", f"{field}.id")
+        if not isinstance(node_id, str):
+            raise GraphFileError(f"{field}.id", "must be a string")
+        if node_id in index:
+            raise GraphFileError(f"{field}.id", f"duplicate id {node_id!r}")
+        index[node_id] = i
+
+        lam = raw.get("lambda")
+        if lam is None:
+            lam = defaults.get("lambda")
+        if lam is None:
+            raise GraphFileError(f"{field}.lambda", "missing and no default provided")
+        lams.append(_parse_lambda(lam, f"{field}.lambda"))
+
+        gamma = raw.get("gamma")
+        profile_raw = raw.get("decay_profile")
+        if gamma is not None and profile_raw is not None:
+            raise GraphFileError(field, "gamma and decay_profile are mutually exclusive")
+        if profile_raw is not None:
+            decays.append(_parse_profile(profile_raw, f"{field}.decay_profile"))
+            continue
+        if gamma is None:
+            gamma = defaults.get("gamma")
+        if gamma is None:
+            raise GraphFileError(f"{field}.gamma", "missing and no default provided")
+        decays.append(_parse_gamma(gamma, f"{field}.gamma"))
+
+    raw_edges = _require(doc, "edges", "edges")
+    if not isinstance(raw_edges, list):
+        raise GraphFileError("edges", "must be a list")
+    edges: list[tuple[int, int]] = []
+    for i, raw in enumerate(raw_edges):
+        field = f"edges[{i}]"
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise GraphFileError(field, "must be a [from, to] pair")
+        for endpoint in raw:
+            if not isinstance(endpoint, str) or endpoint not in index:
+                raise GraphFileError(field, f"unknown node id {endpoint!r}")
+        edges.append((index[raw[0]], index[raw[1]]))
+
+    ids = tuple(index)
+    succs: list[set[int]] = [set() for _ in ids]
+    for u, v in edges:
+        succs[u].add(v)
+    graph = Graph(len(ids), tuple(tuple(sorted(s)) for s in succs), ids)
+    return GraphModel(graph, tuple(lams), tuple(decays), ids, index)
+
+
+def _bfs_stop_on_pop(
+    g: Graph, src: int, stop: Container[int], within: Container[int]
+) -> tuple[dict[int, int], int | None]:
+    """Breadth-first search that tests ``stop`` as each node leaves the queue."""
+    parent = {src: src}
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        if v in stop:
+            return parent, v
+        for w in g.successors(v):
+            if w not in parent and w in within:
+                parent[w] = v
+                queue.append(w)
+    return parent, None
+
+
+def covering_cycle_reference(g: Graph, scc: Iterable[int]) -> Path:
+    """The covering walk as it was before its search stopped on discovery:
+    from the smallest node, a shortest leg inside the set to a nearest
+    uncovered node, then back to the start. Same errors as
+    :func:`reward_routing.covering_cycle`.
+    """
+    inside = set(scc)
+    if not inside:
+        raise NotStronglyConnectedError("empty node set")
+    start = min(inside)
+    if len(inside) == 1:
+        if g.has_edge(start, start):
+            return Path((start, start))
+        raise NotStronglyConnectedError(f"node {start} has no closed walk")
+    walk, uncovered = [start], inside - {start}
+    while True:
+        parent, hit = _bfs_stop_on_pop(g, walk[-1], uncovered or (start,), inside)
+        if hit is None:
+            raise NotStronglyConnectedError(f"no path inside the set from {walk[-1]}")
+        leg = [hit]
+        while parent[leg[-1]] != leg[-1]:
+            leg.append(parent[leg[-1]])
+        walk += leg[-2::-1]
+        if not uncovered:
+            return Path(tuple(walk))
+        uncovered.remove(hit)
+
+
+def round_floats_reference(value: Any) -> Any:
+    """12 significant digits on every float, testing each value's type in turn."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: round_floats_reference(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [round_floats_reference(v) for v in value]
+    return value

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -31,6 +33,8 @@ from reward_routing.cli import (
     main,
     parse_graph_document,
 )
+
+import oracles
 
 FIXTURES = resources.files("reward_routing") / "fixtures"
 NAN, INF = float("nan"), float("inf")
@@ -225,17 +229,28 @@ class TestGraphFiles:
             ("gamma", "nodes[0].gamma", (1.0, 0.25)),
             # A node whose only decay is a null profile needs a default gamma.
             ("decay_profile", "nodes[0].gamma", (1.0, 0.25)),
+            # A null default is no default: a node with its own value passes.
+            ("defaults.lambda", "nodes[0].lambda", (1.0, 0.5)),
+            ("defaults.gamma", "nodes[0].gamma", (1.0, 0.5)),
         ],
     )
     @pytest.mark.parametrize("with_default", [True, False], ids=["default", "no_default"])
     def test_null_counts_as_absent(self, tmp_path, key, field, taken, with_default):
+        # with_default: the parameter that is null or missing has a value to
+        # fall back on; without one the node misses it.
         node = {"id": "a", "lambda": 1.0, "gamma": 0.5}
         if key == "decay_profile":
             del node["gamma"]
-        node[key] = None
         doc = {"nodes": [node], "edges": [["a", "a"]]}
-        if with_default:
-            doc["defaults"] = {"lambda": 2.0, "gamma": 0.25}
+        if key.startswith("defaults."):
+            name = key.removeprefix("defaults.")
+            doc["defaults"] = {"lambda": 2.0, "gamma": 0.25, name: None}
+            if not with_default:
+                del node[name]
+        else:
+            node[key] = None
+            if with_default:
+                doc["defaults"] = {"lambda": 2.0, "gamma": 0.25}
         graph = tmp_path / "nulls.json"
         graph.write_text(json.dumps(doc))
         code, out, err = run(
@@ -789,7 +804,12 @@ class TestExitCodes:
     def test_contract_failure_is_internal(self, tmp_path, monkeypatch, command, replayer):
         # A replay that disagrees with the solver trips the bracket check
         # inside the solver, or the CLI's re-score of the emitted witness.
-        name = "decayed_path_reward" if command.startswith("finite") else "average_reward"
+        if command.startswith("finite"):
+            name = "decayed_path_reward"
+        elif command == "nondiscounted":
+            name = "decayed_average_reward"
+        else:
+            name = "average_reward"
         replay = getattr(replayer, name)
 
         def disagreeing(*args):
@@ -945,6 +965,78 @@ def graph_documents(draw) -> dict:
     return doc
 
 
+# Values some number field refuses, and values no id or endpoint is.
+NOT_NUMBERS = [True, False, NAN, INF, -INF, 10**400, -1, "1", None, [1.0], 0, 1.5]
+NOT_IDS = [1, None, True, ["a"], {"a": 1}]
+
+
+@st.composite
+def corrupted_documents(draw) -> dict:
+    """Well-formed graph documents with up to three faults put in.
+
+    A fault drops a required key, puts a bad value in a number field, an id
+    or an edge, repeats an id, or gives a list or an object the wrong shape.
+    """
+    ids = IDS[: draw(st.integers(1, 4))]
+    profiles = [
+        {"table": [1.0, 0.5], "tail": "zero"},
+        {"table": [1.0], "tail": "geometric", "ratio": 0.5},
+    ]
+    nodes = []
+    for node_id in ids:
+        node = {"id": node_id}
+        if draw(st.integers(0, 3)):
+            node["lambda"] = draw(st.sampled_from([0, 0.5, 2]))
+        decay = draw(st.sampled_from(["gamma", "decay_profile", None]))
+        if decay == "gamma":
+            node["gamma"] = draw(st.sampled_from([0.5, 1, 1.0]))
+        elif decay:
+            node["decay_profile"] = draw(st.sampled_from(profiles))
+        nodes.append(node)
+    edges = draw(st.lists(st.lists(st.sampled_from(ids), min_size=2, max_size=2), max_size=6))
+    doc = {"nodes": nodes, "edges": edges}
+    if draw(st.integers(0, 2)):
+        doc["defaults"] = {"lambda": 1.0, "gamma": 0.25}
+
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(nodes))
+        fault = draw(st.sampled_from([
+            "drop", "number", "profile", "id", "duplicate", "endpoint", "edge", "shape",
+        ]))
+        defaults = doc.get("defaults")
+        owners = [node, defaults] if isinstance(defaults, dict) else [node]
+        if fault == "drop":
+            owner = draw(st.sampled_from([doc, *owners]))
+            if owner:
+                del owner[draw(st.sampled_from(sorted(owner)))]
+        elif fault == "number":
+            owner = draw(st.sampled_from(owners))
+            owner[draw(st.sampled_from(["lambda", "gamma"]))] = draw(st.sampled_from(NOT_NUMBERS))
+        elif fault == "profile":
+            key = draw(st.sampled_from(["table", "tail", "ratio"]))
+            node["decay_profile"] = {
+                **draw(st.sampled_from(profiles)),
+                key: draw(st.sampled_from([*NOT_NUMBERS, [1.0, NAN], [1.0, 10**400]])),
+            }
+        elif fault == "id":
+            node["id"] = draw(st.sampled_from(NOT_IDS))
+        elif fault == "duplicate":
+            node["id"] = draw(st.sampled_from(ids))
+        elif fault == "endpoint":
+            edge = [draw(st.sampled_from(ids)), draw(st.sampled_from(ids))]
+            edge[draw(st.integers(0, 1))] = draw(st.sampled_from(["z", *NOT_IDS]))
+            edges.insert(draw(st.integers(0, len(edges))), edge)
+        elif fault == "edge":
+            edges.insert(
+                draw(st.integers(0, len(edges))),
+                draw(st.sampled_from([["a", "a", "a"], ["a"], "ab", ("a", "a"), None])),
+            )
+        else:
+            key = draw(st.sampled_from(["nodes", "edges", "defaults"]))
+            doc[key] = draw(st.sampled_from([[], "ab", {"a": "b"}, None, ["a"]]))
+    return doc
+
+
 OPTIONS = st.fixed_dictionaries(
     {
         "start": _mostly(["a", "b"], ["z"]),
@@ -959,6 +1051,75 @@ OPTIONS = st.fixed_dictionaries(
 
 def _reject_constant(name: str):
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+def parse_outcome(parse, doc) -> tuple:
+    """The model ``parse`` builds from ``doc`` with its repr (which tells an
+    int from an equal float), or the field and message it refuses it with."""
+    try:
+        model = parse(doc)
+    except GraphFileError as exc:
+        return exc.field, str(exc)
+    return model, repr(model)
+
+
+class TestParserReference:
+    @settings(max_examples=400)
+    @given(corrupted_documents())
+    @example({"nodes": [{"id": "a", "lambda": 1, "gamma": 1}], "edges": [["a", 1]]})
+    @example([])
+    @example("graph")
+    def test_same_model_or_same_error_as_the_reference(self, doc):
+        assert parse_outcome(parse_graph_document, doc) == parse_outcome(
+            oracles.parse_graph_document_reference, doc
+        )
+
+    def test_every_bad_number_is_reported_as_by_the_reference(self):
+        # Node a carries its own numbers, node b takes the defaults.
+        for key, value, on_node in itertools.product(
+            ("lambda", "gamma"), NOT_NUMBERS, (True, False)
+        ):
+            node = {"id": "a", "lambda": 1, "gamma": 0.5}
+            doc = {
+                "defaults": {"lambda": 2, "gamma": 1},
+                "nodes": [node, {"id": "b"}],
+                "edges": [["a", "b"]],
+            }
+            (node if on_node else doc["defaults"])[key] = value
+            assert parse_outcome(parse_graph_document, doc) == parse_outcome(
+                oracles.parse_graph_document_reference, doc
+            ), (key, value, on_node)
+
+
+JSON_LEAVES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.booleans(),
+    st.integers(),
+    st.just(-0.0),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+class TestEmit:
+    @given(
+        st.recursive(
+            JSON_LEAVES,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+            max_leaves=20,
+        )
+    )
+    @example([np.float64(0.1) + 0.2, True, 3, -0.0, [[1 / 3, "x"], [np.float64(2.5e-13)]]])
+    def test_bytes_match_the_reference_rounding(self, value):
+        document = {"value": value, "node_order": ["a", "b"]}
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli._emit(document)
+        reference = oracles.round_floats_reference(document)
+        expected = json.dumps(reference, indent=2, sort_keys=True, allow_nan=False)
+        assert out.getvalue() == expected + "\n"
 
 
 class TestFuzz:

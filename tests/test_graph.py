@@ -180,7 +180,18 @@ class TestSCC:
     @given(small_graphs(max_nodes=8))
     def test_matches_reachability_closure(self, g):
         decomp = scc_decompose(g)
-        assert list(decomp.components) == oracles.sccs_by_closure(g)
+        components = oracles.sccs_by_closure(g)
+        assert list(decomp.components) == components
+        # The condensation by its definition: an edge between components
+        # wherever a graph edge crosses from one to another.
+        component_of = {v: i for i, comp in enumerate(components) for v in comp}
+        assert decomp.component_of == tuple(component_of[v] for v in range(g.node_count))
+        assert decomp.condensation == {
+            (component_of[u], component_of[v])
+            for u in range(g.node_count)
+            for v in g.successors(u)
+            if component_of[u] != component_of[v]
+        }
 
     @given(small_graphs(max_nodes=8))
     def test_partition_and_acyclic_condensation(self, g):
@@ -203,6 +214,19 @@ class TestSCC:
                     if indeg[b] == 0:
                         frontier.append(b)
         assert removed == k
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["path", "ring"])
+    def test_long_graphs_need_no_recursion(self, closed):
+        n = 20_000
+        edges = [(v, v + 1) for v in range(n - 1)] + ([(n - 1, 0)] if closed else [])
+        g = Graph.from_edges(n, edges)
+        decomp = scc_decompose(g)
+        if closed:
+            assert decomp.components == (tuple(range(n)),)
+            assert decomp.condensation == frozenset()
+        else:
+            assert decomp.components == tuple((v,) for v in range(n))
+            assert decomp.condensation == {(v, v + 1) for v in range(n - 1)}
 
 
 class TestMaxReachableSCC:
@@ -300,6 +324,22 @@ class TestCoveringCycle:
                 assert i - leg_start == min(dist[v] for v in targets)
                 covered.add(walk[i])
                 leg_start = i
+
+    @given(small_graphs(max_nodes=8), st.data())
+    def test_matches_the_reference_walk(self, g, data):
+        # A component, or any node set, which may not be strongly connected.
+        nodes = data.draw(
+            st.sampled_from(scc_decompose(g).components)
+            | st.sets(st.integers(0, g.node_count - 1))
+        )
+
+        def walk(cover):
+            try:
+                return cover(g, nodes).nodes
+            except NotStronglyConnectedError as exc:
+                return str(exc)
+
+        assert walk(covering_cycle) == walk(oracles.covering_cycle_reference)
 
     def test_shuffled_ring_is_walked_once(self):
         rng = random.Random(60)
