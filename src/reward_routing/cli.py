@@ -13,8 +13,9 @@ checks, solve, witness check) and emits the document with its fields.
 which of the two the graph holds.
 
 Exit codes: 0 success (or decision "yes"), 1 decision "no", 2 malformed
-input or arguments, 3 state budget exceeded, 4 decision "unknown", 5 an
-internal solver fault (an answer failed the solver's own check). The
+input or arguments (any other library error), 3 state budget exceeded, 4
+decision "unknown", 5 an internal fault: an answer that failed the solver's
+own check, or an unexpected exception, printed with its traceback. The
 environment variable ``RRP_STATE_BUDGET`` overrides the state cap.
 """
 
@@ -27,16 +28,18 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import finite, infinite, memory, simulate
 from .errors import (
+    InvalidInputError,
     RewardRoutingError,
     SolverContractError,
     StateBudgetExceededError,
 )
-from .graph import Graph, Lasso, Path, validate_lasso, validate_path
+from .graph import Graph, Lasso, validate_lasso, validate_path
 from .rewards import (
     TOLERANCE,
     DecayProfile,
@@ -55,7 +58,7 @@ EXIT_UNKNOWN = 4
 EXIT_INTERNAL = 5
 
 
-class GraphFileError(RewardRoutingError):
+class GraphFileError(InvalidInputError):
     """Malformed graph file; ``field`` names the offending entry."""
 
     def __init__(self, field: str, message: str) -> None:
@@ -141,7 +144,7 @@ def _parse_profile(raw: Any, field: str) -> DecayProfile:
             tail=tail,
             ratio=float(ratio) if ratio is not None else None,
         )
-    except ValueError as exc:
+    except InvalidInputError as exc:
         raise GraphFileError(field, str(exc)) from None
 
 
@@ -544,12 +547,12 @@ def _check_numbers(args: argparse.Namespace) -> None:
     """
     for name in ("epsilon", "threshold"):
         if not math.isfinite(getattr(args, name, 0.0)):
-            raise ValueError(f"{name} must be a finite number")
+            raise InvalidInputError(f"{name} must be a finite number")
     if getattr(args, "epsilon", 1.0) <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InvalidInputError("epsilon must be positive")
     for name in ("memory", "trials"):
         if getattr(args, name, 1) < 1:
-            raise ValueError(f"{name} must be at least 1")
+            raise InvalidInputError(f"{name} must be at least 1")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -585,10 +588,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SolverContractError as exc:
         print(f"error: internal solver fault: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (RewardRoutingError, ValueError) as exc:
-        # A ValueError is a library argument check, e.g. a negative horizon.
+    except RewardRoutingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        # Not the input's fault: keep the traceback, but never exit 1 ("no").
+        traceback.print_exc()
+        print(f"error: internal fault: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,6 +7,14 @@ class RewardRoutingError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidInputError(RewardRoutingError, ValueError):
+    """A value the caller passed is malformed, out of range or inconsistent.
+
+    Every library check on the caller's arguments raises this class. It is
+    also a ``ValueError``, so callers that catch that keep working.
+    """
+
+
 class EmptyPathError(RewardRoutingError):
     """A path must contain at least one node."""
 

@@ -24,7 +24,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InstanceTooLargeError, NoPathError, StateBudgetExceededError
+from .errors import (
+    InstanceTooLargeError,
+    InvalidInputError,
+    NoPathError,
+    StateBudgetExceededError,
+)
 from .graph import Graph, Path, _check_start
 from .rewards import (
     TOLERANCE,
@@ -171,7 +176,7 @@ def _solve_layered(
 ) -> FiniteSolution:
     _check_start(g, v0)
     if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+        raise InvalidInputError("horizon must be non-negative")
     if horizon > DEFAULT_HORIZON_CAP:
         raise InstanceTooLargeError(
             f"horizon {horizon} exceeds the layer-loop cap of {DEFAULT_HORIZON_CAP}"
@@ -248,7 +253,7 @@ def solve_finite(
     the returned value.
     """
     if spec.node_count != g.node_count:
-        raise ValueError("spec size disagrees with the graph")
+        raise InvalidInputError("spec size disagrees with the graph")
     return solve_finite_decay(g, spec.lam, spec.gamma, v0, horizon, state_budget=state_budget)
 
 
@@ -271,7 +276,7 @@ def solve_finite_decay(
     replays the witness.
     """
     if len(lam) != g.node_count or len(decays) != g.node_count:
-        raise ValueError("lam/decays size disagrees with the graph")
+        raise InvalidInputError("lam/decays size disagrees with the graph")
     for v, value in enumerate(lam):
         _check_param("lam", v, value)
     for v, decay in enumerate(decays):

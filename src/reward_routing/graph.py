@@ -5,9 +5,9 @@ as sorted tuples, so every traversal in this library visits successors in
 ascending id order; combined with explicit tie-breaking in the solvers
 this makes all outputs reproducible.
 
-The cycle searches (:func:`hamiltonian_cycle`, :func:`longest_simple_cycle`)
-are exact backtracking searches and refuse graphs above a configurable
-node limit, since they are exponential by necessity.
+The cycle search :func:`longest_simple_cycle` is an exact backtracking
+search and refuses graphs above a configurable node limit, since it is
+exponential by necessity.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from .errors import (
     BadEdgeError,
     EmptyPathError,
     InstanceTooLargeError,
+    InvalidInputError,
     NoCycleError,
     NotStronglyConnectedError,
 )
 
-#: Default node limit for the exact cycle searches.
+#: Default node limit for the exact cycle search.
 DESK_SCALE_NODE_LIMIT = 15
 
 
@@ -42,20 +43,22 @@ class Graph:
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
-            raise ValueError("graph needs at least one node")
+            raise InvalidInputError("graph needs at least one node")
         if len(self.adjacency) != self.node_count:
-            raise ValueError("adjacency length disagrees with node_count")
+            raise InvalidInputError("adjacency length disagrees with node_count")
         n = self.node_count
         for v, succs in enumerate(self.adjacency):
             # Strictly increasing targets are sorted and distinct, so only
             # the first and the last can leave the node range.
             if not all(map(lt, succs, succs[1:])):
-                raise ValueError(f"adjacency of node {v} must be sorted and deduplicated")
+                raise InvalidInputError(
+                    f"adjacency of node {v} must be sorted and deduplicated"
+                )
             if succs and not (0 <= succs[0] and succs[-1] < n):
                 w = next(w for w in succs if not 0 <= w < n)
-                raise ValueError(f"edge ({v}, {w}) endpoint out of range")
+                raise InvalidInputError(f"edge ({v}, {w}) endpoint out of range")
         if self.labels is not None and len(self.labels) != self.node_count:
-            raise ValueError("labels length disagrees with node_count")
+            raise InvalidInputError("labels length disagrees with node_count")
 
     @staticmethod
     def from_edges(
@@ -67,7 +70,7 @@ class Graph:
         succs: list[list[int]] = [[] for _ in range(node_count)]
         for u, v in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"edge ({u}, {v}) endpoint out of range")
+                raise InvalidInputError(f"edge ({u}, {v}) endpoint out of range")
             succs[u].append(v)
         return Graph.from_successors(succs, labels)
 
@@ -155,7 +158,7 @@ class Lasso:
 def _check_start(g: Graph, v0: int) -> None:
     """Refuse a start node outside ``g``, with the message every solver gives."""
     if not 0 <= v0 < g.node_count:
-        raise ValueError(f"start node {v0} out of range")
+        raise InvalidInputError(f"start node {v0} out of range")
 
 
 def validate_path(g: Graph, nodes: Sequence[int]) -> Path:
@@ -168,7 +171,7 @@ def validate_path(g: Graph, nodes: Sequence[int]) -> Path:
         raise EmptyPathError("a path needs at least one node")
     for v in nodes:
         if not 0 <= v < g.node_count:
-            raise ValueError(f"node {v} out of range")
+            raise InvalidInputError(f"node {v} out of range")
     for i in range(len(nodes) - 1):
         if not g.has_edge(nodes[i], nodes[i + 1]):
             raise BadEdgeError(i, nodes[i], nodes[i + 1])
@@ -184,21 +187,6 @@ def validate_lasso(g: Graph, prefix: Sequence[int], cycle: Sequence[int]) -> Las
     if not g.has_edge(cycle[-1], cycle[0]):
         raise BadEdgeError(len(joined) - 1, cycle[-1], cycle[0])
     return Lasso(tuple(prefix), tuple(cycle))
-
-
-def last_visit(p: Path, t: int, v: int) -> int:
-    """Steps since the previous visit of ``v`` on ``p`` before time ``t``.
-
-    Returns ``t - j`` for the largest ``j < t`` with ``p[j] == v``, capped
-    at ``t + 1`` when ``v`` has not been seen before ``t``. Defined for
-    ``0 <= t <= p.length``.
-    """
-    if not 0 <= t <= p.length:
-        raise IndexError(f"time {t} outside [0, {p.length}]")
-    for j in range(t - 1, -1, -1):
-        if p.nodes[j] == v:
-            return t - j
-    return t + 1
 
 
 @dataclass(frozen=True)
@@ -363,9 +351,9 @@ def max_reachable_scc(
     Ties go to the component with the smallest node id.
     """
     if len(weight) != g.node_count:
-        raise ValueError("weight length disagrees with node_count")
+        raise InvalidInputError("weight length disagrees with node_count")
     if any(w < 0 for w in weight):
-        raise ValueError("weights must be non-negative")
+        raise InvalidInputError("weights must be non-negative")
     best, best_weight = _heaviest_reachable(g, v0, scc_decompose(g).components, weight)
     assert best is not None  # v0's own component is always reachable
     return best, best_weight
@@ -401,46 +389,6 @@ def covering_cycle(g: Graph, scc: Iterable[int]) -> Path:
         uncovered.remove(hit)
 
 
-def _check_desk_scale(g: Graph, max_nodes: int) -> None:
-    if g.node_count > max_nodes:
-        raise InstanceTooLargeError(
-            f"exact cycle search refuses {g.node_count} nodes (limit {max_nodes})"
-        )
-
-
-def hamiltonian_cycle(g: Graph, max_nodes: int = DESK_SCALE_NODE_LIMIT) -> Path | None:
-    """Exact search for a simple cycle through every node.
-
-    Returns the cycle as a closed path (first node repeated at the end) or
-    ``None``. Backtracking over successor choices in ascending order; only
-    intended for small instances.
-    """
-    _check_desk_scale(g, max_nodes)
-    n = g.node_count
-    if n == 1:
-        return Path((0, 0)) if g.has_edge(0, 0) else None
-    visited = [False] * n
-    visited[0] = True
-    order = [0]
-
-    def extend(v: int) -> bool:
-        if len(order) == n:
-            return g.has_edge(v, 0)
-        for w in g.adjacency[v]:
-            if not visited[w]:
-                visited[w] = True
-                order.append(w)
-                if extend(w):
-                    return True
-                order.pop()
-                visited[w] = False
-        return False
-
-    if extend(0):
-        return Path(tuple(order) + (0,))
-    return None
-
-
 def longest_simple_cycle(g: Graph, max_nodes: int = DESK_SCALE_NODE_LIMIT) -> Path:
     """Exact search for a maximum-length simple cycle, as a closed path.
 
@@ -448,7 +396,10 @@ def longest_simple_cycle(g: Graph, max_nodes: int = DESK_SCALE_NODE_LIMIT) -> Pa
     equally long cycles the first in lexicographic order wins. Raises
     :class:`NoCycleError` on acyclic graphs.
     """
-    _check_desk_scale(g, max_nodes)
+    if g.node_count > max_nodes:
+        raise InstanceTooLargeError(
+            f"exact cycle search refuses {g.node_count} nodes (limit {max_nodes})"
+        )
     n = g.node_count
     best: list[int] | None = None
 

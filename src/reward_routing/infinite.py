@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    InvalidInputError,
     NoCycleError,
     NotStronglyConnectedError,
     SolverContractError,
@@ -71,21 +72,27 @@ def truncation_depth(spec: RewardSpec, epsilon: float) -> int:
 
     Per node the error of capping ages at ``K`` is
     ``lam * gamma**K / (1 - gamma)``; the result is the largest per-node
-    requirement, at least 1. Nodes that generate nothing are ignored.
+    requirement, at least 1. Nodes that generate nothing are ignored. When
+    ``epsilon * (1 - gamma) / lam`` underflows to 0, its logarithm is taken
+    term by term instead.
     """
     if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+        raise InvalidInputError("epsilon must be positive")
     depth = 1
     for lam, gamma in zip(spec.lam, spec.gamma):
         if lam == 0.0:
             continue
         if gamma >= 1.0:
-            raise ValueError("survival probability 1 cannot be truncated")
+            raise InvalidInputError("survival probability 1 cannot be truncated")
         ratio = epsilon * (1.0 - gamma) / lam
         if ratio >= 1.0:
             continue
+        if ratio > 0.0:
+            log_ratio = math.log(ratio)
+        else:
+            log_ratio = math.log(epsilon) + math.log(1.0 - gamma) - math.log(lam)
         # The 1e-12 slack keeps exact integer boundaries from rounding up.
-        needed = math.ceil(math.log(ratio) / math.log(gamma) - 1e-12)
+        needed = math.ceil(log_ratio / math.log(gamma) - 1e-12)
         depth = max(depth, needed)
     return depth
 
@@ -216,7 +223,7 @@ def build_truncated(
     past the budget.
     """
     if depth < 1:
-        raise ValueError("truncation depth must be at least 1")
+        raise InvalidInputError("truncation depth must be at least 1")
     _check_start(g, v0)
     csr = _csr(g)
     nodes = np.full(1, v0, dtype=csr[2].dtype)
@@ -327,12 +334,12 @@ def karp_mean_cycle(
     ``_KARP_CELL_LIMIT`` cells it raises :class:`StateBudgetExceededError`.
     """
     if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+        raise InvalidInputError(f"mode must be 'min' or 'max', got {mode!r}")
     src, dst = _edge_arrays(edges)
     _verify_strongly_connected(state_count, src, dst)
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != state_count:
-        raise ValueError("weights length disagrees with state_count")
+        raise InvalidInputError("weights length disagrees with state_count")
     if mode == "max":
         inner_mean, cycle = karp_mean_cycle(state_count, (src, dst), -w, "min")
         return -inner_mean, cycle
@@ -516,9 +523,9 @@ def _howard_run(
     """:func:`howard_max_mean_cycle` for one weighting of a prepared graph."""
     w_all = np.asarray(weights, dtype=np.float64)
     if len(w_all) != len(pg.alive):
-        raise ValueError("weights length disagrees with state_count")
+        raise InvalidInputError("weights length disagrees with state_count")
     if not 0 <= start < len(pg.alive):
-        raise ValueError(f"start state {start} out of range")
+        raise InvalidInputError(f"start state {start} out of range")
     if not pg.alive[start]:
         raise NoCycleError(f"no cycle is reachable from state {start}")
     src, dst, starts = pg.src, pg.dst, pg.starts
@@ -677,7 +684,7 @@ def solve_nondiscounted(
     the winning component forever. Polynomial time.
     """
     if len(lam) != g.node_count:
-        raise ValueError("lam length disagrees with the graph")
+        raise InvalidInputError("lam length disagrees with the graph")
     _check_start(g, v0)
     best, best_total = _heaviest_reachable(g, v0, _cycle_bearing_components(g), lam)
     if best is None:
@@ -724,9 +731,9 @@ def solve_infinite_approx(
     its value, with ``depth`` and ``state_count`` 0.
     """
     if spec.node_count != g.node_count:
-        raise ValueError("spec size disagrees with the graph")
+        raise InvalidInputError("spec size disagrees with the graph")
     if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+        raise InvalidInputError("epsilon must be positive")
     if all(gamma == 1.0 for gamma in spec.gamma):
         exact = solve_nondiscounted(g, spec.lam, v0)
         value, witness = exact.value.value, exact.witness
@@ -734,7 +741,7 @@ def solve_infinite_approx(
             value, value, witness, witness, depth=0, epsilon_achieved=0.0, state_count=0
         )
     if any(gamma == 1.0 for gamma in spec.gamma):
-        raise ValueError(
+        raise InvalidInputError(
             "mixing decaying and non-decaying nodes is not supported"
         )
 

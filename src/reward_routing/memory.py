@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ChoiceNotEdgeError, InstanceTooLargeError, NoCycleError
+from .errors import (
+    ChoiceNotEdgeError,
+    InstanceTooLargeError,
+    InvalidInputError,
+    NoCycleError,
+)
 from .graph import Graph, Lasso, Path, _check_start, validate_lasso
 from .rewards import RewardSpec, RewardValue, average_reward
 
@@ -41,12 +46,12 @@ class MemoryStructure:
 
     def __post_init__(self) -> None:
         if self.size < 1:
-            raise ValueError("memory needs at least one slot")
+            raise InvalidInputError("memory needs at least one slot")
         if not 1 <= self.initial <= self.size:
-            raise ValueError("initial slot out of range")
+            raise InvalidInputError("initial slot out of range")
         for (slot, _node), target in self.update.items():
             if not (1 <= slot <= self.size and 1 <= target <= self.size):
-                raise ValueError("memory update leaves the slot range")
+                raise InvalidInputError("memory update leaves the slot range")
 
     def next_slot(self, slot: int, node: int) -> int:
         try:
@@ -116,7 +121,7 @@ class ProductGraph:
 
     def __post_init__(self) -> None:
         if self.memory_size < 1:
-            raise ValueError("memory size must be at least 1")
+            raise InvalidInputError("memory size must be at least 1")
 
     def nodes(self) -> list[ProductNode]:
         return [
@@ -132,61 +137,6 @@ class ProductGraph:
             for w in self.base.adjacency[v]
             for m in range(1, self.memory_size + 1)
         ]
-
-    def has_edge(self, a: ProductNode, b: ProductNode) -> bool:
-        return self.base.has_edge(a[0], b[0])
-
-
-@dataclass(frozen=True)
-class ProductLasso:
-    """A lasso in the product graph together with its node projection."""
-
-    prefix: tuple[ProductNode, ...]
-    cycle: tuple[ProductNode, ...]
-    projected: Lasso
-
-
-def lasso_of_memoryless(
-    product: ProductGraph,
-    choice: Mapping[ProductNode, ProductNode],
-    start: ProductNode,
-) -> ProductLasso:
-    """Follow a memoryless product strategy until a product node repeats.
-
-    The walk closes within ``node_count * memory_size`` steps; the repeated
-    node splits it into prefix and cycle, which are projected to the base
-    graph.
-    """
-    bound = product.base.node_count * product.memory_size
-    seq: list[ProductNode] = [start]
-    pos: dict[ProductNode, int] = {start: 0}
-    current = start
-    while True:
-        try:
-            target = choice[current]
-        except KeyError:
-            raise ChoiceNotEdgeError(
-                f"no choice for reachable product node {current}"
-            ) from None
-        if not product.has_edge(current, target):
-            raise ChoiceNotEdgeError(
-                f"choice {current} -> {target} is not a product edge"
-            )
-        if target in pos:
-            split = pos[target]
-            prefix = tuple(seq[:split])
-            cycle = tuple(seq[split:])
-            projected = validate_lasso(
-                product.base,
-                [p[0] for p in prefix],
-                [p[0] for p in cycle],
-            )
-            return ProductLasso(prefix, cycle, projected)
-        seq.append(target)
-        pos[target] = len(seq) - 1
-        assert len(seq) <= bound + 1  # pigeonhole over product nodes
-        current = target
-
 
 @dataclass(frozen=True)
 class BoundedMemorySolution:
@@ -247,7 +197,7 @@ def solve_bounded_memory(
             f"{memory_size} was asked for; pass max_memory= to raise the limit"
         )
     if spec.node_count != g.node_count:
-        raise ValueError("spec size disagrees with the graph")
+        raise InvalidInputError("spec size disagrees with the graph")
     _check_start(g, v0)
     product = ProductGraph(g, memory_size)
     start: ProductNode = (v0, 1)
@@ -324,24 +274,3 @@ def solve_bounded_memory(
     )
     return BoundedMemorySolution(exact, strategy, witness)
 
-
-def memory_error_bound(spec: RewardSpec, node_count: int, memory_size: int) -> float:
-    """Worst-case shortfall of the best bounded-memory strategy.
-
-    Closed-form guarantee in terms of the memory size measured in digits
-    base ``node_count``; only informative once the memory is large enough
-    to emulate a deep visit-age truncation. Node-invariant parameters,
-    memory above 1, and decay required.
-    """
-    lam = spec.uniform_lambda()
-    gamma = spec.uniform_gamma()
-    if memory_size <= 1:
-        raise ValueError("memory size must exceed 1")
-    if gamma >= 1.0:
-        raise ValueError("bound only defined with decay (gamma < 1)")
-    if node_count < 2:
-        raise ValueError("bound needs at least two nodes")
-    digits = 0
-    while node_count ** (digits + 1) <= memory_size:
-        digits += 1
-    return lam / (1.0 - gamma) * gamma ** (digits - 1)

@@ -1,4 +1,4 @@
-"""The reward and cost algebra for decaying, accumulating node rewards.
+"""The reward algebra for decaying, accumulating node rewards.
 
 Each node ``v`` generates an expected reward ``lam[v]`` per step; an
 uncollected reward survives one more step with probability ``gamma[v]``.
@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import NodeVariantSpecError, ProfileTableExhaustedError
-from .graph import Graph, Lasso, Path, last_visit, longest_simple_cycle
+from .errors import InvalidInputError, NodeVariantSpecError, ProfileTableExhaustedError
+from .graph import Graph, Lasso, Path, longest_simple_cycle
 
 #: Comparison tolerance used throughout the library.
 TOLERANCE = 1e-9
@@ -49,12 +49,12 @@ def _check_param(name: str, v: int, value: float) -> None:
     except TypeError:
         finite = False
     if not finite:
-        raise ValueError(f"{name}[{v}] must be a finite number")
+        raise InvalidInputError(f"{name}[{v}] must be a finite number")
     if name == "lam":
         if value < 0:
-            raise ValueError(f"lam[{v}] must be non-negative")
+            raise InvalidInputError(f"lam[{v}] must be non-negative")
     elif not 0.0 < value <= 1.0:
-        raise ValueError(f"gamma[{v}] must lie in (0, 1]")
+        raise InvalidInputError(f"gamma[{v}] must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,9 @@ class RewardSpec:
 
     def __post_init__(self) -> None:
         if len(self.lam) != len(self.gamma):
-            raise ValueError("lam and gamma must have equal length")
+            raise InvalidInputError("lam and gamma must have equal length")
         if not self.lam:
-            raise ValueError("spec needs at least one node")
+            raise InvalidInputError("spec needs at least one node")
         for name, values in (("lam", self.lam), ("gamma", self.gamma)):
             for v, value in enumerate(values):
                 _check_param(name, v, value)
@@ -107,17 +107,6 @@ class RewardValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-def accumulated_reward(spec: RewardSpec, p: Path, t: int, v: int) -> float:
-    """Expected reward waiting at node ``v`` at time ``t`` along ``p``.
-
-    Everything generated at ``v`` since its previous visit, decayed by its
-    age: ``lam * (1 + gamma + ... + gamma**(age-1))`` where ``age`` is
-    :func:`last_visit`.
-    """
-    step = make_step_reward(spec.lam, spec.gamma)
-    return step(v, last_visit(p, t, v))
 
 
 def make_step_reward(
@@ -172,16 +161,6 @@ def path_reward(spec: RewardSpec, p: Path) -> RewardValue:
     return decayed_path_reward(spec.gamma, spec.lam, p)
 
 
-def path_cost(spec: RewardSpec, p: Path) -> float:
-    """Total cost ``sum(gamma ** age)`` of a finite path.
-
-    Only defined for node-invariant ``gamma``; the cost is the reward's
-    exact complement: ``reward = (N+1) * lam / (1-gamma) - lam / (1-gamma) * cost``.
-    """
-    gamma = spec.uniform_gamma()
-    return math.fsum(gamma**age for age in _visit_ages(p.nodes))
-
-
 def _steady_cycle_ages(lasso: Lasso) -> list[int]:
     """Per-position visit ages over one steady period of the lasso.
 
@@ -211,13 +190,6 @@ def decayed_average_reward(
     return RewardValue(total / len(lasso.cycle), "limit_average")
 
 
-def average_cost(spec: RewardSpec, lasso: Lasso) -> float:
-    """Limit-average cost of an ultimately periodic path (node-invariant)."""
-    gamma = spec.uniform_gamma()
-    ages = _steady_cycle_ages(lasso)
-    return math.fsum(gamma**age for age in ages) / len(lasso.cycle)
-
-
 @dataclass(frozen=True)
 class DecayProfile:
     """An explicit decay sequence: fraction of a reward left after ``i`` steps.
@@ -235,23 +207,23 @@ class DecayProfile:
     def __post_init__(self) -> None:
         for i, value in enumerate(self.table):
             if isinstance(value, bool) or not math.isfinite(value):
-                raise ValueError(f"table[{i}] must be a finite number")
+                raise InvalidInputError(f"table[{i}] must be a finite number")
         if self.ratio is not None and (
             isinstance(self.ratio, bool) or not math.isfinite(self.ratio)
         ):
-            raise ValueError("ratio must be a finite number")
+            raise InvalidInputError("ratio must be a finite number")
         if not self.table or self.table[0] != 1.0:
-            raise ValueError("profile table must start at 1.0")
+            raise InvalidInputError("profile table must start at 1.0")
         for i in range(1, len(self.table)):
             if not 0.0 < self.table[i] < self.table[i - 1]:
-                raise ValueError("profile table must decrease strictly toward 0")
+                raise InvalidInputError("profile table must decrease strictly toward 0")
         if self.tail not in (None, "geometric", "zero"):
-            raise ValueError(f"unknown tail rule {self.tail!r}")
+            raise InvalidInputError(f"unknown tail rule {self.tail!r}")
         if self.tail == "geometric":
             if self.ratio is None or not 0.0 < self.ratio < 1.0:
-                raise ValueError("geometric tail needs a ratio in (0, 1)")
+                raise InvalidInputError("geometric tail needs a ratio in (0, 1)")
         elif self.ratio is not None:
-            raise ValueError("ratio only applies to the geometric tail")
+            raise InvalidInputError("ratio only applies to the geometric tail")
         # Cumulative sums of the table for O(1) prefix queries.
         acc, sums = 0.0, []
         for value in self.table:

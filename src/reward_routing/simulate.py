@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import HorizonMismatchError
+from .errors import HorizonMismatchError, InvalidInputError
 from .graph import Graph, Lasso, Path, validate_path
 from .rewards import RewardSpec
 
@@ -41,9 +41,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if self.trials < 1:
-            raise ValueError("at least one trial required")
+            raise InvalidInputError("at least one trial required")
         if self.generation not in _GENERATION_MODES:
-            raise ValueError(
+            raise InvalidInputError(
                 f"generation must be one of {_GENERATION_MODES}, "
                 f"got {self.generation!r}"
             )
@@ -122,7 +122,7 @@ def simulate_finite_reward(
     generation returns that value with zero spread.
     """
     if spec.node_count != g.node_count:
-        raise ValueError("spec size disagrees with the graph")
+        raise InvalidInputError("spec size disagrees with the graph")
     validate_path(g, p.nodes)
     if cfg.horizon is not None and cfg.horizon != p.length:
         raise HorizonMismatchError(
@@ -145,11 +145,11 @@ def simulate_average_reward(
     cycle at least a hundred times for the average to be close to its limit.
     """
     if spec.node_count != g.node_count:
-        raise ValueError("spec size disagrees with the graph")
+        raise InvalidInputError("spec size disagrees with the graph")
     if cfg.horizon is None:
         raise HorizonMismatchError("average-reward simulation needs a horizon")
     if cfg.horizon < 100 * len(lasso.cycle):
-        raise ValueError(
+        raise InvalidInputError(
             f"horizon {cfg.horizon} too short; need at least "
             f"{100 * len(lasso.cycle)} steps for this cycle"
         )

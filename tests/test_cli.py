@@ -789,6 +789,24 @@ class TestExitCodes:
         assert code == EXIT_BAD_INPUT and out is None
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_underflowing_truncation_ratio_is_solved(self, tmp_path):
+        # epsilon * (1 - gamma) / lambda underflows to 0 at node a.
+        doc = {
+            "nodes": [
+                {"id": "a", "lambda": 1e300, "gamma": 0.5},
+                {"id": "b", "lambda": 1, "gamma": 0.5},
+            ],
+            "edges": [["a", "b"], ["b", "a"]],
+        }
+        graph_file = tmp_path / "huge_rate.json"
+        graph_file.write_text(json.dumps(doc))
+        code, out, err = run(
+            ["infinite", "--graph", str(graph_file), "--start", "a", "--epsilon", "1e-300"]
+        )
+        assert code == EXIT_OK and err == ""
+        assert out["bracket"]["truncation_depth"] == 1995
+        assert out["bracket"]["witness_under"]["cycle"] == ["a", "b"]
+
     @pytest.mark.parametrize(
         "command, replayer",
         [

@@ -15,8 +15,6 @@ from reward_routing import (
     Path,
     RewardSpec,
     covering_cycle,
-    hamiltonian_cycle,
-    last_visit,
     longest_simple_cycle,
     max_reachable_scc,
     scc_decompose,
@@ -135,34 +133,6 @@ class TestStartNode:
     def test_out_of_range_start_is_refused(self, two_cycles, solver, v0):
         with pytest.raises(ValueError, match=rf"^start node {v0} out of range$"):
             solver(two_cycles, v0)
-
-
-class TestLastVisit:
-    def test_worked_values(self, two_cycles):
-        p = validate_path(two_cycles, parse_route(two_cycles, "adabcad"))
-        a = parse_route(two_cycles, "a")[0]
-        assert last_visit(p, 0, a) == 1
-        assert last_visit(p, 2, a) == 2
-        assert last_visit(p, 5, a) == 3
-
-    def test_start_of_path(self):
-        g = Graph.from_edges(1, [(0, 0)])
-        p = validate_path(g, [0, 0])
-        assert last_visit(p, 0, 0) == 1
-
-    def test_time_out_of_range(self, two_cycles):
-        p = validate_path(two_cycles, [0, 1])
-        with pytest.raises(IndexError):
-            last_visit(p, 2, 0)
-
-    @given(st.lists(st.integers(0, 4), min_size=1, max_size=12), st.data())
-    def test_matches_backward_scan(self, nodes, data):
-        g = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(5)])
-        p = validate_path(g, nodes)
-        t = data.draw(st.integers(0, p.length))
-        v = data.draw(st.integers(0, 4))
-        assert last_visit(p, t, v) == oracles.backward_scan_age(nodes, t, v)
-        assert 1 <= last_visit(p, t, v) <= t + 1
 
 
 class TestSCC:
@@ -354,38 +324,28 @@ class TestCoveringCycle:
 
 class TestExactCycleSearch:
     def test_directed_ring(self):
-        g = ring_graph(4)
-        cycle = hamiltonian_cycle(g)
-        assert cycle is not None and cycle.length == 4
-        assert longest_simple_cycle(g).length == 4
+        assert longest_simple_cycle(ring_graph(4)).length == 4
 
     def test_two_cycles_has_no_hamiltonian_cycle(self, two_cycles):
-        assert hamiltonian_cycle(two_cycles) is None
         longest = longest_simple_cycle(two_cycles)
-        assert longest.length == 3
+        assert longest.length == 3 < two_cycles.node_count
         assert spell(two_cycles, longest.nodes) == "abca"
 
     def test_acyclic_graph_has_no_cycle(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert hamiltonian_cycle(g) is None
         with pytest.raises(NoCycleError):
             longest_simple_cycle(g)
 
     def test_guard_refuses_large_instances(self):
         g = Graph.from_edges(20, [(i, (i + 1) % 20) for i in range(20)])
         with pytest.raises(InstanceTooLargeError):
-            hamiltonian_cycle(g)
-        with pytest.raises(InstanceTooLargeError):
             longest_simple_cycle(g)
-        assert hamiltonian_cycle(g, max_nodes=20) is not None
+        assert longest_simple_cycle(g, max_nodes=20).length == 20
 
     def test_matches_permutation_oracle(self):
         rng = random.Random(11)
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 6), min_out=0)
-            expected = oracles.hamiltonian_cycle_by_permutation(g)
-            got = hamiltonian_cycle(g)
-            assert (got is not None) == (expected is not None)
             longest = oracles.longest_cycle_by_enumeration(g)
             if longest == 0:
                 with pytest.raises(NoCycleError):
@@ -401,7 +361,8 @@ class TestExactCycleSearch:
                 longest = longest_simple_cycle(g).length
             except NoCycleError:
                 longest = 0
-            assert (hamiltonian_cycle(g) is not None) == (longest == g.node_count)
+            hamiltonian = oracles.hamiltonian_cycle_by_permutation(g)
+            assert (hamiltonian is not None) == (longest == g.node_count)
 
 
 class TestPathType:

@@ -67,6 +67,14 @@ class TestTruncationDepth:
         spec = RewardSpec((0.0, 1.0), (0.99, 0.5))
         assert truncation_depth(spec, 1 / 64) == 7
 
+    def test_underflowing_ratio_is_taken_in_log_space(self):
+        # epsilon * (1 - gamma) / lam is 5e-601, below the smallest float.
+        spec = RewardSpec((1e300, 1.0), (0.5, 0.5))
+        depth = truncation_depth(spec, 1e-300)
+        log_ratio = math.log(1e-300) + math.log(0.5) - math.log(1e300)
+        assert depth * math.log(0.5) <= log_ratio < (depth - 1) * math.log(0.5)
+        assert depth == 1995
+
     def test_no_decay_rejected(self):
         spec = RewardSpec.uniform(1, 1.0, 1.0)
         with pytest.raises(ValueError):

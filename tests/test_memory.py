@@ -14,11 +14,8 @@ from reward_routing import (
     Lasso,
     MemoryStructure,
     NoCycleError,
-    ProductGraph,
     RewardSpec,
     average_reward,
-    lasso_of_memoryless,
-    memory_error_bound,
     outcome,
     solve_bounded_memory,
     validate_lasso,
@@ -93,50 +90,6 @@ class TestOutcome:
         strategy = memoryless(TWO_CYCLES, {0: 1, 1: 2}, 0)
         with pytest.raises(ChoiceNotEdgeError):
             outcome(TWO_CYCLES, strategy, 5)
-
-
-class TestLassoOfMemoryless:
-    def test_worked_three_slot_cycle(self):
-        product = ProductGraph(TWO_CYCLES, 3)
-        choice = {
-            (0, 1): (1, 1),
-            (1, 1): (2, 2),
-            (2, 2): (0, 2),
-            (0, 2): (1, 2),
-            (1, 2): (2, 3),
-            (2, 3): (0, 3),
-            (0, 3): (3, 1),
-            (3, 1): (0, 1),
-        }
-        result = lasso_of_memoryless(product, choice, (0, 1))
-        assert result.cycle == (
-            (0, 1), (1, 1), (2, 2), (0, 2), (1, 2), (2, 3), (0, 3), (3, 1),
-        )
-        assert result.prefix == ()
-        assert spell(TWO_CYCLES, result.projected.cycle) == "abcabcad"
-
-    def test_single_slot_product_is_the_base_graph(self):
-        product = ProductGraph(TWO_CYCLES, 1)
-        choice = {(0, 1): (3, 1), (3, 1): (0, 1)}
-        result = lasso_of_memoryless(product, choice, (0, 1))
-        assert spell(TWO_CYCLES, result.projected.cycle) == "ad"
-
-    def test_lasso_closes_within_the_product_size(self):
-        rng = random.Random(12)
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(1, 4))
-            slots = rng.randint(1, 3)
-            product = ProductGraph(g, slots)
-            choice = {}
-            for node in product.nodes():
-                succs = product.successors(node)
-                if succs:
-                    choice[node] = rng.choice(succs)
-            start = (rng.randrange(g.node_count), 1)
-            result = lasso_of_memoryless(product, choice, start)
-            total = len(result.prefix) + len(result.cycle)
-            assert total <= g.node_count * slots
-            validate_lasso(g, result.projected.prefix, result.projected.cycle)
 
 
 class TestSolveBoundedMemory:
@@ -309,32 +262,3 @@ class TestVisitationOrderInsufficiency:
             validate_lasso(TWO_CYCLES, [], parse_route(TWO_CYCLES, "abcabcad")),
         ).value
         assert counting > best_order + 1e-6
-
-
-class TestMemoryErrorBound:
-    def test_exact_power_gives_the_truncation_error(self):
-        spec = RewardSpec.uniform(4, 1.0, 0.5)
-        node_count, depth = 4, 3
-        bound = memory_error_bound(spec, node_count, node_count ** (depth + 1))
-        assert bound == pytest.approx(1.0 / 0.5 * 0.5**depth)
-
-    def test_small_memory_bound_is_vacuous(self):
-        bound = memory_error_bound(SPEC_26, 4, 3)
-        assert bound == pytest.approx((1 / 0.74) * 0.26**-1)
-        assert bound > 1 / 0.74  # exceeds the whole value range
-
-    def test_small_survival_shrinks_the_bound(self):
-        spec_small = RewardSpec.uniform(4, 1.0, 0.05)
-        spec_large = RewardSpec.uniform(4, 1.0, 0.5)
-        big_memory = 4**5
-        assert memory_error_bound(spec_small, 4, big_memory) < memory_error_bound(
-            spec_large, 4, big_memory
-        )
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            memory_error_bound(SPEC_26, 4, 1)
-        with pytest.raises(ValueError):
-            memory_error_bound(RewardSpec.uniform(4, 1.0, 1.0), 4, 3)
-        with pytest.raises(ValueError):
-            memory_error_bound(SPEC_26, 1, 3)

@@ -12,18 +12,15 @@ from reward_routing import (
     NodeVariantSpecError,
     ProfileTableExhaustedError,
     RewardSpec,
-    accumulated_reward,
-    average_cost,
     average_reward,
     average_reward_bounds,
     decayed_path_reward,
     geometric_series,
-    path_cost,
     path_reward,
     validate_lasso,
     validate_path,
 )
-from reward_routing.rewards import _steady_cycle_ages
+from reward_routing.rewards import _steady_cycle_ages, _visit_ages, make_step_reward
 
 import oracles
 from conftest import (
@@ -59,35 +56,48 @@ class TestGeometricSeries:
         )
 
 
+class TestVisitAges:
+    def test_worked_values(self):
+        ages = _visit_ages(parse_route(TWO_CYCLES, "adabcad"))
+        assert (ages[0], ages[2], ages[5]) == (1, 2, 3)
+
+    def test_start_of_path(self):
+        assert _visit_ages([0, 0]) == [1, 1]
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=12))
+    def test_matches_backward_scan(self, nodes):
+        ages = _visit_ages(nodes)
+        for t, v in enumerate(nodes):
+            assert ages[t] == oracles.backward_scan_age(nodes, t, v)
+            assert 1 <= ages[t] <= t + 1
+
+
 class TestAccumulatedReward:
+    """The step reward of a visit: what accumulated since the last one."""
+
     def test_one_step_accumulation_on_self_loop(self):
-        g = Graph.from_edges(1, [(0, 0)])
-        p = validate_path(g, [0, 0, 0])
-        spec = RewardSpec.uniform(1, 2.5, 0.7)
+        step = make_step_reward((2.5,), (0.7,))
+        ages = _visit_ages([0, 0, 0])
         for t in (1, 2):
-            assert accumulated_reward(spec, p, t, 0) == pytest.approx(2.5)
+            assert step(0, ages[t]) == pytest.approx(2.5)
 
     def test_three_step_accumulation(self):
         # Steady state of the triangle: three steps since the last visit.
-        spec = RewardSpec.uniform(4, 1.0, 0.4)
-        p = validate_path(TWO_CYCLES, parse_route(TWO_CYCLES, "abcabc"))
-        assert accumulated_reward(spec, p, 3, 0) == pytest.approx(
-            1 + 0.4 + 0.4**2
-        )
+        step = make_step_reward((1.0,) * 4, (0.4,) * 4)
+        ages = _visit_ages(parse_route(TWO_CYCLES, "abcabc"))
+        assert step(0, ages[3]) == pytest.approx(1 + 0.4 + 0.4**2)
 
     @given(
         st.lists(st.integers(0, 3), min_size=1, max_size=10),
         st.data(),
     )
     def test_closed_form_matches_explicit_sum(self, raw, data):
-        g = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(4)])
-        p = validate_path(g, raw)
         lam = tuple(data.draw(st.floats(0, 4)) for _ in range(4))
         gamma = tuple(data.draw(st.sampled_from([0.1, 0.5, 0.9, 1.0])) for _ in range(4))
-        spec = RewardSpec(lam, gamma)
-        t = data.draw(st.integers(0, p.length))
+        t = data.draw(st.integers(0, len(raw) - 1))
         v = data.draw(st.integers(0, 3))
-        assert accumulated_reward(spec, p, t, v) == pytest.approx(
+        age = oracles.backward_scan_age(raw, t, v)
+        assert make_step_reward(lam, gamma)(v, age) == pytest.approx(
             oracles.explicit_accumulated(lam, gamma, raw, t, v), abs=1e-12
         )
 
@@ -136,24 +146,6 @@ class TestPathReward:
         gamma2[bump] = min(1.0, gamma2[bump] + 0.05)
         assert path_reward(RewardSpec(tuple(lam), tuple(gamma2)), p).value >= base - 1e-12
 
-
-class TestPathCost:
-    def test_worked_route_cost(self):
-        spec = RewardSpec.uniform(4, 1.0, 0.5)
-        assert path_cost(spec, ROUTE) == pytest.approx(1.25, abs=1e-12)
-
-    def test_self_loop_cost(self):
-        g = Graph.from_edges(1, [(0, 0)])
-        p = validate_path(g, [0] * 6)
-        spec = RewardSpec.uniform(1, 1.0, 0.3)
-        assert path_cost(spec, p) == pytest.approx(6 * 0.3)
-
-    def test_node_variant_gamma_rejected(self):
-        spec = RewardSpec((1.0, 1.0), (0.5, 0.6))
-        g = Graph.from_edges(2, [(0, 1), (1, 0)])
-        with pytest.raises(NodeVariantSpecError):
-            path_cost(spec, validate_path(g, [0, 1]))
-
     @given(st.data())
     def test_cost_reward_duality_is_exact(self, data):
         rng = random.Random(data.draw(st.integers(0, 10**6)))
@@ -164,9 +156,10 @@ class TestPathCost:
         p = validate_path(g, nodes)
         lam, gamma = rng.uniform(0.1, 3), rng.uniform(0.05, 0.95)
         spec = RewardSpec.uniform(g.node_count, lam, gamma)
-        n_steps = p.length
-        left = path_reward(spec, p).value + lam / (1 - gamma) * path_cost(spec, p)
-        assert left == pytest.approx((n_steps + 1) * lam / (1 - gamma), abs=1e-9)
+        # The cost sum(gamma ** age) is the reward's exact complement.
+        cost = sum(gamma ** oracles.backward_scan_age(nodes, t, v) for t, v in enumerate(nodes))
+        left = path_reward(spec, p).value + lam / (1 - gamma) * cost
+        assert left == pytest.approx((p.length + 1) * lam / (1 - gamma), abs=1e-9)
 
 
 class TestAverageReward:
@@ -249,7 +242,13 @@ class TestAverageReward:
         spec = RewardSpec.uniform(4, 1.0, gamma)
         for text in ("abc", "abcad", "abcabcad", "ad"):
             value = average_reward(spec, lasso(text)).value
-            cost = average_cost(spec, lasso(text))
+            # Mean of gamma ** age over the steady second period.
+            period = len(text)
+            nodes = lasso(text).unroll(2 * period - 1)
+            cost = sum(
+                gamma ** oracles.backward_scan_age(nodes, t, nodes[t])
+                for t in range(period, 2 * period)
+            ) / period
             assert value == pytest.approx(
                 (1 - cost) / (1 - gamma), abs=1e-12
             )
