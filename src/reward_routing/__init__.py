@@ -34,11 +34,8 @@ from .graph import (
     Graph,
     Lasso,
     Path,
-    SCCDecomposition,
     covering_cycle,
     longest_simple_cycle,
-    max_reachable_scc,
-    reachable_from,
     scc_decompose,
     shortest_path,
     validate_lasso,
@@ -61,7 +58,6 @@ from .memory import (
     BoundedMemorySolution,
     FiniteStrategy,
     MemoryStructure,
-    ProductGraph,
     outcome,
     solve_bounded_memory,
 )
@@ -106,12 +102,10 @@ __all__ = [
     "NondiscountedSolution",
     "NotStronglyConnectedError",
     "Path",
-    "ProductGraph",
     "ProfileTableExhaustedError",
     "RewardRoutingError",
     "RewardSpec",
     "RewardValue",
-    "SCCDecomposition",
     "SimConfig",
     "SimResult",
     "SolverContractError",
@@ -131,10 +125,8 @@ __all__ = [
     "geometric_series",
     "karp_mean_cycle",
     "longest_simple_cycle",
-    "max_reachable_scc",
     "outcome",
     "path_reward",
-    "reachable_from",
     "scc_decompose",
     "shortest_path",
     "simulate_average_reward",

@@ -189,30 +189,20 @@ def validate_lasso(g: Graph, prefix: Sequence[int], cycle: Sequence[int]) -> Las
     return Lasso(tuple(prefix), tuple(cycle))
 
 
-@dataclass(frozen=True)
-class SCCDecomposition:
-    """Strongly connected components plus their condensation DAG.
+def scc_decompose(g: Graph, root: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Maximal strongly connected components of ``g``, or of what ``root`` reaches.
 
-    Components are sorted internally and listed in ascending order of their
-    smallest node. ``condensation`` holds edges between distinct component
-    indices and is always acyclic.
-    """
-
-    components: tuple[tuple[int, ...], ...]
-    component_of: tuple[int, ...]
-    condensation: frozenset[tuple[int, int]]
-
-
-def scc_decompose(g: Graph) -> SCCDecomposition:
-    """Partition the nodes into maximal strongly connected components.
+    Without ``root`` the components partition every node; with it, they
+    are exactly the components reachable from ``root``, found by one DFS
+    started there. Components are sorted internally and listed in
+    ascending order of their smallest node.
 
     Tarjan's algorithm, linear in nodes plus edges, without recursion: a
     frame of the explicit DFS holds a node, the iterator over its
     successors (so the frame resumes where it left off) and the height of
     Tarjan's stack below the node. ``number[v]`` is ``v``'s DFS index while
     ``v`` is on Tarjan's stack and ``node_count`` once its component is
-    complete, so one comparison updates a low link. The condensation comes
-    from one pass over the adjacency.
+    complete, so one comparison updates a low link.
     """
     adjacency = g.adjacency
     n = g.node_count
@@ -222,13 +212,13 @@ def scc_decompose(g: Graph) -> SCCDecomposition:
     components: list[list[int]] = []
     counter = 0
 
-    for root in range(n):
-        if number[root] != -1:
+    for start in range(n) if root is None else (root,):
+        if number[start] != -1:
             continue
-        number[root] = low[root] = counter
+        number[start] = low[start] = counter
         counter += 1
-        frames = [(root, iter(adjacency[root]), len(stack))]
-        stack.append(root)
+        frames = [(start, iter(adjacency[start]), len(stack))]
+        stack.append(start)
         while frames:
             v, succs, base = frames[-1]
             for w in succs:
@@ -255,25 +245,11 @@ def scc_decompose(g: Graph) -> SCCDecomposition:
                     low[frames[-1][0]] = low[v]
 
     components.sort(key=lambda c: c[0])
-    component_of = [0] * n
-    for i, comp in enumerate(components):
-        for v in comp:
-            component_of[v] = i
-    condensation = set()
-    for u, succs in enumerate(adjacency):
-        cu = component_of[u]
-        for v in succs:
-            if component_of[v] != cu:
-                condensation.add((cu, component_of[v]))
-    return SCCDecomposition(
-        tuple(map(tuple, components)),
-        tuple(component_of),
-        frozenset(condensation),
-    )
+    return tuple(map(tuple, components))
 
 
 def _bfs(
-    g: Graph, src: int, stop: Container[int] = (), within: Container[int] | None = None
+    g: Graph, src: int, stop: Container[int], within: Container[int] | None = None
 ) -> tuple[dict[int, int], int | None]:
     """Breadth-first search from ``src``, inside ``within`` if given.
 
@@ -309,11 +285,6 @@ def _path_to(parent: dict[int, int], node: int) -> list[int]:
     return nodes[::-1]
 
 
-def reachable_from(g: Graph, v0: int) -> tuple[int, ...]:
-    """Nodes reachable from ``v0`` (including ``v0``), ascending."""
-    return tuple(sorted(_bfs(g, v0)[0]))
-
-
 def shortest_path(g: Graph, src: int, dst: int) -> Path:
     """BFS shortest path from ``src`` to ``dst``.
 
@@ -324,39 +295,6 @@ def shortest_path(g: Graph, src: int, dst: int) -> Path:
     if hit is None:
         raise NoCycleError(f"no path from {src} to {dst}")
     return Path(tuple(_path_to(parent, dst)))
-
-
-def _heaviest_reachable(
-    g: Graph, v0: int, components: Iterable[tuple[int, ...]], weight: Sequence[float]
-) -> tuple[tuple[int, ...] | None, float]:
-    """The first of ``components`` reachable from ``v0`` with the largest
-    weight sum, and that sum; ``(None, -1.0)`` if none is reachable."""
-    reach = _bfs(g, v0)[0]
-    best, best_weight = None, -1.0
-    for comp in components:
-        if comp[0] in reach:
-            total = sum(weight[v] for v in comp)
-            if total > best_weight:
-                best, best_weight = comp, total
-    return best, best_weight
-
-
-def max_reachable_scc(
-    g: Graph, v0: int, weight: Sequence[float]
-) -> tuple[tuple[int, ...], float]:
-    """Heaviest strongly connected component reachable from ``v0``.
-
-    Among SCCs reachable from ``v0`` returns one maximizing the sum of the
-    given non-negative node weights (unit weights give maximal cardinality).
-    Ties go to the component with the smallest node id.
-    """
-    if len(weight) != g.node_count:
-        raise InvalidInputError("weight length disagrees with node_count")
-    if any(w < 0 for w in weight):
-        raise InvalidInputError("weights must be non-negative")
-    best, best_weight = _heaviest_reachable(g, v0, scc_decompose(g).components, weight)
-    assert best is not None  # v0's own component is always reachable
-    return best, best_weight
 
 
 def covering_cycle(g: Graph, scc: Iterable[int]) -> Path:

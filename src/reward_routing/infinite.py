@@ -44,7 +44,6 @@ from .graph import (
     Graph,
     Lasso,
     _check_start,
-    _heaviest_reachable,
     covering_cycle,
     scc_decompose,
     shortest_path,
@@ -54,6 +53,8 @@ from .rewards import (
     TOLERANCE,
     RewardSpec,
     RewardValue,
+    _check_rates,
+    _finite_fsum,
     average_reward,
     geometric_series,
 )
@@ -306,9 +307,9 @@ def _verify_strongly_connected(m: int, src: np.ndarray, dst: np.ndarray) -> None
         raise NotStronglyConnectedError("empty subgraph")
     if len(src) == 0:
         raise NotStronglyConnectedError("subgraph has no edges, hence no cycle")
-    decomp = scc_decompose(Graph.from_edges(m, zip(src.tolist(), dst.tolist())))
-    if len(decomp.components) != 1:
-        count = len(decomp.components)
+    components = scc_decompose(Graph.from_edges(m, zip(src.tolist(), dst.tolist())))
+    if len(components) != 1:
+        count = len(components)
         raise NotStronglyConnectedError(f"{m} states form {count} components")
 
 
@@ -573,7 +574,7 @@ def _howard_run(
     while cursor != head:
         cycle.append(int(kept[cursor]))
         cursor = int(policy[cursor])
-    return math.fsum(w_all[cycle]) / len(cycle), cycle
+    return _finite_fsum(w_all[cycle]) / len(cycle), cycle
 
 
 def howard_max_mean_cycle(
@@ -631,13 +632,15 @@ class NondiscountedSolution:
     component: tuple[int, ...]
 
 
-def _cycle_bearing_components(state_graph: Graph) -> list[tuple[int, ...]]:
-    decomp = scc_decompose(state_graph)
-    keep = []
-    for comp in decomp.components:
-        if len(comp) > 1 or state_graph.has_edge(comp[0], comp[0]):
-            keep.append(comp)
-    return keep
+def _cycle_bearing_components(
+    state_graph: Graph, root: int | None = None
+) -> list[tuple[int, ...]]:
+    """The components of :func:`scc_decompose` that hold a cycle, in its order."""
+    return [
+        comp
+        for comp in scc_decompose(state_graph, root)
+        if len(comp) > 1 or state_graph.has_edge(comp[0], comp[0])
+    ]
 
 
 def _component_karp(
@@ -679,21 +682,26 @@ def solve_nondiscounted(
 ) -> NondiscountedSolution:
     """Optimal limit-average reward when rewards never disappear.
 
-    The value is the largest total generation rate over strongly connected
-    components reachable from ``v0``; a witness loops a covering walk of
-    the winning component forever. Polynomial time.
+    The value is the largest total generation rate over the cycle-bearing
+    strongly connected components reachable from ``v0``, which one Tarjan
+    pass rooted at ``v0`` finds; ties go to the component with the
+    smallest node. A witness loops a covering walk of the winning
+    component forever. Polynomial time. Each rate is checked as
+    :class:`reward_routing.rewards.RewardSpec` checks it.
     """
     if len(lam) != g.node_count:
         raise InvalidInputError("lam length disagrees with the graph")
+    _check_rates(lam)
     _check_start(g, v0)
-    best, best_total = _heaviest_reachable(g, v0, _cycle_bearing_components(g), lam)
-    if best is None:
+    components = _cycle_bearing_components(g, v0)
+    if not components:
         raise NoCycleError(f"no infinite path starts at node {v0}")
+    best = max(components, key=lambda comp: sum(lam[v] for v in comp))
     walk = covering_cycle(g, best)
     to_walk = shortest_path(g, v0, walk.nodes[0])
     witness = validate_lasso(g, to_walk.nodes[:-1], walk.nodes[:-1])
     return NondiscountedSolution(
-        RewardValue(best_total, "limit_average"), witness, best
+        RewardValue(sum(lam[v] for v in best), "limit_average"), witness, best
     )
 
 

@@ -17,6 +17,7 @@ the one a full enumeration in that order gives.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -107,38 +108,6 @@ def outcome(g: Graph, strategy: FiniteStrategy, steps: int) -> Path:
 
 
 @dataclass(frozen=True)
-class ProductGraph:
-    """Graph times ``memory_size`` memory slots, every slot change allowed.
-
-    Product nodes are ``(node, slot)`` with slots ``1 .. memory_size``;
-    an edge exists whenever the underlying nodes are connected, regardless
-    of the slots. Memoryless strategies here are exactly the strategies
-    with that much memory in the base graph.
-    """
-
-    base: Graph
-    memory_size: int
-
-    def __post_init__(self) -> None:
-        if self.memory_size < 1:
-            raise InvalidInputError("memory size must be at least 1")
-
-    def nodes(self) -> list[ProductNode]:
-        return [
-            (v, m)
-            for v in range(self.base.node_count)
-            for m in range(1, self.memory_size + 1)
-        ]
-
-    def successors(self, node: ProductNode) -> list[ProductNode]:
-        v, _ = node
-        return [
-            (w, m)
-            for w in self.base.adjacency[v]
-            for m in range(1, self.memory_size + 1)
-        ]
-
-@dataclass(frozen=True)
 class BoundedMemorySolution:
     value: RewardValue
     strategy: FiniteStrategy
@@ -199,7 +168,8 @@ def solve_bounded_memory(
     if spec.node_count != g.node_count:
         raise InvalidInputError("spec size disagrees with the graph")
     _check_start(g, v0)
-    product = ProductGraph(g, memory_size)
+    if memory_size < 1:
+        raise InvalidInputError("memory size must be at least 1")
     start: ProductNode = (v0, 1)
     slots = range(1, memory_size + 1)
     seq: list[ProductNode] = [start]
@@ -258,9 +228,8 @@ def solve_bounded_memory(
     # package the product choices as an explicit memory structure.
     update: dict[tuple[int, int], int] = {}
     tau: dict[tuple[int, int], int] = {}
-    for node in product.nodes():
-        v, slot = node
-        picked = choices.get(node)
+    for v, slot in itertools.product(range(g.node_count), slots):
+        picked = choices.get((v, slot))
         if picked is None:
             succs = g.adjacency[v]
             if not succs:

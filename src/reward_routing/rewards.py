@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError, NodeVariantSpecError, ProfileTableExhaustedError
 from .graph import Graph, Lasso, Path, longest_simple_cycle
@@ -46,7 +46,7 @@ def _check_param(name: str, v: int, value: float) -> None:
     """
     try:
         finite = not isinstance(value, bool) and math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         finite = False
     if not finite:
         raise InvalidInputError(f"{name}[{v}] must be a finite number")
@@ -55,6 +55,25 @@ def _check_param(name: str, v: int, value: float) -> None:
             raise InvalidInputError(f"lam[{v}] must be non-negative")
     elif not 0.0 < value <= 1.0:
         raise InvalidInputError(f"gamma[{v}] must lie in (0, 1]")
+
+
+def _check_rates(lam: Sequence[float]) -> None:
+    """Refuse any ``lam[v]`` that :func:`_check_param` refuses, with its message.
+
+    Valid rates pass at C speed: no boolean, a finite sum and a
+    non-negative minimum. Only otherwise is each rate checked in turn.
+    """
+    try:
+        valid = (
+            bool not in set(map(type, lam))
+            and math.isfinite(math.fsum(lam))
+            and min(lam) >= 0
+        )
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        for v, value in enumerate(lam):
+            _check_param("lam", v, value)
 
 
 @dataclass(frozen=True)
@@ -143,7 +162,21 @@ def _collected(
     ages: Sequence[int],
 ) -> float:
     """Exact total of the step rewards of the visits ``zip(nodes, ages)``."""
-    return math.fsum(map(make_step_reward(lam, decays), nodes, ages))
+    return _finite_fsum(map(make_step_reward(lam, decays), nodes, ages))
+
+
+def _finite_fsum(rewards: Iterable[float]) -> float:
+    """``math.fsum`` of rewards; a sum too large for a float is the input's fault.
+
+    Every command re-scores its answer through :func:`_collected`.
+    """
+    try:
+        total = math.fsum(rewards)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise InvalidInputError("collected reward overflows a float; scale lambda down")
+    return total
 
 
 def _visit_ages(nodes: Sequence[int]) -> list[int]:

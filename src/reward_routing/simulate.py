@@ -29,6 +29,10 @@ _GENERATION_MODES = ("poisson", "deterministic")
 #: Trials are simulated in blocks of this size, one RNG substream each.
 TRIAL_BLOCK = 65536
 
+# Expected units per trial stay below this, so the int64 unit counts have
+# room for Poisson spread and every rate is below numpy's limit of ~9.2e18.
+_UNIT_LIMIT = 2.0**62
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -74,6 +78,8 @@ def _deterministic_total(spec: RewardSpec, route: Sequence[int]) -> float:
         if t < len(route) - 1:
             for v in range(spec.node_count):
                 mass[v] *= spec.gamma[v]
+    if not math.isfinite(collected):
+        raise InvalidInputError("simulated reward overflows a float; scale lambda down")
     return collected
 
 
@@ -87,6 +93,12 @@ def _poisson_totals(
     decaying = np.flatnonzero(gamma < 1.0)
     totals = np.empty(trials, dtype=np.int64)
     steps = len(route)
+    if lam.sum() * steps > _UNIT_LIMIT:
+        v = int(lam.argmax())
+        raise InvalidInputError(
+            f"lam[{v}] = {lam[v]:g} is too large for Poisson simulation over {steps} "
+            "steps: its unit counts overflow; scale lambda down or use deterministic mode"
+        )
     for block_index, start in enumerate(range(0, trials, TRIAL_BLOCK)):
         size = min(TRIAL_BLOCK, trials - start)
         rng = _substream(seed, block_index)

@@ -8,7 +8,9 @@ the vectorized visit-age engine, and the bounded-memory enumeration that
 restarts its walk for every branch and tries every memory slot; and the
 graph-file parser, covering walk and float rounding that the one-pass
 parser, the breadth-first search that stops on discovery and the
-string-skipping rounding replaced.
+string-skipping rounding replaced; and the whole-graph decomposition plus
+reachability search that picked the no-decay optimum before one rooted
+Tarjan pass did.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from reward_routing import (
     NoPathError,
     NotStronglyConnectedError,
     Path,
-    ProductGraph,
     RewardSpec,
     RewardValue,
     StateBudgetExceededError,
@@ -146,6 +147,31 @@ def sccs_by_closure(g: Graph) -> list[tuple[int, ...]]:
             assigned[u] = True
         comps.append(tuple(sorted(comp)))
     return sorted(comps, key=lambda c: c[0])
+
+
+def heaviest_reachable_component(
+    g: Graph, lam: Sequence[float], v0: int
+) -> tuple[tuple[int, ...], float] | None:
+    """The no-decay optimum by the rule the rooted Tarjan pass replaced.
+
+    Splits the whole graph into components, keeps those that bear a cycle,
+    finds the nodes ``v0`` reaches by breadth-first search, and returns the
+    first reachable component with the largest rate sum, with that sum
+    (``None`` when no cycle is reachable).
+    """
+    reach, queue = {v0}, deque([v0])
+    while queue:
+        for w in g.successors(queue.popleft()):
+            if w not in reach:
+                reach.add(w)
+                queue.append(w)
+    best = None
+    for comp in sccs_by_closure(g):
+        if comp[0] in reach and (len(comp) > 1 or g.has_edge(comp[0], comp[0])):
+            total = sum(lam[v] for v in comp)
+            if best is None or total > best[1]:
+                best = (comp, total)
+    return best
 
 
 def simple_cycles(g: Graph) -> Iterator[list[int]]:
@@ -419,7 +445,7 @@ def bounded_memory_reference(
         )
     if spec.node_count != g.node_count:
         raise ValueError("spec size disagrees with the graph")
-    product = ProductGraph(g, memory_size)
+    slots = range(1, memory_size + 1)
     start: ProductNode = (v0, 1)
     choice: dict[ProductNode, ProductNode] = {}
     cycle_values: dict[tuple[int, ...], float] = {}
@@ -441,7 +467,8 @@ def bounded_memory_reference(
         while True:
             target = choice.get(current)
             if target is None:
-                for candidate in product.successors(current):
+                # Every slot change is allowed alongside each edge.
+                for candidate in [(w, m) for w in g.adjacency[current[0]] for m in slots]:
                     choice[current] = candidate
                     explore()
                 choice.pop(current, None)  # a dead end sets no choice
@@ -469,7 +496,7 @@ def bounded_memory_reference(
     # package the product choices as an explicit memory structure.
     update: dict[tuple[int, int], int] = {}
     tau: dict[tuple[int, int], int] = {}
-    for node in product.nodes():
+    for node in itertools.product(range(g.node_count), slots):
         v, slot = node
         picked = choices.get(node)
         if picked is None:

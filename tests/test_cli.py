@@ -808,6 +808,40 @@ class TestExitCodes:
         assert out["bracket"]["witness_under"]["cycle"] == ["a", "b"]
 
     @pytest.mark.parametrize(
+        "rates, argv",
+        [
+            ((1e308, 1e308), ["finite", "--start", "a", "--horizon", "3"]),
+            ((1e308, 1e308), ["infinite", "--start", "a", "--epsilon", "0.1"]),
+            (
+                (1e308, 1e308),
+                ["decide", "--start", "a", "--epsilon", "0.1", "--threshold", "1"],
+            ),
+            ((1e308, 1e308), ["bounded", "--start", "a", "--memory", "1"]),
+            ((1e308, 1e308), ["simulate", "--path", "a,b,a", "--mode", "deterministic"]),
+            ((1e308, 1e308), ["nondiscounted", "--start", "a"]),
+            ((1e308, 1.0), ["nondiscounted", "--start", "a"]),
+            ((1e300, 1e300), ["simulate", "--path", "a,b,a"]),
+            # Below numpy's sampling limit, yet the int64 unit counts wrap.
+            ((5e18, 5e18), ["simulate", "--path", "a,b,a"]),
+        ],
+        ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else x[0],
+    )
+    def test_overflowing_rates_are_bad_input(self, tmp_path, rates, argv):
+        doc = {
+            "nodes": [
+                {"id": "a", "lambda": rates[0], "gamma": 0.5},
+                {"id": "b", "lambda": rates[1], "gamma": 0.5},
+            ],
+            "edges": [["a", "b"], ["b", "a"]],
+        }
+        graph_file = tmp_path / "huge_rates.json"
+        graph_file.write_text(json.dumps(doc))
+        code, out, err = run([argv[0], "--graph", str(graph_file), *argv[1:]])
+        assert code == EXIT_BAD_INPUT and out is None
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and "scale lambda down" in err
+
+    @pytest.mark.parametrize(
         "command, replayer",
         [
             ("infinite", infinite),

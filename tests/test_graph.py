@@ -16,7 +16,6 @@ from reward_routing import (
     RewardSpec,
     covering_cycle,
     longest_simple_cycle,
-    max_reachable_scc,
     scc_decompose,
     solve_bounded_memory,
     solve_finite,
@@ -137,103 +136,82 @@ class TestStartNode:
 
 class TestSCC:
     def test_two_cycles_is_one_component(self, two_cycles):
-        decomp = scc_decompose(two_cycles)
-        assert decomp.components == ((0, 1, 2, 3),)
-        assert decomp.condensation == frozenset()
+        assert scc_decompose(two_cycles) == ((0, 1, 2, 3),)
 
     def test_two_loops_and_a_bridge(self):
         g = Graph.from_edges(2, [(0, 0), (1, 1), (0, 1)])
-        decomp = scc_decompose(g)
-        assert decomp.components == ((0,), (1,))
-        assert decomp.condensation == {(0, 1)}
+        assert scc_decompose(g) == scc_decompose(g, 0) == ((0,), (1,))
+        assert scc_decompose(g, 1) == ((1,),)
 
     @given(small_graphs(max_nodes=8))
     def test_matches_reachability_closure(self, g):
-        decomp = scc_decompose(g)
-        components = oracles.sccs_by_closure(g)
-        assert list(decomp.components) == components
-        # The condensation by its definition: an edge between components
-        # wherever a graph edge crosses from one to another.
-        component_of = {v: i for i, comp in enumerate(components) for v in comp}
-        assert decomp.component_of == tuple(component_of[v] for v in range(g.node_count))
-        assert decomp.condensation == {
-            (component_of[u], component_of[v])
-            for u in range(g.node_count)
-            for v in g.successors(u)
-            if component_of[u] != component_of[v]
-        }
+        assert list(scc_decompose(g)) == oracles.sccs_by_closure(g)
 
     @given(small_graphs(max_nodes=8))
-    def test_partition_and_acyclic_condensation(self, g):
-        decomp = scc_decompose(g)
-        seen = sorted(v for comp in decomp.components for v in comp)
+    def test_rooted_call_keeps_the_reachable_components(self, g):
+        closure = oracles.reachability_closure(g)
+        components = oracles.sccs_by_closure(g)
+        for root in range(g.node_count):
+            reachable = [c for c in components if closure[root][c[0]]]
+            assert list(scc_decompose(g, root)) == reachable
+
+    @given(small_graphs(max_nodes=8))
+    def test_components_partition_the_nodes(self, g):
+        seen = sorted(v for comp in scc_decompose(g) for v in comp)
         assert seen == list(range(g.node_count))
-        # The condensation must admit a topological order.
-        k = len(decomp.components)
-        indeg = [0] * k
-        for _, j in decomp.condensation:
-            indeg[j] += 1
-        frontier = [i for i in range(k) if indeg[i] == 0]
-        removed = 0
-        while frontier:
-            i = frontier.pop()
-            removed += 1
-            for a, b in decomp.condensation:
-                if a == i:
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        frontier.append(b)
-        assert removed == k
 
     @pytest.mark.parametrize("closed", [False, True], ids=["path", "ring"])
     def test_long_graphs_need_no_recursion(self, closed):
         n = 20_000
         edges = [(v, v + 1) for v in range(n - 1)] + ([(n - 1, 0)] if closed else [])
         g = Graph.from_edges(n, edges)
-        decomp = scc_decompose(g)
+        middle = n // 2
         if closed:
-            assert decomp.components == (tuple(range(n)),)
-            assert decomp.condensation == frozenset()
+            assert scc_decompose(g) == scc_decompose(g, middle) == (tuple(range(n)),)
         else:
-            assert decomp.components == tuple((v,) for v in range(n))
-            assert decomp.condensation == {(v, v + 1) for v in range(n - 1)}
+            assert scc_decompose(g) == tuple((v,) for v in range(n))
+            assert scc_decompose(g, middle) == tuple((v,) for v in range(middle, n))
 
 
-class TestMaxReachableSCC:
-    def test_two_cycles_unit_weights(self, two_cycles):
-        comp, weight = max_reachable_scc(two_cycles, 0, [1.0] * 4)
-        assert comp == (0, 1, 2, 3)
-        assert weight == 4.0
-
-    def test_single_self_loop(self):
-        g = Graph.from_edges(1, [(0, 0)])
-        assert max_reachable_scc(g, 0, [1.0]) == ((0,), 1.0)
+class TestNondiscountedComponent:
+    """:func:`solve_nondiscounted` against the whole-graph rule it replaced."""
 
     def test_unreachable_heavy_component_is_ignored(self):
         # 0 -> 1 only; the heavy loop at 2 cannot be reached.
         g = Graph.from_edges(3, [(0, 1), (1, 0), (2, 2)])
-        comp, weight = max_reachable_scc(g, 0, [1.0, 1.0, 50.0])
-        assert comp == (0, 1)
-        assert weight == 2.0
+        solution = solve_nondiscounted(g, [1.0, 1.0, 50.0], 0)
+        assert solution.component == (0, 1)
+        assert solution.value.value == 2.0
+        assert oracles.heaviest_reachable_component(g, [1.0, 1.0, 50.0], 0) == (
+            (0, 1),
+            2.0,
+        )
+
+    def test_equal_sums_go_to_the_smallest_node(self):
+        # Tarjan completes the loop at 2 first; the loop at 1 still wins.
+        g = Graph.from_edges(3, [(0, 1), (1, 1), (1, 2), (2, 2)])
+        solution = solve_nondiscounted(g, [5.0, 1.0, 1.0], 0)
+        assert solution.component == (1,)
+        assert oracles.heaviest_reachable_component(g, [5.0, 1.0, 1.0], 0) == ((1,), 1.0)
 
     @given(small_graphs(max_nodes=8), st.data())
-    def test_matches_exhaustive_reachability(self, g, data):
+    def test_matches_the_whole_graph_rule(self, g, data):
         v0 = data.draw(st.integers(0, g.node_count - 1))
-        weights = data.draw(
+        # Few distinct rates, so equal sums are common.
+        lam = data.draw(
             st.lists(
-                st.floats(0, 5, allow_nan=False),
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
                 min_size=g.node_count,
                 max_size=g.node_count,
             )
         )
-        comp, weight = max_reachable_scc(g, v0, weights)
-        reach = oracles.reachability_closure(g)[v0]
-        candidates = [
-            sum(weights[v] for v in c)
-            for c in oracles.sccs_by_closure(g)
-            if reach[c[0]]
-        ]
-        assert weight == pytest.approx(max(candidates), abs=1e-12)
+        expected = oracles.heaviest_reachable_component(g, lam, v0)
+        if expected is None:
+            with pytest.raises(NoCycleError):
+                solve_nondiscounted(g, lam, v0)
+            return
+        solution = solve_nondiscounted(g, lam, v0)
+        assert (solution.component, solution.value.value) == expected
 
 
 class TestCoveringCycle:
@@ -259,7 +237,7 @@ class TestCoveringCycle:
         rng = random.Random(4)
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 6))
-            for comp in scc_decompose(g).components:
+            for comp in scc_decompose(g):
                 if len(comp) == 1 and not g.has_edge(comp[0], comp[0]):
                     continue
                 walk = covering_cycle(g, comp)
@@ -270,7 +248,7 @@ class TestCoveringCycle:
 
     @given(small_graphs(max_nodes=8))
     def test_legs_go_to_a_nearest_uncovered_node(self, g):
-        for comp in scc_decompose(g).components:
+        for comp in scc_decompose(g):
             if len(comp) == 1 and not g.has_edge(comp[0], comp[0]):
                 continue
             walk = covering_cycle(g, comp).nodes
@@ -299,7 +277,7 @@ class TestCoveringCycle:
     def test_matches_the_reference_walk(self, g, data):
         # A component, or any node set, which may not be strongly connected.
         nodes = data.draw(
-            st.sampled_from(scc_decompose(g).components)
+            st.sampled_from(scc_decompose(g))
             | st.sets(st.integers(0, g.node_count - 1))
         )
 

@@ -8,6 +8,7 @@ import pytest
 
 from reward_routing import (
     Graph,
+    InvalidInputError,
     NoCycleError,
     NotStronglyConnectedError,
     RewardSpec,
@@ -17,7 +18,6 @@ from reward_routing import (
     build_truncated,
     decide_infinite_value,
     karp_mean_cycle,
-    scc_decompose,
     solve_infinite_approx,
     solve_nondiscounted,
     truncation_depth,
@@ -581,6 +581,21 @@ class TestSolveNondiscounted:
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(NoCycleError):
             solve_nondiscounted(g, [1.0, 1.0], 0)
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            ([-1.0, -1.0], r"^lam\[0\] must be non-negative$"),
+            ([float("nan"), 1.0], r"^lam\[0\] must be a finite number$"),
+            ([True, 1.0], r"^lam\[0\] must be a finite number$"),
+            ([1.0, float("inf")], r"^lam\[1\] must be a finite number$"),
+        ],
+        ids=["negative", "nan", "boolean", "infinite"],
+    )
+    def test_bad_rates_are_refused(self, lam, message):
+        ring = Graph.from_edges(2, [(0, 1), (1, 0)])
+        with pytest.raises(InvalidInputError, match=message):
+            solve_nondiscounted(ring, lam, 0)
 
     def test_matches_component_enumeration(self):
         rng = random.Random(15)

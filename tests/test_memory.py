@@ -11,6 +11,7 @@ from reward_routing import (
     FiniteStrategy,
     Graph,
     InstanceTooLargeError,
+    InvalidInputError,
     Lasso,
     MemoryStructure,
     NoCycleError,
@@ -140,6 +141,8 @@ class TestSolveBoundedMemory:
             match=r"limited to memory 3 and 4 was asked for; pass max_memory=",
         ):
             solve_bounded_memory(TWO_CYCLES, SPEC_26, 0, 4)
+        with pytest.raises(InvalidInputError, match=r"^memory size must be at least 1$"):
+            solve_bounded_memory(TWO_CYCLES, SPEC_26, 0, 0)
 
     @settings(max_examples=80)
     @given(sparse_instances(), st.integers(1, 3))

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from reward_routing import (
     DecayProfile,
     Graph,
+    InvalidInputError,
     Lasso,
     NodeVariantSpecError,
     ProfileTableExhaustedError,
@@ -20,7 +21,13 @@ from reward_routing import (
     validate_lasso,
     validate_path,
 )
-from reward_routing.rewards import _steady_cycle_ages, _visit_ages, make_step_reward
+from reward_routing.rewards import (
+    _check_param,
+    _check_rates,
+    _steady_cycle_ages,
+    _visit_ages,
+    make_step_reward,
+)
 
 import oracles
 from conftest import (
@@ -451,3 +458,25 @@ class TestRewardSpecValidation:
             RewardSpec((1.0, bad), (0.5, 0.5))
         with pytest.raises(ValueError, match=r"gamma\[1\]"):
             RewardSpec((1.0, 1.0), (0.5, bad))
+
+    @given(
+        st.lists(
+            st.floats()
+            | st.booleans()
+            | st.sampled_from([10**400, -1, 0, 2, 1e308, "1.0", None]),
+            max_size=6,
+        )
+    )
+    def test_fast_rate_check_refuses_what_the_per_value_check_refuses(self, lam):
+        def outcome(check):
+            try:
+                check()
+            except InvalidInputError as exc:
+                return str(exc)
+            return None
+
+        def per_value():
+            for v, value in enumerate(lam):
+                _check_param("lam", v, value)
+
+        assert outcome(lambda: _check_rates(lam)) == outcome(per_value)
