@@ -37,7 +37,6 @@ from .rewards import (
     RewardSpec,
     RewardValue,
     _check_param,
-    _check_rates,
     make_step_reward,
 )
 
@@ -278,7 +277,8 @@ def solve_finite_decay(
     """
     if len(lam) != g.node_count or len(decays) != g.node_count:
         raise InvalidInputError("lam/decays size disagrees with the graph")
-    _check_rates(lam)
+    for v, value in enumerate(lam):
+        _check_param("lam", v, value)
     for v, decay in enumerate(decays):
         if not isinstance(decay, DecayProfile):
             _check_param("gamma", v, decay)

@@ -194,8 +194,9 @@ def scc_decompose(g: Graph, root: int | None = None) -> tuple[tuple[int, ...], .
 
     Without ``root`` the components partition every node; with it, they
     are exactly the components reachable from ``root``, found by one DFS
-    started there. Components are sorted internally and listed in
-    ascending order of their smallest node.
+    started there; a ``root`` outside ``g`` raises
+    :class:`InvalidInputError`. Components are sorted internally and
+    listed in ascending order of their smallest node.
 
     Tarjan's algorithm, linear in nodes plus edges, without recursion: a
     frame of the explicit DFS holds a node, the iterator over its
@@ -204,6 +205,8 @@ def scc_decompose(g: Graph, root: int | None = None) -> tuple[tuple[int, ...], .
     ``v`` is on Tarjan's stack and ``node_count`` once its component is
     complete, so one comparison updates a low link.
     """
+    if root is not None:
+        _check_start(g, root)
     adjacency = g.adjacency
     n = g.node_count
     number = [-1] * n

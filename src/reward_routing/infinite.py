@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -53,8 +54,8 @@ from .rewards import (
     TOLERANCE,
     RewardSpec,
     RewardValue,
-    _check_rates,
-    _finite_fsum,
+    _OVERFLOW,
+    _check_param,
     average_reward,
     geometric_series,
 )
@@ -574,7 +575,7 @@ def _howard_run(
     while cursor != head:
         cycle.append(int(kept[cursor]))
         cursor = int(policy[cursor])
-    return _finite_fsum(w_all[cycle]) / len(cycle), cycle
+    return math.fsum(w_all[cycle]) / len(cycle), cycle
 
 
 def howard_max_mean_cycle(
@@ -691,17 +692,20 @@ def solve_nondiscounted(
     """
     if len(lam) != g.node_count:
         raise InvalidInputError("lam length disagrees with the graph")
-    _check_rates(lam)
+    for v, value in enumerate(lam):
+        _check_param("lam", v, value)
     _check_start(g, v0)
     components = _cycle_bearing_components(g, v0)
     if not components:
         raise NoCycleError(f"no infinite path starts at node {v0}")
-    best = max(components, key=lambda comp: sum(lam[v] for v in comp))
+    total, best = max(
+        ((sum(lam[v] for v in comp), comp) for comp in components), key=itemgetter(0)
+    )
     walk = covering_cycle(g, best)
     to_walk = shortest_path(g, v0, walk.nodes[0])
     witness = validate_lasso(g, to_walk.nodes[:-1], walk.nodes[:-1])
     return NondiscountedSolution(
-        RewardValue(sum(lam[v] for v in best), "limit_average"), witness, best
+        RewardValue(total, "limit_average"), witness, best
     )
 
 
@@ -732,7 +736,9 @@ def solve_infinite_approx(
     optimistic witnesses. ``r_under`` is reported as the exact replay value
     of its witness, so ``average_reward(spec, pi_under) == r_under`` holds
     identically. The state budget is the only size limit. Raises
-    :class:`SolverContractError` if the bracket breaks its contract.
+    :class:`SolverContractError` if the bracket breaks its contract, and
+    :class:`InvalidInputError` if the rates are so large that a reward
+    sum overflows a float.
 
     All survival probabilities must be below 1. With no decay anywhere,
     :func:`solve_nondiscounted` takes over and the bracket collapses to
@@ -769,6 +775,8 @@ def solve_infinite_approx(
         mean_over, cycle_over = _howard_run(pg, weights.reward_over, tg.initial)
     except NoCycleError:
         raise NoCycleError(f"no infinite path starts at node {v0}") from None
+    except OverflowError:
+        raise InvalidInputError(_OVERFLOW) from None
 
     pi_under = _cycle_to_lasso(tg, cycle_under)
     pi_over = _cycle_to_lasso(tg, cycle_over)

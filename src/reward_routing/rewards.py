@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import InvalidInputError, NodeVariantSpecError, ProfileTableExhaustedError
 from .graph import Graph, Lasso, Path, longest_simple_cycle
 
 #: Comparison tolerance used throughout the library.
 TOLERANCE = 1e-9
+
+#: Why a reward sum too large for a float is refused; only huge rates cause one.
+_OVERFLOW = "collected reward overflows a float; scale lambda down"
 
 # Below this distance from 1 the closed form (1 - g**q) / (1 - g) loses
 # precision to cancellation; sum explicitly instead.
@@ -55,25 +58,6 @@ def _check_param(name: str, v: int, value: float) -> None:
             raise InvalidInputError(f"lam[{v}] must be non-negative")
     elif not 0.0 < value <= 1.0:
         raise InvalidInputError(f"gamma[{v}] must lie in (0, 1]")
-
-
-def _check_rates(lam: Sequence[float]) -> None:
-    """Refuse any ``lam[v]`` that :func:`_check_param` refuses, with its message.
-
-    Valid rates pass at C speed: no boolean, a finite sum and a
-    non-negative minimum. Only otherwise is each rate checked in turn.
-    """
-    try:
-        valid = (
-            bool not in set(map(type, lam))
-            and math.isfinite(math.fsum(lam))
-            and min(lam) >= 0
-        )
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        for v, value in enumerate(lam):
-            _check_param("lam", v, value)
 
 
 @dataclass(frozen=True)
@@ -161,21 +145,17 @@ def _collected(
     nodes: Sequence[int],
     ages: Sequence[int],
 ) -> float:
-    """Exact total of the step rewards of the visits ``zip(nodes, ages)``."""
-    return _finite_fsum(map(make_step_reward(lam, decays), nodes, ages))
+    """Exact total of the step rewards of the visits ``zip(nodes, ages)``.
 
-
-def _finite_fsum(rewards: Iterable[float]) -> float:
-    """``math.fsum`` of rewards; a sum too large for a float is the input's fault.
-
-    Every command re-scores its answer through :func:`_collected`.
+    Every command re-scores its answer here, so a total too large for a
+    float is refused as the input's fault.
     """
     try:
-        total = math.fsum(rewards)
+        total = math.fsum(map(make_step_reward(lam, decays), nodes, ages))
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
-        raise InvalidInputError("collected reward overflows a float; scale lambda down")
+        raise InvalidInputError(_OVERFLOW)
     return total
 
 

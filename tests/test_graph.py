@@ -10,6 +10,7 @@ from reward_routing import (
     EmptyPathError,
     Graph,
     InstanceTooLargeError,
+    InvalidInputError,
     NoCycleError,
     NotStronglyConnectedError,
     Path,
@@ -154,6 +155,12 @@ class TestSCC:
         for root in range(g.node_count):
             reachable = [c for c in components if closure[root][c[0]]]
             assert list(scc_decompose(g, root)) == reachable
+
+    @pytest.mark.parametrize("root", [-1, 2])
+    def test_root_out_of_range_is_refused(self, root):
+        g = Graph.from_edges(2, [(0, 1), (1, 0)])
+        with pytest.raises(InvalidInputError, match=f"^start node {root} out of range$"):
+            scc_decompose(g, root)
 
     @given(small_graphs(max_nodes=8))
     def test_components_partition_the_nodes(self, g):
