@@ -15,11 +15,11 @@ class InvalidInputError(RewardRoutingError, ValueError):
     """
 
 
-class EmptyPathError(RewardRoutingError):
+class EmptyPathError(InvalidInputError):
     """A path must contain at least one node."""
 
 
-class BadEdgeError(RewardRoutingError):
+class BadEdgeError(InvalidInputError):
     """A node sequence takes a step that is not an edge of the graph.
 
     ``step`` is the index of the first offending step, i.e. the pair
@@ -70,7 +70,7 @@ class SolverContractError(RewardRoutingError, RuntimeError):
     """
 
 
-class NodeVariantSpecError(RewardRoutingError):
+class NodeVariantSpecError(InvalidInputError):
     """Operation is only defined for node-invariant reward parameters."""
 
 
@@ -78,9 +78,9 @@ class ProfileTableExhaustedError(RewardRoutingError):
     """A decay profile without a tail rule was read past its table."""
 
 
-class ChoiceNotEdgeError(RewardRoutingError):
+class ChoiceNotEdgeError(InvalidInputError):
     """A strategy chose a successor that is not connected by an edge."""
 
 
-class HorizonMismatchError(RewardRoutingError):
+class HorizonMismatchError(InvalidInputError):
     """Simulation horizon disagrees with the length of the given path."""

@@ -36,6 +36,7 @@ from .rewards import (
     DecayProfile,
     RewardSpec,
     RewardValue,
+    _OVERFLOW,
     _check_param,
     make_step_reward,
 )
@@ -194,7 +195,8 @@ def _solve_layered(
 
     for _ in range(horizon):
         pred, succ, succ_ages = _expand(csr, nodes, ages, None)
-        gained = values[pred] + steps(succ, succ_ages[succ, np.arange(len(succ))])
+        with np.errstate(over="ignore"):
+            gained = values[pred] + steps(succ, succ_ages[succ, np.arange(len(succ))])
         order, fresh = _sort_states(succ, succ_ages)
         if fresh.all():
             # Small solves mostly have no duplicates; skipping the
@@ -226,6 +228,8 @@ def _solve_layered(
     # argmax takes the first best state, the smallest in state order.
     cursor = int(values.argmax())
     best_value = float(values[cursor])
+    if not np.isfinite(best_value):
+        raise InvalidInputError(_OVERFLOW)
     route = [int(nodes[cursor])]
     for t in range(horizon, 0, -1):
         cursor = int(parents[t - 1][cursor])

@@ -7,12 +7,12 @@ component, collected by looping a covering walk; that solver is polynomial.
 With decay the problem is approximated on a truncated visit-age graph:
 states ``(node, ages)`` track how long ago each node was visited, capped at
 a depth ``K`` (age 0 encodes "longer ago than K"). Each state carries a
-pessimistic and an optimistic weight; Howard's policy iteration for the
-maximum mean cycle, run once per weighting over the whole reachable graph,
-then yields a bracket ``[r_under, r_over]`` around the true optimum whose
-width is controlled by ``K``, together with ultimately periodic witness
-paths. Karp's recurrence (:func:`karp_mean_cycle`) stays as the reference
-the tests check Howard against.
+pessimistic and an optimistic weight; one call of Howard's policy
+iteration for the maximum mean cycle runs both weightings on the build's
+sorted edge arrays, and yields a bracket ``[r_under, r_over]`` around the
+true optimum whose width is controlled by ``K``, together with ultimately
+periodic witness paths. Karp's recurrence (:func:`karp_mean_cycle`) stays
+as the reference the tests check Howard against.
 """
 
 from __future__ import annotations
@@ -138,10 +138,8 @@ def weight_pair(spec: RewardSpec, state: State, depth: int) -> WeightPair:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Per-state weight arrays aligned with ``TruncatedGraph.states``."""
+    """The reward columns of :class:`WeightPair`, per ``TruncatedGraph`` state."""
 
-    cost_over: np.ndarray
-    cost_under: np.ndarray
     reward_under: np.ndarray
     reward_over: np.ndarray
 
@@ -187,7 +185,7 @@ class TruncatedGraph:
         return Graph(m, tuple(tuple(targets[a:b]) for a, b in zip(bounds, bounds[1:])))
 
     def weights(self, spec: RewardSpec) -> WeightTable:
-        """The :func:`weight_pair` fields of every state, as arrays.
+        """The :func:`weight_pair` reward fields of every state, as arrays.
 
         Weights depend only on a state's node and its own age, so each
         such pair is weighed once, with the same arithmetic as
@@ -195,12 +193,12 @@ class TruncatedGraph:
         """
         own_ages = self.age_matrix[self.node_array, np.arange(self.state_count)]
         table = _PairTable(
-            lambda v, age: _weight_values(spec, v, age, self.depth),
+            lambda v, age: _weight_values(spec, v, age, self.depth)[2:],
             self.graph.node_count,
-            (4,),
+            (2,),
         )
         columns = table(self.node_array, own_ages)
-        return WeightTable(*(columns[:, k].copy() for k in range(4)))
+        return WeightTable(*(columns[:, k].copy() for k in range(2)))
 
 
 def build_truncated(
@@ -294,21 +292,12 @@ def build_truncated(
     return TruncatedGraph(g, depth, initial, nodes, ages, (src, dst), parent)
 
 
-def _edge_arrays(
-    edges: Sequence[tuple[int, int]] | tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(edges, tuple) and len(edges) == 2 and isinstance(edges[0], np.ndarray):
-        return edges
-    arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-    return arr[:, 0], arr[:, 1]
-
-
-def _verify_strongly_connected(m: int, src: np.ndarray, dst: np.ndarray) -> None:
+def _verify_strongly_connected(m: int, edges: list[tuple[int, int]]) -> None:
     if m < 1:
         raise NotStronglyConnectedError("empty subgraph")
-    if len(src) == 0:
+    if not edges:
         raise NotStronglyConnectedError("subgraph has no edges, hence no cycle")
-    components = scc_decompose(Graph.from_edges(m, zip(src.tolist(), dst.tolist())))
+    components = scc_decompose(Graph.from_edges(m, edges))
     if len(components) != 1:
         count = len(components)
         raise NotStronglyConnectedError(f"{m} states form {count} components")
@@ -316,7 +305,7 @@ def _verify_strongly_connected(m: int, src: np.ndarray, dst: np.ndarray) -> None
 
 def karp_mean_cycle(
     state_count: int,
-    edges: Sequence[tuple[int, int]] | tuple[np.ndarray, np.ndarray],
+    edges: Sequence[tuple[int, int]],
     weights: Sequence[float],
     mode: str = "min",
 ) -> tuple[float, list[int]]:
@@ -328,23 +317,24 @@ def karp_mean_cycle(
     A witness cycle is recovered by walking the table backwards from the
     minimizing state and cutting at the repetition nearest the walk's end.
 
-    ``mode="max"`` negates the weights. States should be indexed in the
-    caller's preferred tie-break order: index 0 seeds the walks and ties
-    resolve toward lower indices. Returns ``(mean, cycle)`` where ``cycle``
-    lists state indices once, in traversal order. The table holds
-    ``(m + 1) * m`` floats, so this is a reference for small graphs; past
+    ``edges`` lists ``(source, target)`` pairs in any order.
+    ``mode="max"`` negates the weights and the resulting mean. States
+    should be indexed in the caller's preferred tie-break order: index 0
+    seeds the walks and ties resolve toward lower indices. Returns
+    ``(mean, cycle)`` where ``cycle`` lists state indices once, in
+    traversal order. The table holds ``(m + 1) * m`` floats, so this is
+    the reference the tests check Howard against, for small graphs; past
     ``_KARP_CELL_LIMIT`` cells it raises :class:`StateBudgetExceededError`.
     """
     if mode not in ("min", "max"):
         raise InvalidInputError(f"mode must be 'min' or 'max', got {mode!r}")
-    src, dst = _edge_arrays(edges)
-    _verify_strongly_connected(state_count, src, dst)
-    w = np.asarray(weights, dtype=np.float64)
+    edges = list(edges)
+    _verify_strongly_connected(state_count, edges)
+    sign = -1.0 if mode == "max" else 1.0
+    w = sign * np.asarray(weights, dtype=np.float64)
     if len(w) != state_count:
         raise InvalidInputError("weights length disagrees with state_count")
-    if mode == "max":
-        inner_mean, cycle = karp_mean_cycle(state_count, (src, dst), -w, "min")
-        return -inner_mean, cycle
+    src, dst = np.array(edges, dtype=np.intp).T
 
     m = state_count
     if (m + 1) * m > _KARP_CELL_LIMIT:
@@ -404,7 +394,7 @@ def karp_mean_cycle(
         raise SolverContractError(
             f"extracted cycle mean {achieved} disagrees with {mean}"
         )
-    return mean, cycle
+    return sign * mean, cycle
 
 
 def _trim_dead_ends(m: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -459,152 +449,106 @@ def _evaluate_policy(
     return eta, bias, jump
 
 
-@dataclass(frozen=True, eq=False)
-class _PolicyGraph:
-    """A graph trimmed to the states that can reach a cycle, for Howard.
-
-    ``alive`` masks the input states that can reach a cycle. Live states
-    keep their order: ``kept[i]`` is the input index of live state ``i``
-    and ``live_index`` maps input indices back. Edges run ``src`` to
-    ``dst`` sorted by source, then target; ``starts`` opens each source's
-    segment, and ``targets`` is ``dst`` with a -1 appended.
-    """
-
-    alive: np.ndarray
-    kept: np.ndarray
-    live_index: np.ndarray
-    src: np.ndarray
-    starts: np.ndarray
-    targets: np.ndarray
-    positions: np.ndarray
-
-    @property
-    def dst(self) -> np.ndarray:
-        return self.targets[:-1]
-
-    def first_successor(self, mask: np.ndarray) -> np.ndarray:
-        """Per source segment, the target of its first edge where ``mask`` holds.
-
-        Segments without such an edge get -1.
-        """
-        pick = np.where(mask, self.positions, len(mask))
-        return self.targets[np.minimum.reduceat(pick, self.starts)]
-
-
-def _policy_graph(
-    state_count: int,
-    edges: Sequence[tuple[int, int]] | tuple[np.ndarray, np.ndarray],
-) -> _PolicyGraph:
-    """Trim, compact and sort a graph once for any number of Howard runs.
-
-    The edges are sorted only when they are not already in ``(src, dst)``
-    order, as :func:`build_truncated` emits them.
-    """
-    src, dst = _edge_arrays(edges)
-    alive = _trim_dead_ends(state_count, src, dst)
-    kept = np.flatnonzero(alive)
-    live_index = np.cumsum(alive) - 1
-    # Compact to the live states, keeping their order (and so the ties).
-    if len(kept) < state_count:
-        live = alive[src] & alive[dst]
-        src, dst = live_index[src[live]], live_index[dst[live]]
-    descending = (src[1:] < src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] < dst[:-1]))
-    if descending.any():
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-    # Every live state keeps a live successor, so no segment is empty.
-    starts = np.searchsorted(src, np.arange(len(kept)))
-    return _PolicyGraph(
-        alive, kept, live_index, src, starts, np.append(dst, -1), np.arange(len(src))
-    )
-
-
-def _howard_run(
-    pg: _PolicyGraph, weights: Sequence[float], start: int
-) -> tuple[float, list[int]]:
-    """:func:`howard_max_mean_cycle` for one weighting of a prepared graph."""
-    w_all = np.asarray(weights, dtype=np.float64)
-    if len(w_all) != len(pg.alive):
-        raise InvalidInputError("weights length disagrees with state_count")
-    if not 0 <= start < len(pg.alive):
-        raise InvalidInputError(f"start state {start} out of range")
-    if not pg.alive[start]:
-        raise NoCycleError(f"no cycle is reachable from state {start}")
-    src, dst, starts = pg.src, pg.dst, pg.starts
-    w = w_all[pg.kept]
-    tol = TOLERANCE * max(1.0, float(np.abs(w).max()))
-
-    def improves(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-        return new > old + tol
-
-    def switch(
-        value: np.ndarray, current: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # Per state: does some successor's value beat the current one, and
-        # the lowest successor that does while tying the best.
-        best = np.maximum.reduceat(value, starts)
-        pick = improves(value, current[src]) & ~improves(best[src], value)
-        return improves(best, current), pg.first_successor(pick)
-
-    heaviest = np.maximum.reduceat(w[dst], starts)
-    policy = pg.first_successor(w[dst] == heaviest[src])
-    for _ in range(_HOWARD_MAX_ITERATIONS + 1):
-        eta, bias, landing = _evaluate_policy(policy, w)
-        # Improve the cycle mean reached first; among successors that reach
-        # the same mean, improve the bias.
-        eta_next = eta[dst]
-        raise_eta, to_eta = switch(eta_next, eta)
-        same = ~improves(eta_next, eta[src]) & ~improves(eta[src], eta_next)
-        current = bias[policy]
-        bias_next = np.where(same, bias[dst], current[src])
-        raise_bias, to_bias = switch(bias_next, current)
-        raise_bias &= ~raise_eta
-        if not (raise_eta.any() or raise_bias.any()):
-            break
-        policy = np.where(raise_eta, to_eta, np.where(raise_bias, to_bias, policy))
-    else:
-        raise SolverContractError(
-            "policy iteration did not converge in "
-            f"{_HOWARD_MAX_ITERATIONS} iterations"
-        )
-
-    kept = pg.kept
-    head = int(landing[pg.live_index[start]])
-    cycle = [int(kept[head])]
-    cursor = int(policy[head])
-    while cursor != head:
-        cycle.append(int(kept[cursor]))
-        cursor = int(policy[cursor])
-    return math.fsum(w_all[cycle]) / len(cycle), cycle
-
-
 def howard_max_mean_cycle(
-    state_count: int,
-    edges: Sequence[tuple[int, int]] | tuple[np.ndarray, np.ndarray],
-    weights: Sequence[float],
+    src: np.ndarray,
+    dst: np.ndarray,
+    weightings: Sequence[Sequence[float]],
     start: int = 0,
-) -> tuple[float, list[int]]:
-    """Best mean node weight over the cycles reachable from ``start``.
+) -> list[tuple[float, list[int]]]:
+    """Best mean node weight over the cycles reachable from ``start``, per weighting.
 
     Howard's policy iteration (Cochet-Terrasson et al. 1998) on the whole
-    graph, which need not be strongly connected. States that cannot reach
-    a cycle are trimmed first, and the edges are sorted by source, then
-    target, unless they already are; :func:`solve_infinite_approx` does
-    that preparation once and runs both weightings on it. A policy picks
-    one successor per state; it starts at the heaviest successor and
-    switches only on an improvement beyond ``TOLERANCE`` times the largest
-    weight magnitude (at least 1), first of the cycle mean reached, then of
-    the bias; the returned mean falls short of the best by at most that
-    margin. Ties go to the lowest successor index, so results are
-    deterministic. Returns ``(mean, cycle)``: ``cycle`` is the cycle the
-    final policy reaches from ``start``, listed once in traversal order,
-    and ``mean`` is its exactly summed mean weight.
+    graph, which need not be strongly connected. The edges run from
+    ``src`` to ``dst``, ``intp`` arrays sorted by source, then target, as
+    :func:`build_truncated` emits them; each weighting holds one weight per
+    state. States that cannot reach a cycle are trimmed once, and every
+    weighting runs on that one graph. A policy picks one successor per
+    state; it starts at the heaviest successor and switches only on an
+    improvement beyond ``TOLERANCE`` times the largest weight magnitude (at
+    least 1), first of the cycle mean reached, then of the bias; the
+    returned mean falls short of the best by at most that margin. Ties go
+    to the lowest successor index, so results are deterministic. Returns
+    one ``(mean, cycle)`` per weighting: ``cycle`` is the cycle the final
+    policy reaches from ``start``, listed once in traversal order, and
+    ``mean`` is its exactly summed mean weight.
 
     Raises :class:`NoCycleError` when no cycle is reachable from ``start``
     and :class:`SolverContractError` after ``_HOWARD_MAX_ITERATIONS``
     improvements.
     """
-    return _howard_run(_policy_graph(state_count, edges), weights, start)
+    weightings = [np.asarray(w, dtype=np.float64) for w in weightings]
+    lengths = {len(w) for w in weightings}
+    if len(lengths) != 1:
+        raise InvalidInputError("weightings must be one or more, of one length")
+    (m,) = lengths
+    if not 0 <= start < m:
+        raise InvalidInputError(f"start state {start} out of range")
+    alive = _trim_dead_ends(m, src, dst)
+    if not alive[start]:
+        raise NoCycleError(f"no cycle is reachable from state {start}")
+    kept = np.flatnonzero(alive)
+    live_index = np.cumsum(alive) - 1
+    # Compact to the live states, keeping their order (and so the ties).
+    if len(kept) < m:
+        live = alive[src] & alive[dst]
+        src, dst = live_index[src[live]], live_index[dst[live]]
+    # Every live state keeps a live successor, so no segment is empty.
+    starts = np.searchsorted(src, np.arange(len(kept)))
+    targets, positions = np.append(dst, -1), np.arange(len(src))
+
+    def first_successor(mask: np.ndarray) -> np.ndarray:
+        # Per source segment, the target of its first edge where mask
+        # holds; -1 for segments without one.
+        pick = np.where(mask, positions, len(mask))
+        return targets[np.minimum.reduceat(pick, starts)]
+
+    results = []
+    for w_all in weightings:
+        w = w_all[kept]
+        tol = TOLERANCE * max(1.0, float(np.abs(w).max()))
+
+        def improves(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+            return new > old + tol
+
+        def switch(
+            value: np.ndarray, current: np.ndarray
+        ) -> tuple[np.ndarray, np.ndarray]:
+            # Per state: does some successor's value beat the current one,
+            # and the lowest successor that does while tying the best.
+            best = np.maximum.reduceat(value, starts)
+            pick = improves(value, current[src]) & ~improves(best[src], value)
+            return improves(best, current), first_successor(pick)
+
+        heaviest = np.maximum.reduceat(w[dst], starts)
+        policy = first_successor(w[dst] == heaviest[src])
+        for _ in range(_HOWARD_MAX_ITERATIONS + 1):
+            eta, bias, landing = _evaluate_policy(policy, w)
+            # Improve the cycle mean reached first; among successors that
+            # reach the same mean, improve the bias.
+            eta_next = eta[dst]
+            raise_eta, to_eta = switch(eta_next, eta)
+            same = ~improves(eta_next, eta[src]) & ~improves(eta[src], eta_next)
+            current = bias[policy]
+            bias_next = np.where(same, bias[dst], current[src])
+            raise_bias, to_bias = switch(bias_next, current)
+            raise_bias &= ~raise_eta
+            if not (raise_eta.any() or raise_bias.any()):
+                break
+            policy = np.where(raise_eta, to_eta, np.where(raise_bias, to_bias, policy))
+        else:
+            raise SolverContractError(
+                "policy iteration did not converge in "
+                f"{_HOWARD_MAX_ITERATIONS} iterations"
+            )
+
+        head = int(landing[live_index[start]])
+        cycle = [int(kept[head])]
+        cursor = int(policy[head])
+        while cursor != head:
+            cycle.append(int(kept[cursor]))
+            cursor = int(policy[cursor])
+        results.append((math.fsum(w_all[cycle]) / len(cycle), cycle))
+    return results
 
 
 @dataclass(frozen=True)
@@ -730,9 +674,9 @@ def solve_infinite_approx(
 ) -> ValueBracket:
     """Bracket the optimal limit-average reward to within ``epsilon``.
 
-    Builds the truncated visit-age graph and runs
-    :func:`howard_max_mean_cycle` over all of it once per weighting, from
-    the initial state; the cycles it reaches are the pessimistic and
+    Builds the truncated visit-age graph and makes one
+    :func:`howard_max_mean_cycle` call over all of it with both weightings,
+    from the initial state; the cycles it reaches are the pessimistic and
     optimistic witnesses. ``r_under`` is reported as the exact replay value
     of its witness, so ``average_reward(spec, pi_under) == r_under`` holds
     identically. The state budget is the only size limit. Raises
@@ -769,10 +713,13 @@ def solve_infinite_approx(
             "should fit the budget",
         ) from exc
     weights = tg.weights(spec)
-    pg = _policy_graph(tg.state_count, tg.edge_arrays)
+    weightings = (weights.reward_under, weights.reward_over)
+    if not all(np.isfinite(w).all() for w in weightings):
+        raise InvalidInputError(_OVERFLOW)
     try:
-        _, cycle_under = _howard_run(pg, weights.reward_under, tg.initial)
-        mean_over, cycle_over = _howard_run(pg, weights.reward_over, tg.initial)
+        (_, cycle_under), (mean_over, cycle_over) = howard_max_mean_cycle(
+            *tg.edge_arrays, weightings, tg.initial
+        )
     except NoCycleError:
         raise NoCycleError(f"no infinite path starts at node {v0}") from None
     except OverflowError:

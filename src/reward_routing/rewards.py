@@ -252,7 +252,7 @@ class DecayProfile:
     def value(self, i: int) -> float:
         """Remaining fraction after ``i`` steps of decay."""
         if i < 0:
-            raise IndexError("decay index must be non-negative")
+            raise InvalidInputError("decay index must be non-negative")
         if i < len(self.table):
             return self.table[i]
         if self.tail == "zero":

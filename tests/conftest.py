@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -22,6 +23,12 @@ def two_cycles_graph() -> Graph:
     return Graph.from_edges(
         4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 0)], labels="abcd"
     )
+
+
+def edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Edges as ``intp`` source and target arrays, sorted by source, then target."""
+    pairs = np.array(sorted(edges), dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def ring_graph(n: int) -> Graph:

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -836,10 +837,34 @@ class TestExitCodes:
         }
         graph_file = tmp_path / "huge_rates.json"
         graph_file.write_text(json.dumps(doc))
-        code, out, err = run([argv[0], "--graph", str(graph_file), *argv[1:]])
+        # Solving on inf values would print numpy's RuntimeWarnings first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run([argv[0], "--graph", str(graph_file), *argv[1:]])
         assert code == EXIT_BAD_INPUT and out is None
-        assert "Traceback" not in err
-        assert err.startswith("error: ") and "scale lambda down" in err
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "scale lambda down" in line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["infinite", "--epsilon", "0.1"], ["decide", "--epsilon", "0.1", "--threshold", "1"]],
+        ids=["infinite", "decide"],
+    )
+    def test_overflowing_weights_are_refused_before_howard(self, tmp_path, argv):
+        # At gamma 0.5 the re-score refuses first; at 0.9 the optimistic
+        # weight lam / (1 - gamma) is already inf.
+        doc = {
+            "defaults": {"lambda": 1e308, "gamma": 0.9},
+            "nodes": [{"id": "a"}, {"id": "b"}],
+            "edges": [["a", "b"], ["b", "a"]],
+        }
+        graph_file = tmp_path / "huge_rates.json"
+        graph_file.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run([argv[0], "--graph", str(graph_file), "--start", "a", *argv[1:]])
+        assert code == EXIT_BAD_INPUT and out is None
+        assert err.splitlines() == ["error: collected reward overflows a float; scale lambda down"]
 
     @pytest.mark.parametrize(
         "command, replayer",

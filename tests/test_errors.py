@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import reward_routing
 from reward_routing import (
+    DecayProfile,
     Graph,
     InvalidInputError,
+    Lasso,
     MemoryStructure,
     NoCycleError,
     RewardRoutingError,
@@ -20,8 +25,10 @@ from reward_routing import (
     SimConfig,
     SolverContractError,
     StateBudgetExceededError,
+    simulate_average_reward,
     solve_finite,
     truncation_depth,
+    validate_path,
 )
 from reward_routing import cli, infinite
 from reward_routing.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_INTERNAL, main
@@ -38,7 +45,8 @@ def test_public_names_are_unique_and_resolve():
         assert getattr(reward_routing, name) is not None, name
 
 
-# One bad call per module, with the message it must keep.
+# One bad call per module and per input-error subclass, with the message it
+# must keep.
 BAD_CALLS = {
     "graph": (lambda: Graph(0, ()), "graph needs at least one node"),
     "rewards": (lambda: RewardSpec((1.0,), (1.5,)), r"gamma\[0\] must lie in \(0, 1\]"),
@@ -56,6 +64,32 @@ BAD_CALLS = {
     "cli.parse_graph_document": (
         lambda: cli.parse_graph_document([]),
         "top level must be an object",
+    ),
+    "EmptyPathError": (
+        lambda: validate_path(two_cycles_graph(), []),
+        "a path needs at least one node",
+    ),
+    "BadEdgeError": (
+        lambda: validate_path(two_cycles_graph(), [0, 2]),
+        r"step 0: \(0, 2\) is not an edge",
+    ),
+    "HorizonMismatchError": (
+        lambda: simulate_average_reward(
+            two_cycles_graph(), SPEC, Lasso((), (0, 3)), SimConfig(trials=1, seed=0)
+        ),
+        "average-reward simulation needs a horizon",
+    ),
+    "ChoiceNotEdgeError": (
+        lambda: MemoryStructure(1, 1, {}).next_slot(1, 0),
+        "memory update undefined for slot 1 after node 0",
+    ),
+    "NodeVariantSpecError": (
+        lambda: RewardSpec((1.0, 1.0), (0.5, 0.9)).uniform_gamma(),
+        "gamma differs between nodes",
+    ),
+    "DecayProfile.value": (
+        lambda: DecayProfile.geometric(0.5).value(-1),
+        "decay index must be non-negative",
     ),
 }
 
@@ -99,3 +133,17 @@ def test_main_maps_each_error_to_its_exit_code(monkeypatch, fault, expected):
     assert ("Traceback" in err.getvalue()) == unexpected
     if unexpected:
         assert last_line.startswith(f"error: internal fault: {type(fault).__name__}")
+
+
+def test_bench_span_targets_resolve():
+    # The traced bench run wraps these names; a missing one breaks it.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    module_spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+    for module, attr in spans.TARGETS:
+        target = importlib.import_module(f"{spans.PACKAGE}.{module}")
+        assert callable(getattr(target, attr, None)), f"{module}.{attr}"
+    for module, cls_name, attr in spans.METHOD_TARGETS:
+        target = importlib.import_module(f"{spans.PACKAGE}.{module}")
+        assert attr in vars(getattr(target, cls_name)), f"{module}.{cls_name}.{attr}"

@@ -8,6 +8,7 @@ from reward_routing import (
     DecayProfile,
     Graph,
     InstanceTooLargeError,
+    InvalidInputError,
     NoPathError,
     RewardSpec,
     StateBudgetExceededError,
@@ -71,6 +72,11 @@ class TestSolveFinite:
         spec = RewardSpec.uniform(4, 1.0, 0.5)
         with pytest.raises(InstanceTooLargeError):
             solve_finite(TWO_CYCLES, spec, 0, 10**7)
+
+    def test_overflowing_value_is_refused(self):
+        spec = RewardSpec.uniform(2, 1e308, 0.5)
+        with pytest.raises(InvalidInputError, match="scale lambda down"):
+            solve_finite(ring_graph(2), spec, 0, 3)
 
     def test_deterministic_witness(self):
         spec = RewardSpec.uniform(4, 1.0, 0.3)

@@ -33,7 +33,14 @@ from reward_routing.infinite import (
 )
 
 import oracles
-from conftest import parse_route, random_graph, ring_graph, spell, two_cycles_graph
+from conftest import (
+    edge_arrays,
+    parse_route,
+    random_graph,
+    ring_graph,
+    spell,
+    two_cycles_graph,
+)
 
 TWO_CYCLES = two_cycles_graph()
 
@@ -173,6 +180,8 @@ class TestKarpMeanCycle:
         mean, cycle = karp_mean_cycle(2, edges, [5.0, 1.0], mode="max")
         assert mean == pytest.approx(3.0)
         assert sorted(cycle) == [0, 1]
+        negated_min, min_cycle = karp_mean_cycle(2, edges, [-5.0, -1.0])
+        assert (mean, cycle) == (-negated_min, min_cycle)
 
     def test_oversized_table_is_refused(self):
         # A ring just past the cell limit fails cleanly before allocating.
@@ -240,7 +249,7 @@ class TestHowardMaxMeanCycle:
                 for _ in range(n)
             ]
             start = rng.randrange(n)
-            mean, cycle = howard_max_mean_cycle(n, edges, weights, start)
+            [(mean, cycle)] = howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
             expected, _ = karp_mean_cycle(n, edges, weights, "max")
             assert mean == pytest.approx(expected, abs=1e-9)
             achieved = sum(weights[v] for v in cycle) / len(cycle)
@@ -272,9 +281,9 @@ class TestHowardMaxMeanCycle:
                 best = mean if best is None else max(best, mean)
             if best is None:
                 with pytest.raises(NoCycleError):
-                    howard_max_mean_cycle(n, edges, weights, start)
+                    howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
                 continue
-            mean, cycle = howard_max_mean_cycle(n, edges, weights, start)
+            [(mean, cycle)] = howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
             assert mean == pytest.approx(best, abs=1e-9)
             assert reach[cycle[0]]
 
@@ -293,42 +302,24 @@ class TestHowardMaxMeanCycle:
             ]
             if not means:
                 with pytest.raises(NoCycleError):
-                    howard_max_mean_cycle(n, edges, weights)
+                    howard_max_mean_cycle(*edge_arrays(edges), [weights])
                 continue
-            mean, _ = howard_max_mean_cycle(n, edges, weights)
+            [(mean, _)] = howard_max_mean_cycle(*edge_arrays(edges), [weights])
             assert mean == pytest.approx(max(means), abs=1e-9)
 
     def test_ties_go_to_the_lowest_successor(self):
         # Three equal self-loops behind the start; the first one wins.
         edges = [(0, 3), (0, 2), (0, 1), (1, 1), (2, 2), (3, 3)]
-        assert howard_max_mean_cycle(4, edges, [0.0, 1.0, 1.0, 1.0]) == (1.0, [1])
+        weights = [0.0, 1.0, 1.0, 1.0]
+        assert howard_max_mean_cycle(*edge_arrays(edges), [weights]) == [(1.0, [1])]
 
-    def test_edge_order_and_container_do_not_matter(self):
-        # Shuffled edges take the sorting path, sorted ones skip it; both
-        # must give the same mean and cycle, as a list or as arrays.
-        rng = random.Random(35)
-        for _ in range(120):
-            n = rng.randint(1, 12)
-            edges = random_digraph(rng, n, 3)
-            weights = [
-                rng.choice([rng.uniform(-2, 2), float(rng.randint(0, 2))])
-                for _ in range(n)
-            ]
-            start = rng.randrange(n)
-            shuffled = edges[:]
-            rng.shuffle(shuffled)
-            columns = np.array(shuffled, dtype=np.intp).reshape(-1, 2).T
-            forms = [edges, shuffled, (columns[0], columns[1])]
-            if edges:
-                ordered = np.array(edges, dtype=np.intp).T
-                forms.append((ordered[0], ordered[1]))
-            results = []
-            for form in forms:
-                try:
-                    results.append(howard_max_mean_cycle(n, form, weights, start))
-                except NoCycleError:
-                    results.append(NoCycleError)
-            assert results == [results[0]] * len(forms)
+    def test_bad_weightings_and_start_are_refused(self):
+        src, dst = edge_arrays([(0, 1), (1, 0)])
+        for weightings in ([], [[1.0, 2.0], [1.0]]):
+            with pytest.raises(InvalidInputError, match="of one length"):
+                howard_max_mean_cycle(src, dst, weightings)
+        with pytest.raises(InvalidInputError, match="start state 2 out of range"):
+            howard_max_mean_cycle(src, dst, [[1.0, 2.0]], 2)
 
     def test_iteration_cap_raises(self, monkeypatch):
         # The heavier successor leads into the worse cycle, so the first
@@ -336,10 +327,10 @@ class TestHowardMaxMeanCycle:
         edges = [(0, 0), (0, 1), (1, 2), (2, 0)]
         weights = [0.0, 5.0, -10.0]
         monkeypatch.setattr(infinite, "_HOWARD_MAX_ITERATIONS", 1)
-        assert howard_max_mean_cycle(3, edges, weights) == (0.0, [0])
+        assert howard_max_mean_cycle(*edge_arrays(edges), [weights]) == [(0.0, [0])]
         monkeypatch.setattr(infinite, "_HOWARD_MAX_ITERATIONS", 0)
         with pytest.raises(SolverContractError):
-            howard_max_mean_cycle(3, edges, weights)
+            howard_max_mean_cycle(*edge_arrays(edges), [weights])
 
     def test_long_tail_does_not_hide_a_slightly_better_cycle(self):
         # States 0..L-1 form a tail of weight 1 into a 0-weight self-loop at
@@ -351,7 +342,7 @@ class TestHowardMaxMeanCycle:
         edges = [(u, u + 1) for u in range(tail)]
         edges += [(loop, loop), (1, extra), (extra, 1)]
         weights = [1.0] * tail + [0.0, -1.0 + 2 * delta]
-        mean, cycle = howard_max_mean_cycle(tail + 2, edges, weights)
+        [(mean, cycle)] = howard_max_mean_cycle(*edge_arrays(edges), [weights])
         expected, _ = karp_mean_cycle(2, [(0, 1), (1, 0)], [1.0, weights[extra]], "max")
         assert mean == pytest.approx(expected, abs=1e-12)
         assert sorted(cycle) == [1, extra]
@@ -364,19 +355,16 @@ class TestHowardMaxMeanCycle:
             tg = build_truncated(g, 0, rng.randint(2, 5))
             table = tg.weights(spec)
             components = _cycle_bearing_components(tg.state_graph)
-            edges = list(tg.state_graph.edges())
-            for weights in (table.reward_under, table.reward_over):
-                if not components:
-                    with pytest.raises(NoCycleError):
-                        howard_max_mean_cycle(
-                            tg.state_count, edges, weights, tg.initial
-                        )
-                    continue
+            edges = edge_arrays(tg.state_graph.edges())
+            weightings = (table.reward_under, table.reward_over)
+            if not components:
+                with pytest.raises(NoCycleError):
+                    howard_max_mean_cycle(*edges, weightings, tg.initial)
+                continue
+            results = howard_max_mean_cycle(*edges, weightings, tg.initial)
+            for weights, (mean, _) in zip(weightings, results):
                 best = max(
                     _component_karp(tg, comp, weights, "max")[0] for comp in components
-                )
-                mean, _ = howard_max_mean_cycle(
-                    tg.state_count, edges, weights, tg.initial
                 )
                 assert mean == pytest.approx(best, abs=1e-9)
 
@@ -428,8 +416,9 @@ class TestSolveInfiniteApprox:
             solve_infinite_approx(two_cycles, spec, 0, 1e-3)
 
     def test_shared_policy_graph_matches_independent_runs(self):
-        # The solve prepares one graph for both weightings; two separate
-        # Howard calls on shuffled edges must find the same witnesses.
+        # The solve runs both weightings in one Howard call on one trimmed
+        # graph; that must equal two one-weighting calls, and the solve's
+        # witnesses must be the cycles it finds.
         rng = random.Random(36)
         for _ in range(40):
             n = rng.randint(2, 5)
@@ -438,24 +427,20 @@ class TestSolveInfiniteApprox:
             depth = truncation_depth(spec, 0.05)
             tg = build_truncated(g, 0, depth)
             table = tg.weights(spec)
-            perm = np.random.default_rng(rng.randrange(2**32)).permutation(
-                len(tg.edge_arrays[0])
-            )
-            edges = (tg.edge_arrays[0][perm], tg.edge_arrays[1][perm])
+            weightings = (table.reward_under, table.reward_over)
             try:
                 bracket = solve_infinite_approx(g, spec, 0, 0.05)
             except NoCycleError:
-                with pytest.raises(NoCycleError):
-                    howard_max_mean_cycle(
-                        tg.state_count, edges, table.reward_under, tg.initial
-                    )
+                for weights in weightings:
+                    with pytest.raises(NoCycleError):
+                        howard_max_mean_cycle(*tg.edge_arrays, [weights], tg.initial)
                 continue
-            _, under = howard_max_mean_cycle(
-                tg.state_count, edges, table.reward_under, tg.initial
-            )
-            mean_over, over = howard_max_mean_cycle(
-                tg.state_count, edges, table.reward_over, tg.initial
-            )
+            both = howard_max_mean_cycle(*tg.edge_arrays, weightings, tg.initial)
+            assert both == [
+                howard_max_mean_cycle(*tg.edge_arrays, [weights], tg.initial)[0]
+                for weights in weightings
+            ]
+            (_, under), (mean_over, over) = both
             assert bracket.pi_under == _cycle_to_lasso(tg, under)
             assert bracket.pi_over == _cycle_to_lasso(tg, over)
             assert bracket.r_over == max(mean_over, bracket.r_under)
@@ -529,17 +514,20 @@ class TestSolveInfiniteApprox:
         spec = RewardSpec.uniform(4, lam, gamma)
         tg = build_truncated(two_cycles, 0, depth)
         table = tg.weights(spec)
+        pairs = [weight_pair(spec, state, depth) for state in tg.states]
+        cost_over = np.array([pair.cost_over for pair in pairs])
+        cost_under = np.array([pair.cost_under for pair in pairs])
 
         for comp in _cycle_bearing_components(tg.state_graph):
             reward_under, _ = _component_karp(tg, comp, table.reward_under, "max")
-            cost_over, _ = _component_karp(tg, comp, table.cost_over, "min")
+            min_cost_over, _ = _component_karp(tg, comp, cost_over, "min")
             assert reward_under == pytest.approx(
-                lam / (1 - gamma) * (1 - cost_over), abs=1e-12
+                lam / (1 - gamma) * (1 - min_cost_over), abs=1e-12
             )
             reward_over, _ = _component_karp(tg, comp, table.reward_over, "max")
-            cost_under, _ = _component_karp(tg, comp, table.cost_under, "min")
+            min_cost_under, _ = _component_karp(tg, comp, cost_under, "min")
             assert reward_over == pytest.approx(
-                lam / (1 - gamma) * (1 - cost_under), abs=1e-12
+                lam / (1 - gamma) * (1 - min_cost_under), abs=1e-12
             )
 
     def test_bracket_intersects_the_closed_form_bounds(self, two_cycles):
