@@ -193,37 +193,38 @@ def _solve_layered(
     parents = []
     total_states = 1
 
-    for _ in range(horizon):
-        pred, succ, succ_ages = _expand(csr, nodes, ages, None)
-        with np.errstate(over="ignore"):
+    # An overflowing sum turns inf and is refused after the loop.
+    with np.errstate(over="ignore"):
+        for _ in range(horizon):
+            pred, succ, succ_ages = _expand(csr, nodes, ages, None)
             gained = values[pred] + steps(succ, succ_ages[succ, np.arange(len(succ))])
-        order, fresh = _sort_states(succ, succ_ages)
-        if fresh.all():
-            # Small solves mostly have no duplicates; skipping the
-            # selection here keeps their per-layer cost at the sort's.
-            keep = order
-        else:
-            # The best value wins; ties keep the smallest predecessor, which
-            # is the lexicographically smallest since the layer is sorted.
-            # A run of equal states lists its members by predecessor, so
-            # keep its first position that holds the run's maximum: every
-            # run holds one, so the first such position at or after a
-            # run's start is the run's own.
-            starts = np.flatnonzero(fresh)
-            ranked = gained[order]
-            best = np.maximum.reduceat(ranked, starts)
-            hits = np.flatnonzero(ranked == best.repeat(np.diff(starts, append=len(order))))
-            keep = order[hits[np.searchsorted(hits, starts)]]
-        if not len(keep):
-            raise NoPathError(
-                f"no path of length {horizon} from node {v0}"
-            )
-        total_states += len(keep)
-        if total_states > state_budget:
-            raise StateBudgetExceededError(state_budget)
-        nodes, ages, values = succ[keep], succ_ages.take(keep, axis=1), gained[keep]
-        layer_nodes.append(nodes)
-        parents.append(pred[keep])
+            order, fresh = _sort_states(succ, succ_ages)
+            if fresh.all():
+                # Small solves mostly have no duplicates; skipping the
+                # selection here keeps their per-layer cost at the sort's.
+                keep = order
+            else:
+                # The best value wins; ties keep the smallest predecessor, which
+                # is the lexicographically smallest since the layer is sorted.
+                # A run of equal states lists its members by predecessor, so
+                # keep its first position that holds the run's maximum: every
+                # run holds one, so the first such position at or after a
+                # run's start is the run's own.
+                starts = np.flatnonzero(fresh)
+                ranked = gained[order]
+                best = np.maximum.reduceat(ranked, starts)
+                hits = np.flatnonzero(ranked == best.repeat(np.diff(starts, append=len(order))))
+                keep = order[hits[np.searchsorted(hits, starts)]]
+            if not len(keep):
+                raise NoPathError(
+                    f"no path of length {horizon} from node {v0}"
+                )
+            total_states += len(keep)
+            if total_states > state_budget:
+                raise StateBudgetExceededError(state_budget)
+            nodes, ages, values = succ[keep], succ_ages.take(keep, axis=1), gained[keep]
+            layer_nodes.append(nodes)
+            parents.append(pred[keep])
 
     # argmax takes the first best state, the smallest in state order.
     cursor = int(values.argmax())

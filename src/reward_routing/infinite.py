@@ -460,21 +460,21 @@ def howard_max_mean_cycle(
     Howard's policy iteration (Cochet-Terrasson et al. 1998) on the whole
     graph, which need not be strongly connected. The edges run from
     ``src`` to ``dst``, ``intp`` arrays sorted by source, then target, as
-    :func:`build_truncated` emits them; each weighting holds one weight per
-    state. States that cannot reach a cycle are trimmed once, and every
-    weighting runs on that one graph. A policy picks one successor per
-    state; it starts at the heaviest successor and switches only on an
-    improvement beyond ``TOLERANCE`` times the largest weight magnitude (at
-    least 1), first of the cycle mean reached, then of the bias; the
-    returned mean falls short of the best by at most that margin. Ties go
-    to the lowest successor index, so results are deterministic. Returns
-    one ``(mean, cycle)`` per weighting: ``cycle`` is the cycle the final
-    policy reaches from ``start``, listed once in traversal order, and
-    ``mean`` is its exactly summed mean weight.
+    :func:`build_truncated` emits them. Neither their order nor their
+    endpoints are checked: unsorted edges give a wrong answer, not an
+    error. Each weighting holds one weight per state. States that cannot
+    reach a cycle are trimmed once, and every weighting runs on that one
+    graph. A policy picks one successor per state; it starts at the
+    heaviest successor and switches only on an improvement beyond
+    ``TOLERANCE`` times the largest weight magnitude (at least 1), first of
+    the cycle mean reached, then of the bias; the returned mean falls short
+    of the best by at most that margin. Ties go to the lowest successor.
+    Returns one ``(mean, cycle)`` per weighting: ``cycle`` is the cycle the
+    final policy reaches from ``start``, listed once in traversal order,
+    and ``mean`` is its exactly summed mean weight.
 
-    Raises :class:`NoCycleError` when no cycle is reachable from ``start``
-    and :class:`SolverContractError` after ``_HOWARD_MAX_ITERATIONS``
-    improvements.
+    Raises :class:`NoCycleError` if no cycle is reachable from ``start``,
+    :class:`SolverContractError` after ``_HOWARD_MAX_ITERATIONS`` improvements.
     """
     weightings = [np.asarray(w, dtype=np.float64) for w in weightings]
     lengths = {len(w) for w in weightings}
@@ -715,7 +715,9 @@ def solve_infinite_approx(
     weights = tg.weights(spec)
     weightings = (weights.reward_under, weights.reward_over)
     if not all(np.isfinite(w).all() for w in weightings):
-        raise InvalidInputError(_OVERFLOW)
+        raise InvalidInputError(
+            "optimistic weight lambda/(1-gamma) overflows a float; scale lambda down"
+        )
     try:
         (_, cycle_under), (mean_over, cycle_over) = howard_max_mean_cycle(
             *tg.edge_arrays, weightings, tg.initial

@@ -864,7 +864,9 @@ class TestExitCodes:
             warnings.simplefilter("error")
             code, out, err = run([argv[0], "--graph", str(graph_file), "--start", "a", *argv[1:]])
         assert code == EXIT_BAD_INPUT and out is None
-        assert err.splitlines() == ["error: collected reward overflows a float; scale lambda down"]
+        assert err.splitlines() == [
+            "error: optimistic weight lambda/(1-gamma) overflows a float; scale lambda down"
+        ]
 
     @pytest.mark.parametrize(
         "command, replayer",

@@ -415,6 +415,17 @@ class TestSolveInfiniteApprox:
         with pytest.raises(ValueError):
             solve_infinite_approx(two_cycles, spec, 0, 1e-3)
 
+    def test_infinite_optimistic_weight_is_refused(self):
+        # Waiting at a overflows b's age; that state's optimistic weight
+        # lam / (1 - gamma) = 1e309 is inf, though the optimum, the a-b
+        # cycle at about 1.99e307, fits in a float.
+        g = Graph(2, ((0, 1), (0,)))
+        spec = RewardSpec.uniform(2, 1e307, 0.99)
+        with pytest.raises(InvalidInputError, match=r"lambda/\(1-gamma\) overflows"):
+            solve_infinite_approx(g, spec, 0, 1e307)
+        scaled = solve_infinite_approx(g, RewardSpec.uniform(2, 1e305, 0.99), 0, 1e305)
+        assert scaled.r_under == pytest.approx(1.99e305)
+
     def test_shared_policy_graph_matches_independent_runs(self):
         # The solve runs both weightings in one Howard call on one trimmed
         # graph; that must equal two one-weighting calls, and the solve's
