@@ -30,7 +30,7 @@ from .errors import (
     NoPathError,
     StateBudgetExceededError,
 )
-from .graph import Graph, Path, _check_start
+from .graph import Graph, Path, _check_start, validate_path
 from .rewards import (
     TOLERANCE,
     DecayProfile,
@@ -38,6 +38,8 @@ from .rewards import (
     RewardValue,
     _OVERFLOW,
     _check_param,
+    _check_rescore,
+    decayed_path_reward,
     make_step_reward,
 )
 
@@ -253,9 +255,8 @@ def solve_finite(
 ) -> FiniteSolution:
     """Optimal expected total reward over all paths of the given length.
 
-    Returns the exact optimum and a witness path achieving it; replaying
-    the witness through :func:`reward_routing.rewards.path_reward` gives
-    the returned value.
+    Returns the exact optimum and a witness path achieving it; the
+    witness replays to the value, as :func:`solve_finite_decay` checks.
     """
     if spec.node_count != g.node_count:
         raise InvalidInputError("spec size disagrees with the graph")
@@ -277,8 +278,9 @@ def solve_finite_decay(
     profile; :func:`solve_finite` is this solver with γ values only.
     ``lam`` and each γ are checked as
     :class:`reward_routing.rewards.RewardSpec` checks them, so no state's
-    value can be NaN. :func:`reward_routing.rewards.decayed_path_reward`
-    replays the witness.
+    value can be NaN. The witness is validated and replayed by
+    :func:`reward_routing.rewards.decayed_path_reward`; a disagreeing
+    replay raises :class:`SolverContractError`.
     """
     if len(lam) != g.node_count or len(decays) != g.node_count:
         raise InvalidInputError("lam/decays size disagrees with the graph")
@@ -287,8 +289,11 @@ def solve_finite_decay(
     for v, decay in enumerate(decays):
         if not isinstance(decay, DecayProfile):
             _check_param("gamma", v, decay)
-    step_reward = make_step_reward(lam, decays)
-    return _solve_layered(g, v0, horizon, step_reward, state_budget)
+    solution = _solve_layered(g, v0, horizon, make_step_reward(lam, decays), state_budget)
+    validate_path(g, solution.witness.nodes)
+    replay = decayed_path_reward(decays, lam, solution.witness)
+    _check_rescore(solution.value.value, replay.value)
+    return solution
 
 
 def decide_finite_value(

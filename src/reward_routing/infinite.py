@@ -56,7 +56,9 @@ from .rewards import (
     RewardValue,
     _OVERFLOW,
     _check_param,
+    _check_rescore,
     average_reward,
+    decayed_average_reward,
     geometric_series,
 )
 
@@ -153,7 +155,7 @@ class TruncatedGraph:
     ``age_matrix[:, i]``; the matrix is C-ordered, one contiguous row of
     ages per node. ``edge_arrays`` holds ``(src, dst)`` as ``intp``
     arrays, strictly increasing by source, then target, so
-    :func:`howard_max_mean_cycle` takes them without a sort. ``parent[i]``
+    :func:`_howard_max_mean_cycle` takes them without a sort. ``parent[i]``
     is the state the build's BFS first reached ``i`` from
     (``parent[initial] == initial``), so its walks are the paths
     :func:`shortest_path` finds. ``states`` (tuples) and ``state_graph``
@@ -449,7 +451,7 @@ def _evaluate_policy(
     return eta, bias, jump
 
 
-def howard_max_mean_cycle(
+def _howard_max_mean_cycle(
     src: np.ndarray,
     dst: np.ndarray,
     weightings: Sequence[Sequence[float]],
@@ -631,8 +633,9 @@ def solve_nondiscounted(
     strongly connected components reachable from ``v0``, which one Tarjan
     pass rooted at ``v0`` finds; ties go to the component with the
     smallest node. A witness loops a covering walk of the winning
-    component forever. Polynomial time. Each rate is checked as
-    :class:`reward_routing.rewards.RewardSpec` checks it.
+    component forever; a replay of it without decay that misses the value
+    raises :class:`SolverContractError`. Polynomial time. Each rate is
+    checked as :class:`reward_routing.rewards.RewardSpec` checks it.
     """
     if len(lam) != g.node_count:
         raise InvalidInputError("lam length disagrees with the graph")
@@ -648,6 +651,8 @@ def solve_nondiscounted(
     walk = covering_cycle(g, best)
     to_walk = shortest_path(g, v0, walk.nodes[0])
     witness = validate_lasso(g, to_walk.nodes[:-1], walk.nodes[:-1])
+    replay = decayed_average_reward((1.0,) * g.node_count, lam, witness)
+    _check_rescore(total, replay.value)
     return NondiscountedSolution(
         RewardValue(total, "limit_average"), witness, best
     )
@@ -675,7 +680,7 @@ def solve_infinite_approx(
     """Bracket the optimal limit-average reward to within ``epsilon``.
 
     Builds the truncated visit-age graph and makes one
-    :func:`howard_max_mean_cycle` call over all of it with both weightings,
+    :func:`_howard_max_mean_cycle` call over all of it with both weightings,
     from the initial state; the cycles it reaches are the pessimistic and
     optimistic witnesses. ``r_under`` is reported as the exact replay value
     of its witness, so ``average_reward(spec, pi_under) == r_under`` holds
@@ -719,7 +724,7 @@ def solve_infinite_approx(
             "optimistic weight lambda/(1-gamma) overflows a float; scale lambda down"
         )
     try:
-        (_, cycle_under), (mean_over, cycle_over) = howard_max_mean_cycle(
+        (_, cycle_under), (mean_over, cycle_over) = _howard_max_mean_cycle(
             *tg.edge_arrays, weightings, tg.initial
         )
     except NoCycleError:

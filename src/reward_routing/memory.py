@@ -12,7 +12,9 @@ only the lowest of them is explored. The skipped branches would only
 repeat lassos, with the same base nodes and value, that an earlier branch
 already found. The best lasso is replaced only on strict improvement, so
 ties go to the first maximal lasso in the search order, and the answer is
-the one a full enumeration in that order gives.
+the one a full enumeration in that order gives. With the lowest slot
+always taken, a node's ``k``-th visit holds slot ``k``, so the search runs
+on base-node visit counts and builds the strategy only for the best walk.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .errors import (
     NoCycleError,
 )
 from .graph import Graph, Lasso, Path, _check_start, validate_lasso
-from .rewards import RewardSpec, RewardValue, average_reward
+from .rewards import RewardSpec, RewardValue, _check_rescore, average_reward
 
+#: A node of the product graph: ``(base node, memory slot)``.
 ProductNode = tuple[int, int]
 
 
@@ -153,7 +156,9 @@ def solve_bounded_memory(
     enumeration in the same order. The search is exponential, so instances
     are guarded to stay tiny. Choices at unreachable product nodes are fixed
     to the smallest successor. Walks that run into a dead end are skipped;
-    raises :class:`NoCycleError` when no strategy closes a lasso.
+    raises :class:`NoCycleError` when no strategy closes a lasso, and
+    :class:`SolverContractError` when the search's value misses the exact
+    replay of its witness, which is the value returned.
     """
     if g.node_count > max_nodes:
         raise InstanceTooLargeError(
@@ -170,18 +175,17 @@ def solve_bounded_memory(
     _check_start(g, v0)
     if memory_size < 1:
         raise InvalidInputError("memory size must be at least 1")
-    start: ProductNode = (v0, 1)
-    slots = range(1, memory_size + 1)
-    seq: list[ProductNode] = [start]
-    pos: dict[ProductNode, int] = {start: 0}
-    choice: dict[ProductNode, ProductNode] = {}
+    walk = [v0]
+    # positions[v]: where v stands on the walk; its k-th visit holds slot k.
+    positions: list[list[int]] = [[] for _ in range(g.node_count)]
+    positions[v0].append(0)
     cycle_values: dict[tuple[int, ...], float] = {}
-    best: tuple[float, dict[ProductNode, ProductNode], list[ProductNode], int] | None = None
+    best: tuple[float, list[int], int] | None = None
 
     def score(split: int) -> float:
         # Keyed by the raw cycle and by its canonical form; the value is
         # always that of the canonical form, so rotations score alike.
-        cycle = tuple(p[0] for p in seq[split:])
+        cycle = tuple(walk[split:])
         value = cycle_values.get(cycle)
         if value is None:
             key = _canonical_cycle(cycle)
@@ -192,54 +196,48 @@ def solve_bounded_memory(
             cycle_values[cycle] = value
         return value
 
-    def explore(current: ProductNode) -> None:
+    def explore() -> None:
         nonlocal best
-        for w in g.adjacency[current[0]]:
-            fresh = True  # the lowest slot of w off the walk is still untried
-            for slot in slots:
-                target = (w, slot)
-                split = pos.get(target)
-                if split is not None:
-                    choice[current] = target
-                    value = score(split)
-                    if best is None or value > best[0]:
-                        best = (value, dict(choice), list(seq), split)
-                elif fresh:
-                    fresh = False
-                    choice[current] = target
-                    pos[target] = len(seq)
-                    seq.append(target)
-                    explore(target)
-                    seq.pop()
-                    del pos[target]
-        choice.pop(current, None)  # current leaves the walk
+        for w in g.adjacency[walk[-1]]:
+            seen = positions[w]
+            for split in seen:
+                value = score(split)
+                if best is None or value > best[0]:
+                    best = (value, list(walk), split)
+            if len(seen) < memory_size:
+                seen.append(len(walk))
+                walk.append(w)
+                explore()
+                walk.pop()
+                seen.pop()
 
-    explore(start)
+    explore()
     if best is None:
         raise NoCycleError(f"no infinite path starts at node {v0}")
-    value, choices, walk, split = best
-
-    witness = validate_lasso(
-        g, [p[0] for p in walk[:split]], [p[0] for p in walk[split:]]
-    )
+    value, best_walk, split = best
+    witness = validate_lasso(g, best_walk[:split], best_walk[split:])
     exact = average_reward(spec, witness)
+    _check_rescore(value, exact.value)
 
+    # Position i holds its visit index as slot and moves to position i + 1,
+    # the last one back to the split.
+    slot_of = [best_walk[: i + 1].count(v) for i, v in enumerate(best_walk)]
+    after = [*range(1, len(best_walk)), split]
+    moves = {(v, slot_of[i]): after[i] for i, v in enumerate(best_walk)}
     # Fill the unreachable product nodes with the smallest successor and
-    # package the product choices as an explicit memory structure.
+    # package the choices as an explicit memory structure.
     update: dict[tuple[int, int], int] = {}
     tau: dict[tuple[int, int], int] = {}
-    for v, slot in itertools.product(range(g.node_count), slots):
-        picked = choices.get((v, slot))
-        if picked is None:
-            succs = g.adjacency[v]
-            if not succs:
-                update[(slot, v)] = 1
-                continue
-            picked = (succs[0], 1)
-        tau[(v, slot)] = picked[0]
-        update[(slot, v)] = picked[1]
+    for v, slot in itertools.product(range(g.node_count), range(1, memory_size + 1)):
+        j = moves.get((v, slot))
+        if j is not None:
+            tau[(v, slot)] = best_walk[j]
+            update[(slot, v)] = slot_of[j]
+        else:
+            update[(slot, v)] = 1
+            if g.adjacency[v]:
+                tau[(v, slot)] = g.adjacency[v][0]
     strategy = FiniteStrategy(
         MemoryStructure(memory_size, 1, update), tau, v0
     )
     return BoundedMemorySolution(exact, strategy, witness)
-

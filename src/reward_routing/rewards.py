@@ -16,7 +16,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InvalidInputError, NodeVariantSpecError, ProfileTableExhaustedError
+from .errors import (
+    InvalidInputError,
+    NodeVariantSpecError,
+    ProfileTableExhaustedError,
+    SolverContractError,
+)
 from .graph import Graph, Lasso, Path, longest_simple_cycle
 
 #: Comparison tolerance used throughout the library.
@@ -115,26 +120,19 @@ class RewardValue:
 def make_step_reward(
     lam: Sequence[float], decays: Sequence[float | DecayProfile]
 ) -> Callable[[int, int], float]:
-    """Memoized ``(node, age) -> lam[node] * (sum of age survival fractions)``.
+    """``(node, age) -> lam[node] * (sum of age survival fractions)``.
 
     This is the reward one visit collects. ``decays[v]`` is node ``v``'s
     survival probability ``gamma``, summed by :func:`geometric_series`, or
     its :class:`DecayProfile`, summed by :meth:`DecayProfile.sum_first`.
-    Only the nodes actually scored are read.
+    Only the nodes actually scored are read; nothing is cached.
     """
-    cache: dict[tuple[int, int], float] = {}
 
     def step(v: int, age: int) -> float:
-        key = (v, age)
-        hit = cache.get(key)
-        if hit is None:
-            decay = decays[v]
-            if isinstance(decay, DecayProfile):
-                hit = lam[v] * decay.sum_first(age)
-            else:
-                hit = lam[v] * geometric_series(decay, age)
-            cache[key] = hit
-        return hit
+        decay = decays[v]
+        if isinstance(decay, DecayProfile):
+            return lam[v] * decay.sum_first(age)
+        return lam[v] * geometric_series(decay, age)
 
     return step
 
@@ -147,7 +145,7 @@ def _collected(
 ) -> float:
     """Exact total of the step rewards of the visits ``zip(nodes, ages)``.
 
-    Every command re-scores its answer here, so a total too large for a
+    Every solver re-scores its witness here, so a total too large for a
     float is refused as the input's fault.
     """
     try:
@@ -157,6 +155,14 @@ def _collected(
     if not math.isfinite(total):
         raise InvalidInputError(_OVERFLOW)
     return total
+
+
+def _check_rescore(reported: float, replayed: float) -> None:
+    """Raise :class:`SolverContractError` if a witness replays off its value."""
+    if abs(reported - replayed) > TOLERANCE * max(1.0, abs(reported)):
+        raise SolverContractError(
+            f"witness re-scores to {replayed}, solver reported {reported}"
+        )
 
 
 def _visit_ages(nodes: Sequence[int]) -> list[int]:

@@ -93,7 +93,10 @@ def _poisson_totals(
     decaying = np.flatnonzero(gamma < 1.0)
     totals = np.empty(trials, dtype=np.int64)
     steps = len(route)
-    if lam.sum() * steps > _UNIT_LIMIT:
+    # A sum past the float range is inf, which the limit refuses anyway.
+    with np.errstate(over="ignore"):
+        too_large = lam.sum() * steps > _UNIT_LIMIT
+    if too_large:
         v = int(lam.argmax())
         raise InvalidInputError(
             f"lam[{v}] = {lam[v]:g} is too large for Poisson simulation over {steps} "

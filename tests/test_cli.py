@@ -16,7 +16,9 @@ from reward_routing import (
     RewardValue,
     average_reward,
     cli,
+    finite,
     infinite,
+    memory,
     path_reward,
     validate_lasso,
     validate_path,
@@ -822,6 +824,10 @@ class TestExitCodes:
             ((1e308, 1e308), ["nondiscounted", "--start", "a"]),
             ((1e308, 1.0), ["nondiscounted", "--start", "a"]),
             ((1e300, 1e300), ["simulate", "--path", "a,b,a"]),
+            # The rates' sum itself overflows in the Poisson unit-limit check.
+            pytest.param(
+                (1e308, 1e308), ["simulate", "--path", "a,b,a"], id="1e+308-1e+308-poisson"
+            ),
             # Below numpy's sampling limit, yet the int64 unit counts wrap.
             ((5e18, 5e18), ["simulate", "--path", "a,b,a"]),
         ],
@@ -873,16 +879,14 @@ class TestExitCodes:
         [
             ("infinite", infinite),
             ("decide", infinite),
-            ("infinite", cli),
-            ("decide", cli),
-            ("nondiscounted", cli),
-            ("finite", cli),
-            ("finite --decay", cli),
+            ("nondiscounted", infinite),
+            ("finite", finite),
+            ("finite --decay", finite),
         ],
     )
     def test_contract_failure_is_internal(self, tmp_path, monkeypatch, command, replayer):
         # A replay that disagrees with the solver trips the bracket check
-        # inside the solver, or the CLI's re-score of the emitted witness.
+        # or the witness re-score inside the solver.
         if command.startswith("finite"):
             name = "decayed_path_reward"
         elif command == "nondiscounted":
@@ -916,6 +920,17 @@ class TestExitCodes:
         code, out, err = run(argv)
         assert code == EXIT_INTERNAL and out is None
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_bounded_search_fault_is_internal(self, monkeypatch):
+        # Scoring every cycle as its first node alone breaks the search's
+        # value, not the witness it returns.
+        monkeypatch.setattr(memory, "_canonical_cycle", lambda c: c[:1])
+        graph = fixture_path("two_cycles_gamma_0.26.json")
+        code, out, err = run(
+            ["bounded", "--graph", graph, "--start", "a", "--memory", "2"]
+        )
+        assert code == EXIT_INTERNAL and out is None
+        assert err.startswith("error: internal solver fault: witness re-scores to ")
 
 
 def complete_graph_file(tmp_path, node_count: int, gamma: float) -> str:

@@ -11,6 +11,8 @@ from reward_routing import (
     InvalidInputError,
     NoPathError,
     RewardSpec,
+    RewardValue,
+    SolverContractError,
     StateBudgetExceededError,
     decayed_path_reward,
     decide_finite_value,
@@ -19,6 +21,7 @@ from reward_routing import (
     solve_finite_decay,
     validate_path,
 )
+from reward_routing import finite
 
 import oracles
 from conftest import random_graph, ring_graph, two_cycles_graph
@@ -195,6 +198,24 @@ class TestSolveFiniteDecay:
         decays = [DecayProfile.geometric(0.5), decay, 0.5, 0.5]
         with pytest.raises(ValueError, match=message):
             solve_finite_decay(TWO_CYCLES, [1.0, rate, 1.0, 1.0], decays, 0, 3)
+
+
+    @pytest.mark.parametrize("decay", ["gamma", "profile"])
+    def test_disagreeing_replay_is_a_contract_failure(self, monkeypatch, decay):
+        replay = finite.decayed_path_reward
+
+        def disagreeing(*args):
+            value = replay(*args)
+            return RewardValue(value.value + 1.0, value.kind, value.horizon)
+
+        monkeypatch.setattr(finite, "decayed_path_reward", disagreeing)
+        spec = RewardSpec.uniform(4, 1.0, 0.5)
+        with pytest.raises(SolverContractError, match="witness re-scores to"):
+            if decay == "gamma":
+                solve_finite(TWO_CYCLES, spec, 0, 4)
+            else:
+                profiles = [DecayProfile.geometric(0.5)] * 4
+                solve_finite_decay(TWO_CYCLES, spec.lam, profiles, 0, 4)
 
 
 class TestDecideFiniteValue:

@@ -12,6 +12,7 @@ from reward_routing import (
     NoCycleError,
     NotStronglyConnectedError,
     RewardSpec,
+    RewardValue,
     SolverContractError,
     StateBudgetExceededError,
     average_reward,
@@ -29,7 +30,7 @@ from reward_routing.infinite import (
     _component_karp,
     _cycle_bearing_components,
     _cycle_to_lasso,
-    howard_max_mean_cycle,
+    _howard_max_mean_cycle,
 )
 
 import oracles
@@ -249,7 +250,7 @@ class TestHowardMaxMeanCycle:
                 for _ in range(n)
             ]
             start = rng.randrange(n)
-            [(mean, cycle)] = howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
+            [(mean, cycle)] = _howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
             expected, _ = karp_mean_cycle(n, edges, weights, "max")
             assert mean == pytest.approx(expected, abs=1e-9)
             achieved = sum(weights[v] for v in cycle) / len(cycle)
@@ -281,9 +282,9 @@ class TestHowardMaxMeanCycle:
                 best = mean if best is None else max(best, mean)
             if best is None:
                 with pytest.raises(NoCycleError):
-                    howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
+                    _howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
                 continue
-            [(mean, cycle)] = howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
+            [(mean, cycle)] = _howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
             assert mean == pytest.approx(best, abs=1e-9)
             assert reach[cycle[0]]
 
@@ -302,24 +303,24 @@ class TestHowardMaxMeanCycle:
             ]
             if not means:
                 with pytest.raises(NoCycleError):
-                    howard_max_mean_cycle(*edge_arrays(edges), [weights])
+                    _howard_max_mean_cycle(*edge_arrays(edges), [weights])
                 continue
-            [(mean, _)] = howard_max_mean_cycle(*edge_arrays(edges), [weights])
+            [(mean, _)] = _howard_max_mean_cycle(*edge_arrays(edges), [weights])
             assert mean == pytest.approx(max(means), abs=1e-9)
 
     def test_ties_go_to_the_lowest_successor(self):
         # Three equal self-loops behind the start; the first one wins.
         edges = [(0, 3), (0, 2), (0, 1), (1, 1), (2, 2), (3, 3)]
         weights = [0.0, 1.0, 1.0, 1.0]
-        assert howard_max_mean_cycle(*edge_arrays(edges), [weights]) == [(1.0, [1])]
+        assert _howard_max_mean_cycle(*edge_arrays(edges), [weights]) == [(1.0, [1])]
 
     def test_bad_weightings_and_start_are_refused(self):
         src, dst = edge_arrays([(0, 1), (1, 0)])
         for weightings in ([], [[1.0, 2.0], [1.0]]):
             with pytest.raises(InvalidInputError, match="of one length"):
-                howard_max_mean_cycle(src, dst, weightings)
+                _howard_max_mean_cycle(src, dst, weightings)
         with pytest.raises(InvalidInputError, match="start state 2 out of range"):
-            howard_max_mean_cycle(src, dst, [[1.0, 2.0]], 2)
+            _howard_max_mean_cycle(src, dst, [[1.0, 2.0]], 2)
 
     def test_iteration_cap_raises(self, monkeypatch):
         # The heavier successor leads into the worse cycle, so the first
@@ -327,10 +328,10 @@ class TestHowardMaxMeanCycle:
         edges = [(0, 0), (0, 1), (1, 2), (2, 0)]
         weights = [0.0, 5.0, -10.0]
         monkeypatch.setattr(infinite, "_HOWARD_MAX_ITERATIONS", 1)
-        assert howard_max_mean_cycle(*edge_arrays(edges), [weights]) == [(0.0, [0])]
+        assert _howard_max_mean_cycle(*edge_arrays(edges), [weights]) == [(0.0, [0])]
         monkeypatch.setattr(infinite, "_HOWARD_MAX_ITERATIONS", 0)
         with pytest.raises(SolverContractError):
-            howard_max_mean_cycle(*edge_arrays(edges), [weights])
+            _howard_max_mean_cycle(*edge_arrays(edges), [weights])
 
     def test_long_tail_does_not_hide_a_slightly_better_cycle(self):
         # States 0..L-1 form a tail of weight 1 into a 0-weight self-loop at
@@ -342,7 +343,7 @@ class TestHowardMaxMeanCycle:
         edges = [(u, u + 1) for u in range(tail)]
         edges += [(loop, loop), (1, extra), (extra, 1)]
         weights = [1.0] * tail + [0.0, -1.0 + 2 * delta]
-        [(mean, cycle)] = howard_max_mean_cycle(*edge_arrays(edges), [weights])
+        [(mean, cycle)] = _howard_max_mean_cycle(*edge_arrays(edges), [weights])
         expected, _ = karp_mean_cycle(2, [(0, 1), (1, 0)], [1.0, weights[extra]], "max")
         assert mean == pytest.approx(expected, abs=1e-12)
         assert sorted(cycle) == [1, extra]
@@ -359,9 +360,9 @@ class TestHowardMaxMeanCycle:
             weightings = (table.reward_under, table.reward_over)
             if not components:
                 with pytest.raises(NoCycleError):
-                    howard_max_mean_cycle(*edges, weightings, tg.initial)
+                    _howard_max_mean_cycle(*edges, weightings, tg.initial)
                 continue
-            results = howard_max_mean_cycle(*edges, weightings, tg.initial)
+            results = _howard_max_mean_cycle(*edges, weightings, tg.initial)
             for weights, (mean, _) in zip(weightings, results):
                 best = max(
                     _component_karp(tg, comp, weights, "max")[0] for comp in components
@@ -444,11 +445,11 @@ class TestSolveInfiniteApprox:
             except NoCycleError:
                 for weights in weightings:
                     with pytest.raises(NoCycleError):
-                        howard_max_mean_cycle(*tg.edge_arrays, [weights], tg.initial)
+                        _howard_max_mean_cycle(*tg.edge_arrays, [weights], tg.initial)
                 continue
-            both = howard_max_mean_cycle(*tg.edge_arrays, weightings, tg.initial)
+            both = _howard_max_mean_cycle(*tg.edge_arrays, weightings, tg.initial)
             assert both == [
-                howard_max_mean_cycle(*tg.edge_arrays, [weights], tg.initial)[0]
+                _howard_max_mean_cycle(*tg.edge_arrays, [weights], tg.initial)[0]
                 for weights in weightings
             ]
             (_, under), (mean_over, over) = both
@@ -552,6 +553,20 @@ class TestSolveInfiniteApprox:
 
 
 class TestSolveNondiscounted:
+    def test_disagreeing_replay_is_a_contract_failure(self, monkeypatch, two_cycles):
+        replay = infinite.decayed_average_reward
+
+        def disagreeing(*args):
+            value = replay(*args)
+            return RewardValue(value.value - 1.0, value.kind)
+
+        monkeypatch.setattr(infinite, "decayed_average_reward", disagreeing)
+        with pytest.raises(SolverContractError, match="witness re-scores to"):
+            solve_nondiscounted(two_cycles, [1.0] * 4, 0)
+        # The gamma = 1 handover of the bracket solver inherits the check.
+        with pytest.raises(SolverContractError, match="witness re-scores to"):
+            solve_infinite_approx(two_cycles, RewardSpec.uniform(4, 1.0, 1.0), 0, 0.1)
+
     def test_two_cycles_covers_everything(self, two_cycles):
         solution = solve_nondiscounted(two_cycles, [1.0] * 4, 0)
         assert solution.value.value == 4.0

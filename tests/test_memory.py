@@ -16,11 +16,13 @@ from reward_routing import (
     MemoryStructure,
     NoCycleError,
     RewardSpec,
+    SolverContractError,
     average_reward,
     outcome,
     solve_bounded_memory,
     validate_lasso,
 )
+from reward_routing import memory
 
 import oracles
 from conftest import parse_route, random_graph, spell, two_cycles_graph
@@ -107,6 +109,13 @@ class TestSolveBoundedMemory:
         ).value
         assert three.value.value == pytest.approx(expected, abs=1e-12)
         assert three.value.value > one.value.value + 1e-6
+
+    def test_search_value_is_checked_against_the_witness(self, monkeypatch):
+        # Scoring each cycle as its first node alone leaves the search with
+        # a value that its witness does not replay to.
+        monkeypatch.setattr(memory, "_canonical_cycle", lambda c: c[:1])
+        with pytest.raises(SolverContractError, match="witness re-scores to"):
+            solve_bounded_memory(TWO_CYCLES, SPEC_26, 0, 2)
 
     def test_memoryless_on_gentle_decay_stays_in_the_triangle(self):
         spec = RewardSpec.uniform(4, 1.0, 0.1)

@@ -33,7 +33,7 @@ from reward_routing.finite import (
     _csr,
     _expand,
 )
-from reward_routing.infinite import _cycle_to_lasso, howard_max_mean_cycle
+from reward_routing.infinite import _cycle_to_lasso, _howard_max_mean_cycle
 from reward_routing.rewards import make_step_reward
 
 import oracles
@@ -248,7 +248,7 @@ class TestBfsTree:
         table = tg.weights(RewardSpec.uniform(g.node_count, 1.0, 0.5))
         weightings = (table.reward_under, table.reward_over)
         try:
-            results = howard_max_mean_cycle(*tg.edge_arrays, weightings, tg.initial)
+            results = _howard_max_mean_cycle(*tg.edge_arrays, weightings, tg.initial)
         except NoCycleError:
             results = []
         for _, cycle in results:
