@@ -9,14 +9,9 @@ CLI for reproducible runs.
 """
 
 from .errors import (
-    BadEdgeError,
-    ChoiceNotEdgeError,
-    EmptyPathError,
-    HorizonMismatchError,
     InstanceTooLargeError,
     InvalidInputError,
     NoCycleError,
-    NodeVariantSpecError,
     NoPathError,
     NotStronglyConnectedError,
     ProfileTableExhaustedError,
@@ -83,22 +78,17 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadEdgeError",
     "BoundedMemorySolution",
-    "ChoiceNotEdgeError",
     "DecayProfile",
-    "EmptyPathError",
     "FiniteSolution",
     "FiniteStrategy",
     "Graph",
-    "HorizonMismatchError",
     "InstanceTooLargeError",
     "InvalidInputError",
     "Lasso",
     "MemoryStructure",
     "NoCycleError",
     "NoPathError",
-    "NodeVariantSpecError",
     "NondiscountedSolution",
     "NotStronglyConnectedError",
     "Path",

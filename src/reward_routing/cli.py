@@ -41,7 +41,13 @@ from .errors import (
     StateBudgetExceededError,
 )
 from .graph import Graph, Lasso, validate_lasso, validate_path
-from .rewards import DecayProfile, RewardSpec, average_reward, path_reward
+from .rewards import (
+    DecayProfile,
+    RewardSpec,
+    _is_finite_number,
+    average_reward,
+    path_reward,
+)
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -98,23 +104,14 @@ def _require(obj: dict, key: str, field: str) -> Any:
     return obj[key]
 
 
-def _is_number(raw: Any) -> bool:
-    """A finite JSON number; booleans, NaN and the infinities are not."""
-    return (
-        isinstance(raw, (int, float))
-        and not isinstance(raw, bool)
-        and abs(raw) <= sys.float_info.max
-    )
-
-
 def _parse_lambda(raw: Any, field: str) -> float:
-    if not _is_number(raw) or raw < 0:
+    if not _is_finite_number(raw) or raw < 0:
         raise GraphFileError(field, "must be a non-negative number")
     return float(raw)
 
 
 def _parse_gamma(raw: Any, field: str) -> float:
-    if not _is_number(raw) or not 0 < raw <= 1:
+    if not _is_finite_number(raw) or not 0 < raw <= 1:
         raise GraphFileError(field, "must be a number in (0, 1]")
     return float(raw)
 
@@ -123,13 +120,13 @@ def _parse_profile(raw: Any, field: str) -> DecayProfile:
     if not isinstance(raw, dict):
         raise GraphFileError(field, "decay profile must be an object")
     table = _require(raw, "table", f"{field}.table")
-    if not isinstance(table, list) or not all(_is_number(x) for x in table):
+    if not isinstance(table, list) or not all(map(_is_finite_number, table)):
         raise GraphFileError(f"{field}.table", "must be a list of numbers")
     tail = _require(raw, "tail", f"{field}.tail")
     if tail not in ("geometric", "zero"):
         raise GraphFileError(f"{field}.tail", "must be 'geometric' or 'zero'")
     ratio = raw.get("ratio")
-    if ratio is not None and not _is_number(ratio):
+    if ratio is not None and not _is_finite_number(ratio):
         raise GraphFileError(f"{field}.ratio", "must be a number")
     try:
         return DecayProfile(
@@ -244,26 +241,6 @@ def load_graph_file(path: str) -> GraphModel:
     except json.JSONDecodeError as exc:
         raise GraphFileError("graph", f"invalid JSON in {path}: {exc}") from None
     return parse_graph_document(doc)
-
-
-def dump_graph_document(model: GraphModel) -> dict:
-    """Serialize a model back to the graph file schema (round-trips)."""
-    nodes = []
-    for v, node_id in enumerate(model.ids):
-        entry: dict[str, Any] = {"id": node_id, "lambda": model.lam[v]}
-        decay = model.decays[v]
-        if isinstance(decay, DecayProfile):
-            body: dict[str, Any] = {"table": list(decay.table), "tail": decay.tail}
-            if decay.ratio is not None:
-                body["ratio"] = decay.ratio
-            entry["decay_profile"] = body
-        else:
-            entry["gamma"] = decay
-        nodes.append(entry)
-    edges = [
-        [model.ids[u], model.ids[v]] for u, v in model.graph.edges()
-    ]
-    return {"nodes": nodes, "edges": edges}
 
 
 def _round_floats(value: Any) -> Any:

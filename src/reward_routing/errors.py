@@ -15,24 +15,6 @@ class InvalidInputError(RewardRoutingError, ValueError):
     """
 
 
-class EmptyPathError(InvalidInputError):
-    """A path must contain at least one node."""
-
-
-class BadEdgeError(InvalidInputError):
-    """A node sequence takes a step that is not an edge of the graph.
-
-    ``step`` is the index of the first offending step, i.e. the pair
-    ``(nodes[step], nodes[step + 1])``.
-    """
-
-    def __init__(self, step: int, src: int, dst: int) -> None:
-        self.step = step
-        self.src = src
-        self.dst = dst
-        super().__init__(f"step {step}: ({src}, {dst}) is not an edge")
-
-
 class NotStronglyConnectedError(RewardRoutingError):
     """The operation needs a strongly connected, cycle-bearing input."""
 
@@ -70,17 +52,5 @@ class SolverContractError(RewardRoutingError, RuntimeError):
     """
 
 
-class NodeVariantSpecError(InvalidInputError):
-    """Operation is only defined for node-invariant reward parameters."""
-
-
 class ProfileTableExhaustedError(RewardRoutingError):
     """A decay profile without a tail rule was read past its table."""
-
-
-class ChoiceNotEdgeError(InvalidInputError):
-    """A strategy chose a successor that is not connected by an edge."""
-
-
-class HorizonMismatchError(InvalidInputError):
-    """Simulation horizon disagrees with the length of the given path."""

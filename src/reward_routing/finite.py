@@ -30,7 +30,7 @@ from .errors import (
     NoPathError,
     StateBudgetExceededError,
 )
-from .graph import Graph, Path, _check_start, validate_path
+from .graph import Graph, Path, _check_int, _check_start, validate_path
 from .rewards import (
     TOLERANCE,
     DecayProfile,
@@ -178,6 +178,7 @@ def _solve_layered(
     state_budget: int,
 ) -> FiniteSolution:
     _check_start(g, v0)
+    _check_int("horizon", horizon)
     if horizon < 0:
         raise InvalidInputError("horizon must be non-negative")
     if horizon > DEFAULT_HORIZON_CAP:

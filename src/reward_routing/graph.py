@@ -13,12 +13,10 @@ exponential by necessity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lt
+from operator import index, lt
 from typing import Container, Iterable, Sequence
 
 from .errors import (
-    BadEdgeError,
-    EmptyPathError,
     InstanceTooLargeError,
     InvalidInputError,
     NoCycleError,
@@ -118,14 +116,11 @@ class Path:
 
     def __post_init__(self) -> None:
         if not self.nodes:
-            raise EmptyPathError("a path needs at least one node")
+            raise InvalidInputError("a path needs at least one node")
 
     @property
     def length(self) -> int:
         return len(self.nodes) - 1
-
-    def __len__(self) -> int:
-        return self.length
 
     def __getitem__(self, t: int) -> int:
         return self.nodes[t]
@@ -144,7 +139,7 @@ class Lasso:
 
     def __post_init__(self) -> None:
         if not self.cycle:
-            raise EmptyPathError("a lasso needs a non-empty cycle")
+            raise InvalidInputError("a lasso needs a non-empty cycle")
 
     def unroll(self, steps: int) -> tuple[int, ...]:
         """First ``steps + 1`` nodes of the infinite path."""
@@ -155,8 +150,20 @@ class Lasso:
         return tuple(nodes)
 
 
+def _check_int(name: str, value: int) -> None:
+    """Refuse a boolean or non-integer ``value`` by ``name``; numpy integers pass."""
+    try:
+        index(value)
+        integer = not isinstance(value, bool)
+    except TypeError:
+        integer = False
+    if not integer:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_start(g: Graph, v0: int) -> None:
     """Refuse a start node outside ``g``, with the message every solver gives."""
+    _check_int("start node", v0)
     if not 0 <= v0 < g.node_count:
         raise InvalidInputError(f"start node {v0} out of range")
 
@@ -164,28 +171,29 @@ def _check_start(g: Graph, v0: int) -> None:
 def validate_path(g: Graph, nodes: Sequence[int]) -> Path:
     """Check a node sequence against the graph and wrap it as a :class:`Path`.
 
-    Raises :class:`EmptyPathError` for an empty sequence and
-    :class:`BadEdgeError` identifying the first non-edge step.
+    Raises :class:`InvalidInputError` for an empty sequence, a node outside
+    ``g``, or a step that is not an edge, the first such step named as
+    ``step {i}: ({u}, {v}) is not an edge``.
     """
-    if not nodes:
-        raise EmptyPathError("a path needs at least one node")
     for v in nodes:
         if not 0 <= v < g.node_count:
             raise InvalidInputError(f"node {v} out of range")
     for i in range(len(nodes) - 1):
         if not g.has_edge(nodes[i], nodes[i + 1]):
-            raise BadEdgeError(i, nodes[i], nodes[i + 1])
+            raise InvalidInputError(
+                f"step {i}: ({nodes[i]}, {nodes[i + 1]}) is not an edge"
+            )
     return Path(tuple(nodes))
 
 
 def validate_lasso(g: Graph, prefix: Sequence[int], cycle: Sequence[int]) -> Lasso:
-    """Check prefix and cycle connectivity and wrap them as a :class:`Lasso`."""
+    """Check prefix and cycle connectivity and wrap them as a :class:`Lasso`.
+
+    The walk checked ends with the step that closes the cycle.
+    """
     if not cycle:
-        raise EmptyPathError("a lasso needs a non-empty cycle")
-    joined = list(prefix) + list(cycle)
-    validate_path(g, joined)
-    if not g.has_edge(cycle[-1], cycle[0]):
-        raise BadEdgeError(len(joined) - 1, cycle[-1], cycle[0])
+        raise InvalidInputError("a lasso needs a non-empty cycle")
+    validate_path(g, [*prefix, *cycle, cycle[0]])
     return Lasso(tuple(prefix), tuple(cycle))
 
 

@@ -44,6 +44,7 @@ from .finite import (
 from .graph import (
     Graph,
     Lasso,
+    _check_int,
     _check_start,
     covering_cycle,
     scc_decompose,
@@ -224,6 +225,7 @@ def build_truncated(
     :class:`StateBudgetExceededError` when a level takes the state count
     past the budget.
     """
+    _check_int("truncation depth", depth)
     if depth < 1:
         raise InvalidInputError("truncation depth must be at least 1")
     _check_start(g, v0)

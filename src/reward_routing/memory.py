@@ -23,13 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import (
-    ChoiceNotEdgeError,
-    InstanceTooLargeError,
-    InvalidInputError,
-    NoCycleError,
-)
-from .graph import Graph, Lasso, Path, _check_start, validate_lasso
+from .errors import InstanceTooLargeError, InvalidInputError, NoCycleError
+from .graph import Graph, Lasso, Path, _check_int, _check_start, validate_lasso
 from .rewards import RewardSpec, RewardValue, _check_rescore, average_reward
 
 #: A node of the product graph: ``(base node, memory slot)``.
@@ -61,7 +56,7 @@ class MemoryStructure:
         try:
             return self.update[(slot, node)]
         except KeyError:
-            raise ChoiceNotEdgeError(
+            raise InvalidInputError(
                 f"memory update undefined for slot {slot} after node {node}"
             ) from None
 
@@ -78,7 +73,7 @@ class FiniteStrategy:
         try:
             return self.choice[(node, slot)]
         except KeyError:
-            raise ChoiceNotEdgeError(
+            raise InvalidInputError(
                 f"no choice for node {node} in memory slot {slot}"
             ) from None
 
@@ -86,7 +81,7 @@ class FiniteStrategy:
 def _validate_choices(g: Graph, strategy: FiniteStrategy) -> None:
     for (node, _slot), target in strategy.choice.items():
         if not g.has_edge(node, target):
-            raise ChoiceNotEdgeError(
+            raise InvalidInputError(
                 f"strategy chooses ({node}, {target}) which is not an edge"
             )
 
@@ -165,6 +160,7 @@ def solve_bounded_memory(
             f"bounded-memory search is limited to {max_nodes} nodes and the "
             f"graph has {g.node_count}; pass max_nodes= to raise the limit"
         )
+    _check_int("memory size", memory_size)
     if memory_size > max_memory:
         raise InstanceTooLargeError(
             f"bounded-memory search is limited to memory {max_memory} and "

@@ -13,15 +13,11 @@ close to ``gamma = 1`` where the explicit sum avoids cancellation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import (
-    InvalidInputError,
-    NodeVariantSpecError,
-    ProfileTableExhaustedError,
-    SolverContractError,
-)
+from .errors import InvalidInputError, ProfileTableExhaustedError, SolverContractError
 from .graph import Graph, Lasso, Path, longest_simple_cycle
 
 #: Comparison tolerance used throughout the library.
@@ -29,6 +25,8 @@ TOLERANCE = 1e-9
 
 #: Why a reward sum too large for a float is refused; only huge rates cause one.
 _OVERFLOW = "collected reward overflows a float; scale lambda down"
+
+_FLOAT_MAX = sys.float_info.max
 
 # Below this distance from 1 the closed form (1 - g**q) / (1 - g) loses
 # precision to cancellation; sum explicitly instead.
@@ -46,17 +44,21 @@ def geometric_series(gamma: float, count: int) -> float:
     return (1.0 - gamma**count) / (1.0 - gamma)
 
 
+def _is_finite_number(value: object) -> bool:
+    """Whether ``value`` is a real number in the float range; booleans,
+    NaN, the infinities and integers past the largest float are not."""
+    try:
+        return -_FLOAT_MAX <= value <= _FLOAT_MAX and type(value) is not bool
+    except (TypeError, ValueError):
+        return False
+
+
 def _check_param(name: str, v: int, value: float) -> None:
     """Refuse ``lam[v]`` or ``gamma[v]`` unless it is a finite number in range.
 
     A rate must be non-negative and a survival probability lie in (0, 1].
-    Booleans and non-numbers are refused as not finite.
     """
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
+    if not _is_finite_number(value):
         raise InvalidInputError(f"{name}[{v}] must be a finite number")
     if name == "lam":
         if value < 0:
@@ -92,12 +94,12 @@ class RewardSpec:
     def uniform_gamma(self) -> float:
         """The shared survival probability; errors if it varies by node."""
         if len(set(self.gamma)) != 1:
-            raise NodeVariantSpecError("gamma differs between nodes")
+            raise InvalidInputError("gamma differs between nodes")
         return self.gamma[0]
 
     def uniform_lambda(self) -> float:
         if len(set(self.lam)) != 1:
-            raise NodeVariantSpecError("lam differs between nodes")
+            raise InvalidInputError("lam differs between nodes")
         return self.lam[0]
 
 
@@ -112,9 +114,6 @@ class RewardValue:
     value: float
     kind: str
     horizon: int | None = None
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def make_step_reward(
@@ -225,11 +224,9 @@ class DecayProfile:
 
     def __post_init__(self) -> None:
         for i, value in enumerate(self.table):
-            if isinstance(value, bool) or not math.isfinite(value):
+            if not _is_finite_number(value):
                 raise InvalidInputError(f"table[{i}] must be a finite number")
-        if self.ratio is not None and (
-            isinstance(self.ratio, bool) or not math.isfinite(self.ratio)
-        ):
+        if self.ratio is not None and not _is_finite_number(self.ratio):
             raise InvalidInputError("ratio must be a finite number")
         if not self.table or self.table[0] != 1.0:
             raise InvalidInputError("profile table must start at 1.0")
@@ -288,12 +285,6 @@ class DecayProfile:
         raise ProfileTableExhaustedError(
             f"profile table has {len(self.table)} entries, {count} values requested"
         )
-
-    def sum_range(self, i: int, j: int) -> float:
-        """Sum of profile values at indices ``i .. j`` inclusive."""
-        if i > j:
-            return 0.0
-        return self.sum_first(j + 1) - self.sum_first(i)
 
 
 def decayed_path_reward(

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import HorizonMismatchError, InvalidInputError
-from .graph import Graph, Lasso, Path, validate_path
+from .errors import InvalidInputError
+from .graph import Graph, Lasso, Path, _check_int, validate_path
 from .rewards import RewardSpec
 
 _GENERATION_MODES = ("poisson", "deterministic")
@@ -44,6 +44,10 @@ class SimConfig:
     horizon: int | None = None
 
     def __post_init__(self) -> None:
+        _check_int("trials", self.trials)
+        _check_int("seed", self.seed)
+        if self.horizon is not None:
+            _check_int("horizon", self.horizon)
         if self.trials < 1:
             raise InvalidInputError("at least one trial required")
         if self.generation not in _GENERATION_MODES:
@@ -140,7 +144,7 @@ def simulate_finite_reward(
         raise InvalidInputError("spec size disagrees with the graph")
     validate_path(g, p.nodes)
     if cfg.horizon is not None and cfg.horizon != p.length:
-        raise HorizonMismatchError(
+        raise InvalidInputError(
             f"config horizon {cfg.horizon} but the path has length {p.length}"
         )
     if cfg.generation == "deterministic":
@@ -162,7 +166,7 @@ def simulate_average_reward(
     if spec.node_count != g.node_count:
         raise InvalidInputError("spec size disagrees with the graph")
     if cfg.horizon is None:
-        raise HorizonMismatchError("average-reward simulation needs a horizon")
+        raise InvalidInputError("average-reward simulation needs a horizon")
     if cfg.horizon < 100 * len(lasso.cycle):
         raise InvalidInputError(
             f"horizon {cfg.horizon} too short; need at least "

@@ -31,7 +31,6 @@ from reward_routing.cli import (
     EXIT_OK,
     EXIT_UNKNOWN,
     GraphFileError,
-    dump_graph_document,
     load_graph_file,
     main,
     parse_graph_document,
@@ -140,12 +139,6 @@ DECIDE_UNKNOWN = {
 
 
 class TestGraphFiles:
-    def test_round_trip_is_identity(self):
-        model = load_graph_file(fixture_path("two_cycles_gamma_0.5.json"))
-        doc = dump_graph_document(model)
-        again = parse_graph_document(doc)
-        assert dump_graph_document(again) == doc
-
     def test_missing_nodes_named(self):
         with pytest.raises(GraphFileError) as err:
             parse_graph_document({"edges": []})
@@ -1060,7 +1053,10 @@ def graph_documents(draw) -> dict:
 
 
 # Values some number field refuses, and values no id or endpoint is.
-NOT_NUMBERS = [True, False, NAN, INF, -INF, 10**400, -1, "1", None, [1.0], 0, 1.5]
+# 2**1024 - 2**970 - 1 lies past the largest float, yet converts to it.
+NOT_NUMBERS = [
+    True, False, NAN, INF, -INF, 10**400, 2**1024 - 2**970 - 1, -1, "1", None, [1.0], 0, 1.5
+]
 NOT_IDS = [1, None, True, ["a"], {"a": 1}]
 
 

@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reward_routing
@@ -25,8 +26,11 @@ from reward_routing import (
     SimConfig,
     SolverContractError,
     StateBudgetExceededError,
+    build_truncated,
     simulate_average_reward,
+    solve_bounded_memory,
     solve_finite,
+    solve_nondiscounted,
     truncation_depth,
     validate_path,
 )
@@ -45,18 +49,17 @@ def test_public_names_are_unique_and_resolve():
         assert getattr(reward_routing, name) is not None, name
 
 
-# One bad call per module and per input-error subclass, with the message it
-# must keep.
+# One bad call per raising function, with the message it must keep.
 BAD_CALLS = {
-    "graph": (lambda: Graph(0, ()), "graph needs at least one node"),
-    "rewards": (lambda: RewardSpec((1.0,), (1.5,)), r"gamma\[0\] must lie in \(0, 1\]"),
-    "finite": (
+    "Graph": (lambda: Graph(0, ()), "graph needs at least one node"),
+    "RewardSpec": (lambda: RewardSpec((1.0,), (1.5,)), r"gamma\[0\] must lie in \(0, 1\]"),
+    "solve_finite": (
         lambda: solve_finite(two_cycles_graph(), SPEC, 0, -1),
         "horizon must be non-negative",
     ),
-    "infinite": (lambda: truncation_depth(SPEC, 0.0), "epsilon must be positive"),
-    "memory": (lambda: MemoryStructure(0, 1, {}), "memory needs at least one slot"),
-    "simulate": (lambda: SimConfig(trials=0, seed=0), "at least one trial required"),
+    "truncation_depth": (lambda: truncation_depth(SPEC, 0.0), "epsilon must be positive"),
+    "MemoryStructure": (lambda: MemoryStructure(0, 1, {}), "memory needs at least one slot"),
+    "SimConfig": (lambda: SimConfig(trials=0, seed=0), "at least one trial required"),
     "cli._check_numbers": (
         lambda: cli._check_numbers(argparse.Namespace(epsilon=-1.0)),
         "epsilon must be positive",
@@ -65,25 +68,25 @@ BAD_CALLS = {
         lambda: cli.parse_graph_document([]),
         "top level must be an object",
     ),
-    "EmptyPathError": (
+    "Path": (
         lambda: validate_path(two_cycles_graph(), []),
         "a path needs at least one node",
     ),
-    "BadEdgeError": (
+    "validate_path": (
         lambda: validate_path(two_cycles_graph(), [0, 2]),
         r"step 0: \(0, 2\) is not an edge",
     ),
-    "HorizonMismatchError": (
+    "simulate_average_reward": (
         lambda: simulate_average_reward(
             two_cycles_graph(), SPEC, Lasso((), (0, 3)), SimConfig(trials=1, seed=0)
         ),
         "average-reward simulation needs a horizon",
     ),
-    "ChoiceNotEdgeError": (
+    "MemoryStructure.next_slot": (
         lambda: MemoryStructure(1, 1, {}).next_slot(1, 0),
         "memory update undefined for slot 1 after node 0",
     ),
-    "NodeVariantSpecError": (
+    "RewardSpec.uniform_gamma": (
         lambda: RewardSpec((1.0, 1.0), (0.5, 0.9)).uniform_gamma(),
         "gamma differs between nodes",
     ),
@@ -99,6 +102,58 @@ def test_bad_input_raises_the_input_error(call, message):
     with pytest.raises(InvalidInputError, match=message) as err:
         call()
     assert isinstance(err.value, ValueError)
+
+
+# Each integer argument refuses a boolean or a non-integer, by name.
+NOT_INTEGERS = {
+    "solve_nondiscounted.v0": (
+        lambda: solve_nondiscounted(two_cycles_graph(), SPEC.lam, True),
+        "start node must be an integer, got True",
+    ),
+    "solve_finite.v0": (
+        lambda: solve_finite(two_cycles_graph(), SPEC, 0.5, 2),
+        "start node must be an integer, got 0.5",
+    ),
+    "solve_finite.horizon": (
+        lambda: solve_finite(two_cycles_graph(), SPEC, 0, 2.5),
+        "horizon must be an integer, got 2.5",
+    ),
+    "solve_bounded_memory.memory_size": (
+        lambda: solve_bounded_memory(two_cycles_graph(), SPEC, 0, 1.5),
+        "memory size must be an integer, got 1.5",
+    ),
+    "SimConfig.trials": (
+        lambda: SimConfig(trials=2.5, seed=0),
+        "trials must be an integer, got 2.5",
+    ),
+    "SimConfig.seed": (
+        lambda: SimConfig(trials=1, seed=2.5),
+        "seed must be an integer, got 2.5",
+    ),
+    "SimConfig.horizon": (
+        lambda: SimConfig(trials=1, seed=0, horizon=True),
+        "horizon must be an integer, got True",
+    ),
+    "build_truncated.depth": (
+        lambda: build_truncated(two_cycles_graph(), 0, 2.5),
+        "truncation depth must be an integer, got 2.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", list(NOT_INTEGERS.values()), ids=list(NOT_INTEGERS))
+def test_integer_arguments_refuse_booleans_and_non_integers(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        call()
+
+
+def test_numpy_integers_pass_as_integers():
+    g = two_cycles_graph()
+    assert solve_finite(g, SPEC, np.int64(0), np.int32(4)) == solve_finite(g, SPEC, 0, 4)
+    assert build_truncated(g, np.int64(0), np.int64(2)).state_count == (
+        build_truncated(g, 0, 2).state_count
+    )
+    assert SimConfig(trials=np.int64(3), seed=0, horizon=np.int16(5)).trials == 3
 
 
 FAULTS = {

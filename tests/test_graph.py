@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reward_routing import (
-    BadEdgeError,
-    EmptyPathError,
     Graph,
     InstanceTooLargeError,
     InvalidInputError,
@@ -96,12 +94,11 @@ class TestValidatePath:
         assert validate_path(g, [0, 0, 0]).length == 2
 
     def test_first_bad_step_is_reported(self, two_cycles):
-        with pytest.raises(BadEdgeError) as err:
+        with pytest.raises(InvalidInputError, match=r"^step 1: \(1, 3\) is not an edge$"):
             validate_path(two_cycles, parse_route(two_cycles, "abd"))
-        assert err.value.step == 1
 
     def test_empty_sequence_rejected(self, two_cycles):
-        with pytest.raises(EmptyPathError):
+        with pytest.raises(InvalidInputError, match="a path needs at least one node"):
             validate_path(two_cycles, [])
 
     def test_out_of_range_node_rejected(self, two_cycles):
@@ -110,7 +107,7 @@ class TestValidatePath:
 
     def test_lasso_needs_the_closing_edge(self, two_cycles):
         validate_lasso(two_cycles, [], parse_route(two_cycles, "abc"))
-        with pytest.raises(BadEdgeError):
+        with pytest.raises(InvalidInputError, match=r"step 1: \(1, 0\) is not an edge"):
             validate_lasso(two_cycles, [], parse_route(two_cycles, "ab"))
 
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reward_routing import (
-    ChoiceNotEdgeError,
     FiniteStrategy,
     Graph,
     InstanceTooLargeError,
@@ -86,12 +85,12 @@ class TestOutcome:
 
     def test_choice_off_the_edge_set_is_rejected_eagerly(self):
         strategy = memoryless(TWO_CYCLES, {0: 2, 1: 2, 2: 0, 3: 0}, 0)
-        with pytest.raises(ChoiceNotEdgeError):
+        with pytest.raises(InvalidInputError, match=r"strategy chooses \(0, 2\)"):
             outcome(TWO_CYCLES, strategy, 3)
 
     def test_missing_choice_on_a_reachable_node(self):
         strategy = memoryless(TWO_CYCLES, {0: 1, 1: 2}, 0)
-        with pytest.raises(ChoiceNotEdgeError):
+        with pytest.raises(InvalidInputError, match="no choice for node 2 in memory slot 1"):
             outcome(TWO_CYCLES, strategy, 5)
 
 

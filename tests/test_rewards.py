@@ -9,7 +9,7 @@ from reward_routing import (
     DecayProfile,
     Graph,
     Lasso,
-    NodeVariantSpecError,
+    InvalidInputError,
     ProfileTableExhaustedError,
     RewardSpec,
     average_reward,
@@ -312,6 +312,18 @@ class TestDecayProfile:
         with pytest.raises(ValueError, match=r"^ratio must be a finite number"):
             DecayProfile((1.0, 0.5), tail="geometric", ratio=bad)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"table": ("1.0",)}, r"table\[0\]"),
+            ({"table": (1.0, None)}, r"table\[1\]"),
+            ({"table": (1.0, 0.5), "tail": "geometric", "ratio": "0.5"}, "ratio"),
+        ],
+    )
+    def test_non_numbers_are_named(self, kwargs, field):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be a finite number$"):
+            DecayProfile(**kwargs)
+
     def test_boolean_first_entry_is_named(self):
         with pytest.raises(ValueError, match=r"table\[0\]"):
             DecayProfile((True, 0.5))
@@ -327,11 +339,6 @@ class TestDecayProfile:
         profile = DecayProfile((1.0, 0.5), tail="geometric", ratio=0.5)
         assert profile.value(3) == pytest.approx(0.125)
         assert profile.sum_first(4) == pytest.approx(1 + 0.5 + 0.25 + 0.125)
-
-    def test_sum_range(self):
-        profile = DecayProfile.geometric(0.5)
-        assert profile.sum_range(1, 3) == pytest.approx(0.5 + 0.25 + 0.125)
-        assert profile.sum_range(3, 1) == 0.0
 
     def test_exhausted_table_without_tail(self):
         profile = DecayProfile((1.0, 0.5))
@@ -426,7 +433,7 @@ class TestAverageRewardBounds:
 
     def test_node_variant_rejected(self):
         spec = RewardSpec((1.0, 1.0, 1.0, 1.0), (0.5, 0.6, 0.5, 0.5))
-        with pytest.raises(NodeVariantSpecError):
+        with pytest.raises(InvalidInputError, match="gamma differs between nodes"):
             average_reward_bounds(TWO_CYCLES, spec)
 
 

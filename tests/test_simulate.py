@@ -4,7 +4,7 @@ import pytest
 
 from reward_routing import (
     Graph,
-    HorizonMismatchError,
+    InvalidInputError,
     RewardSpec,
     SimConfig,
     average_reward,
@@ -69,7 +69,9 @@ class TestFiniteSimulation:
 
     def test_horizon_mismatch(self):
         cfg = SimConfig(trials=10, seed=0, horizon=3)
-        with pytest.raises(HorizonMismatchError):
+        with pytest.raises(
+            InvalidInputError, match="config horizon 3 but the path has length 6"
+        ):
             simulate_finite_reward(TWO_CYCLES, SPEC, ROUTE, cfg)
 
     def test_matching_horizon_accepted(self):
@@ -116,7 +118,9 @@ class TestAverageSimulation:
             simulate_average_reward(
                 TWO_CYCLES, SPEC, lasso, SimConfig(trials=10, seed=0, horizon=100)
             )
-        with pytest.raises(HorizonMismatchError):
+        with pytest.raises(
+            InvalidInputError, match="average-reward simulation needs a horizon"
+        ):
             simulate_average_reward(
                 TWO_CYCLES, SPEC, lasso, SimConfig(trials=10, seed=0)
             )
