@@ -161,11 +161,11 @@ def _check_int(name: str, value: int) -> None:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_start(g: Graph, v0: int) -> None:
-    """Refuse a start node outside ``g``, with the message every solver gives."""
-    _check_int("start node", v0)
+def _check_start(g: Graph, v0: int, name: str = "start node") -> None:
+    """Refuse a node outside ``g`` by ``name``, with the message every solver gives."""
+    _check_int(name, v0)
     if not 0 <= v0 < g.node_count:
-        raise InvalidInputError(f"start node {v0} out of range")
+        raise InvalidInputError(f"{name} {v0} out of range")
 
 
 def validate_path(g: Graph, nodes: Sequence[int]) -> Path:
@@ -301,7 +301,10 @@ def shortest_path(g: Graph, src: int, dst: int) -> Path:
 
     Deterministic: the BFS expands successors in ascending order, so among
     equally short paths the lexicographically smallest one is returned.
+    Either endpoint outside ``g`` raises :class:`InvalidInputError`.
     """
+    _check_start(g, src, "source node")
+    _check_start(g, dst, "target node")
     parent, hit = _bfs(g, src, (dst,))
     if hit is None:
         raise NoCycleError(f"no path from {src} to {dst}")

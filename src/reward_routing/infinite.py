@@ -7,12 +7,13 @@ component, collected by looping a covering walk; that solver is polynomial.
 With decay the problem is approximated on a truncated visit-age graph:
 states ``(node, ages)`` track how long ago each node was visited, capped at
 a depth ``K`` (age 0 encodes "longer ago than K"). Each state carries a
-pessimistic and an optimistic weight; one call of Howard's policy
-iteration for the maximum mean cycle runs both weightings on the build's
-sorted edge arrays, and yields a bracket ``[r_under, r_over]`` around the
-true optimum whose width is controlled by ``K``, together with ultimately
-periodic witness paths. Karp's recurrence (:func:`karp_mean_cycle`) stays
-as the reference the tests check Howard against.
+pessimistic and an optimistic weight. Howard's policy iteration for the
+maximum mean cycle runs on the build's sorted edge arrays with the
+optimistic weights, then with the pessimistic ones only if that cycle
+visits an overflowed age (else it is exact, hence optimal). This yields a
+bracket ``[r_under, r_over]`` around the true optimum whose width is
+controlled by ``K``, and ultimately periodic witness paths. Karp's
+recurrence (:func:`karp_mean_cycle`) is the tests' reference for Howard.
 """
 
 from __future__ import annotations
@@ -159,8 +160,10 @@ class TruncatedGraph:
     :func:`_howard_max_mean_cycle` takes them without a sort. ``parent[i]``
     is the state the build's BFS first reached ``i`` from
     (``parent[initial] == initial``), so its walks are the paths
-    :func:`shortest_path` finds. ``states`` (tuples) and ``state_graph``
-    (a :class:`Graph`) are views built on first read.
+    :func:`shortest_path` finds. A cycle whose states all have a non-zero
+    own age (``age_matrix[node_array[c], c]``) weighs exactly in both
+    weightings; a solve reports it as both witnesses. ``states`` (tuples)
+    and ``state_graph`` (a :class:`Graph`) are views built on first read.
     """
 
     graph: Graph
@@ -456,35 +459,31 @@ def _evaluate_policy(
 def _howard_max_mean_cycle(
     src: np.ndarray,
     dst: np.ndarray,
-    weightings: Sequence[Sequence[float]],
+    w: Sequence[float],
     start: int = 0,
-) -> list[tuple[float, list[int]]]:
-    """Best mean node weight over the cycles reachable from ``start``, per weighting.
+) -> tuple[float, list[int]]:
+    """Best mean node weight ``w`` over the cycles reachable from ``start``.
 
     Howard's policy iteration (Cochet-Terrasson et al. 1998) on the whole
     graph, which need not be strongly connected. The edges run from
     ``src`` to ``dst``, ``intp`` arrays sorted by source, then target, as
     :func:`build_truncated` emits them. Neither their order nor their
     endpoints are checked: unsorted edges give a wrong answer, not an
-    error. Each weighting holds one weight per state. States that cannot
-    reach a cycle are trimmed once, and every weighting runs on that one
-    graph. A policy picks one successor per state; it starts at the
-    heaviest successor and switches only on an improvement beyond
-    ``TOLERANCE`` times the largest weight magnitude (at least 1), first of
-    the cycle mean reached, then of the bias; the returned mean falls short
-    of the best by at most that margin. Ties go to the lowest successor.
-    Returns one ``(mean, cycle)`` per weighting: ``cycle`` is the cycle the
-    final policy reaches from ``start``, listed once in traversal order,
-    and ``mean`` is its exactly summed mean weight.
+    error. ``w`` holds one weight per state. States that cannot reach a
+    cycle are trimmed first. A policy picks one successor per state; it
+    starts at the heaviest successor and switches only on an improvement
+    beyond ``TOLERANCE`` times the largest weight magnitude (at least 1),
+    first of the cycle mean reached, then of the bias; the returned mean
+    falls short of the best by at most that margin. Ties go to the lowest
+    successor. Returns ``(mean, cycle)``: ``cycle`` is the cycle the final
+    policy reaches from ``start``, listed once in traversal order, and
+    ``mean`` is its exactly summed mean weight.
 
     Raises :class:`NoCycleError` if no cycle is reachable from ``start``,
     :class:`SolverContractError` after ``_HOWARD_MAX_ITERATIONS`` improvements.
     """
-    weightings = [np.asarray(w, dtype=np.float64) for w in weightings]
-    lengths = {len(w) for w in weightings}
-    if len(lengths) != 1:
-        raise InvalidInputError("weightings must be one or more, of one length")
-    (m,) = lengths
+    w_all = np.asarray(w, dtype=np.float64)
+    m = len(w_all)
     if not 0 <= start < m:
         raise InvalidInputError(f"start state {start} out of range")
     alive = _trim_dead_ends(m, src, dst)
@@ -499,6 +498,8 @@ def _howard_max_mean_cycle(
     # Every live state keeps a live successor, so no segment is empty.
     starts = np.searchsorted(src, np.arange(len(kept)))
     targets, positions = np.append(dst, -1), np.arange(len(src))
+    w = w_all[kept]
+    tol = TOLERANCE * max(1.0, float(np.abs(w).max()))
 
     def first_successor(mask: np.ndarray) -> np.ndarray:
         # Per source segment, the target of its first edge where mask
@@ -506,53 +507,45 @@ def _howard_max_mean_cycle(
         pick = np.where(mask, positions, len(mask))
         return targets[np.minimum.reduceat(pick, starts)]
 
-    results = []
-    for w_all in weightings:
-        w = w_all[kept]
-        tol = TOLERANCE * max(1.0, float(np.abs(w).max()))
+    def improves(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+        return new > old + tol
 
-        def improves(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-            return new > old + tol
+    def switch(value: np.ndarray, current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Per state: does some successor's value beat the current one, and
+        # the lowest successor that does while tying the best.
+        best = np.maximum.reduceat(value, starts)
+        pick = improves(value, current[src]) & ~improves(best[src], value)
+        return improves(best, current), first_successor(pick)
 
-        def switch(
-            value: np.ndarray, current: np.ndarray
-        ) -> tuple[np.ndarray, np.ndarray]:
-            # Per state: does some successor's value beat the current one,
-            # and the lowest successor that does while tying the best.
-            best = np.maximum.reduceat(value, starts)
-            pick = improves(value, current[src]) & ~improves(best[src], value)
-            return improves(best, current), first_successor(pick)
+    heaviest = np.maximum.reduceat(w[dst], starts)
+    policy = first_successor(w[dst] == heaviest[src])
+    for _ in range(_HOWARD_MAX_ITERATIONS + 1):
+        eta, bias, landing = _evaluate_policy(policy, w)
+        # Improve the cycle mean reached first; among successors that
+        # reach the same mean, improve the bias.
+        eta_next = eta[dst]
+        raise_eta, to_eta = switch(eta_next, eta)
+        same = ~improves(eta_next, eta[src]) & ~improves(eta[src], eta_next)
+        current = bias[policy]
+        bias_next = np.where(same, bias[dst], current[src])
+        raise_bias, to_bias = switch(bias_next, current)
+        raise_bias &= ~raise_eta
+        if not (raise_eta.any() or raise_bias.any()):
+            break
+        policy = np.where(raise_eta, to_eta, np.where(raise_bias, to_bias, policy))
+    else:
+        raise SolverContractError(
+            "policy iteration did not converge in "
+            f"{_HOWARD_MAX_ITERATIONS} iterations"
+        )
 
-        heaviest = np.maximum.reduceat(w[dst], starts)
-        policy = first_successor(w[dst] == heaviest[src])
-        for _ in range(_HOWARD_MAX_ITERATIONS + 1):
-            eta, bias, landing = _evaluate_policy(policy, w)
-            # Improve the cycle mean reached first; among successors that
-            # reach the same mean, improve the bias.
-            eta_next = eta[dst]
-            raise_eta, to_eta = switch(eta_next, eta)
-            same = ~improves(eta_next, eta[src]) & ~improves(eta[src], eta_next)
-            current = bias[policy]
-            bias_next = np.where(same, bias[dst], current[src])
-            raise_bias, to_bias = switch(bias_next, current)
-            raise_bias &= ~raise_eta
-            if not (raise_eta.any() or raise_bias.any()):
-                break
-            policy = np.where(raise_eta, to_eta, np.where(raise_bias, to_bias, policy))
-        else:
-            raise SolverContractError(
-                "policy iteration did not converge in "
-                f"{_HOWARD_MAX_ITERATIONS} iterations"
-            )
-
-        head = int(landing[live_index[start]])
-        cycle = [int(kept[head])]
-        cursor = int(policy[head])
-        while cursor != head:
-            cycle.append(int(kept[cursor]))
-            cursor = int(policy[cursor])
-        results.append((math.fsum(w_all[cycle]) / len(cycle), cycle))
-    return results
+    head = int(landing[live_index[start]])
+    cycle = [int(kept[head])]
+    cursor = int(policy[head])
+    while cursor != head:
+        cycle.append(int(kept[cursor]))
+        cursor = int(policy[cursor])
+    return math.fsum(w_all[cycle]) / len(cycle), cycle
 
 
 @dataclass(frozen=True)
@@ -562,7 +555,8 @@ class ValueBracket:
     ``r_under`` is the exact long-run value of ``pi_under`` (a real path,
     hence a lower bound); ``r_over`` is the optimistic cycle mean on the
     truncated graph, an upper bound on every path's value. Their gap is
-    at most the requested epsilon.
+    at most the requested epsilon. On an exact solve, where the optimistic
+    cycle visits no overflowed age, both witnesses are one lasso object.
     """
 
     r_under: float
@@ -681,12 +675,16 @@ def solve_infinite_approx(
 ) -> ValueBracket:
     """Bracket the optimal limit-average reward to within ``epsilon``.
 
-    Builds the truncated visit-age graph and makes one
-    :func:`_howard_max_mean_cycle` call over all of it with both weightings,
-    from the initial state; the cycles it reaches are the pessimistic and
-    optimistic witnesses. ``r_under`` is reported as the exact replay value
-    of its witness, so ``average_reward(spec, pi_under) == r_under`` holds
-    identically. The state budget is the only size limit. Raises
+    Builds the truncated visit-age graph and runs
+    :func:`_howard_max_mean_cycle` over all of it from the initial state,
+    first with the optimistic weights. If every state on that cycle has a
+    non-zero own age, its mean is its lasso's true value and so the
+    optimum: the solve is exact, ``pi_under is pi_over``, and a replay off
+    that mean raises :class:`SolverContractError`. Otherwise a second run
+    with the pessimistic weights finds ``pi_under``. ``r_under`` is
+    reported as the exact replay value of its witness, so
+    ``average_reward(spec, pi_under) == r_under`` holds identically. The
+    state budget is the only size limit. Raises
     :class:`SolverContractError` if the bracket breaks its contract, and
     :class:`InvalidInputError` if the rates are so large that a reward
     sum overflows a float.
@@ -720,23 +718,32 @@ def solve_infinite_approx(
             "should fit the budget",
         ) from exc
     weights = tg.weights(spec)
-    weightings = (weights.reward_under, weights.reward_over)
-    if not all(np.isfinite(w).all() for w in weightings):
+    # reward_under <= reward_over elementwise, so one check covers both.
+    if not np.isfinite(weights.reward_over).all():
         raise InvalidInputError(
             "optimistic weight lambda/(1-gamma) overflows a float; scale lambda down"
         )
     try:
-        (_, cycle_under), (mean_over, cycle_over) = _howard_max_mean_cycle(
-            *tg.edge_arrays, weightings, tg.initial
+        mean_over, cycle_over = _howard_max_mean_cycle(
+            *tg.edge_arrays, weights.reward_over, tg.initial
         )
+        # With no overflowed own age on it, the cycle's weights are exact.
+        exact = tg.age_matrix[tg.node_array[cycle_over], cycle_over].all()
+        if not exact:
+            _, cycle_under = _howard_max_mean_cycle(
+                *tg.edge_arrays, weights.reward_under, tg.initial
+            )
     except NoCycleError:
         raise NoCycleError(f"no infinite path starts at node {v0}") from None
     except OverflowError:
         raise InvalidInputError(_OVERFLOW) from None
 
-    pi_under = _cycle_to_lasso(tg, cycle_under)
     pi_over = _cycle_to_lasso(tg, cycle_over)
+    pi_under = pi_over if exact else _cycle_to_lasso(tg, cycle_under)
     r_under = average_reward(spec, pi_under).value
+    if exact:
+        # The upper bound is a real path's value, hence the optimum.
+        _check_rescore(mean_over, r_under)
     # r_under is the exact value of a real path, so it never exceeds the
     # optimum; lifting r_over to it only sheds rounding noise.
     r_over = max(mean_over, r_under)

@@ -44,6 +44,8 @@ class MemoryStructure:
     update: Mapping[tuple[int, int], int]
 
     def __post_init__(self) -> None:
+        _check_int("memory size", self.size)
+        _check_int("initial slot", self.initial)
         if self.size < 1:
             raise InvalidInputError("memory needs at least one slot")
         if not 1 <= self.initial <= self.size:
@@ -93,6 +95,9 @@ def outcome(g: Graph, strategy: FiniteStrategy, steps: int) -> Path:
     choice map picks the successor. Choices are validated against the edge
     set up front.
     """
+    _check_int("steps", steps)
+    if steps < 0:
+        raise InvalidInputError("steps must be non-negative")
     _validate_choices(g, strategy)
     node = strategy.start
     slot = strategy.memory.initial

@@ -16,6 +16,7 @@ import pytest
 import reward_routing
 from reward_routing import (
     DecayProfile,
+    FiniteStrategy,
     Graph,
     InvalidInputError,
     Lasso,
@@ -27,6 +28,8 @@ from reward_routing import (
     SolverContractError,
     StateBudgetExceededError,
     build_truncated,
+    outcome,
+    shortest_path,
     simulate_average_reward,
     solve_bounded_memory,
     solve_finite,
@@ -49,7 +52,13 @@ def test_public_names_are_unique_and_resolve():
         assert getattr(reward_routing, name) is not None, name
 
 
-# One bad call per raising function, with the message it must keep.
+# The a-d loop of the two-cycles graph, as a one-slot strategy.
+LOOP_STRATEGY = FiniteStrategy(
+    MemoryStructure(1, 1, {(1, v): 1 for v in range(4)}), {(0, 1): 3, (3, 1): 0}, 0
+)
+
+# One bad call per raising function (per argument where it checks several),
+# with the message it must keep.
 BAD_CALLS = {
     "Graph": (lambda: Graph(0, ()), "graph needs at least one node"),
     "RewardSpec": (lambda: RewardSpec((1.0,), (1.5,)), r"gamma\[0\] must lie in \(0, 1\]"),
@@ -94,6 +103,22 @@ BAD_CALLS = {
         lambda: DecayProfile.geometric(0.5).value(-1),
         "decay index must be non-negative",
     ),
+    "shortest_path.src": (
+        lambda: shortest_path(two_cycles_graph(), 99, 0),
+        "source node 99 out of range",
+    ),
+    "shortest_path.dst": (
+        lambda: shortest_path(two_cycles_graph(), 0, 99),
+        "target node 99 out of range",
+    ),
+    "shortest_path.negative": (
+        lambda: shortest_path(two_cycles_graph(), -1, 0),
+        "source node -1 out of range",
+    ),
+    "outcome": (
+        lambda: outcome(two_cycles_graph(), LOOP_STRATEGY, -1),
+        "steps must be non-negative",
+    ),
 }
 
 
@@ -137,6 +162,34 @@ NOT_INTEGERS = {
     "build_truncated.depth": (
         lambda: build_truncated(two_cycles_graph(), 0, 2.5),
         "truncation depth must be an integer, got 2.5",
+    ),
+    "shortest_path.dst": (
+        lambda: shortest_path(two_cycles_graph(), 0, True),
+        "target node must be an integer, got True",
+    ),
+    "shortest_path.src": (
+        lambda: shortest_path(two_cycles_graph(), 1.0, 0),
+        "source node must be an integer, got 1.0",
+    ),
+    "shortest_path.dst_float": (
+        lambda: shortest_path(two_cycles_graph(), 0, 1.0),
+        "target node must be an integer, got 1.0",
+    ),
+    "outcome.steps": (
+        lambda: outcome(two_cycles_graph(), LOOP_STRATEGY, 2.5),
+        "steps must be an integer, got 2.5",
+    ),
+    "MemoryStructure.size": (
+        lambda: MemoryStructure(1.5, 1, {}),
+        "memory size must be an integer, got 1.5",
+    ),
+    "MemoryStructure.size_bool": (
+        lambda: MemoryStructure(True, 1, {}),
+        "memory size must be an integer, got True",
+    ),
+    "MemoryStructure.initial": (
+        lambda: MemoryStructure(2, 1.0, {}),
+        "initial slot must be an integer, got 1.0",
     ),
 }
 

@@ -9,6 +9,7 @@ import pytest
 from reward_routing import (
     Graph,
     InvalidInputError,
+    Lasso,
     NoCycleError,
     NotStronglyConnectedError,
     RewardSpec,
@@ -32,6 +33,7 @@ from reward_routing.infinite import (
     _cycle_to_lasso,
     _howard_max_mean_cycle,
 )
+from reward_routing.rewards import TOLERANCE
 
 import oracles
 from conftest import (
@@ -250,7 +252,7 @@ class TestHowardMaxMeanCycle:
                 for _ in range(n)
             ]
             start = rng.randrange(n)
-            [(mean, cycle)] = _howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
+            mean, cycle = _howard_max_mean_cycle(*edge_arrays(edges), weights, start)
             expected, _ = karp_mean_cycle(n, edges, weights, "max")
             assert mean == pytest.approx(expected, abs=1e-9)
             achieved = sum(weights[v] for v in cycle) / len(cycle)
@@ -282,9 +284,9 @@ class TestHowardMaxMeanCycle:
                 best = mean if best is None else max(best, mean)
             if best is None:
                 with pytest.raises(NoCycleError):
-                    _howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
+                    _howard_max_mean_cycle(*edge_arrays(edges), weights, start)
                 continue
-            [(mean, cycle)] = _howard_max_mean_cycle(*edge_arrays(edges), [weights], start)
+            mean, cycle = _howard_max_mean_cycle(*edge_arrays(edges), weights, start)
             assert mean == pytest.approx(best, abs=1e-9)
             assert reach[cycle[0]]
 
@@ -303,24 +305,21 @@ class TestHowardMaxMeanCycle:
             ]
             if not means:
                 with pytest.raises(NoCycleError):
-                    _howard_max_mean_cycle(*edge_arrays(edges), [weights])
+                    _howard_max_mean_cycle(*edge_arrays(edges), weights)
                 continue
-            [(mean, _)] = _howard_max_mean_cycle(*edge_arrays(edges), [weights])
+            mean, _ = _howard_max_mean_cycle(*edge_arrays(edges), weights)
             assert mean == pytest.approx(max(means), abs=1e-9)
 
     def test_ties_go_to_the_lowest_successor(self):
         # Three equal self-loops behind the start; the first one wins.
         edges = [(0, 3), (0, 2), (0, 1), (1, 1), (2, 2), (3, 3)]
         weights = [0.0, 1.0, 1.0, 1.0]
-        assert _howard_max_mean_cycle(*edge_arrays(edges), [weights]) == [(1.0, [1])]
+        assert _howard_max_mean_cycle(*edge_arrays(edges), weights) == (1.0, [1])
 
-    def test_bad_weightings_and_start_are_refused(self):
+    def test_bad_start_is_refused(self):
         src, dst = edge_arrays([(0, 1), (1, 0)])
-        for weightings in ([], [[1.0, 2.0], [1.0]]):
-            with pytest.raises(InvalidInputError, match="of one length"):
-                _howard_max_mean_cycle(src, dst, weightings)
         with pytest.raises(InvalidInputError, match="start state 2 out of range"):
-            _howard_max_mean_cycle(src, dst, [[1.0, 2.0]], 2)
+            _howard_max_mean_cycle(src, dst, [1.0, 2.0], 2)
 
     def test_iteration_cap_raises(self, monkeypatch):
         # The heavier successor leads into the worse cycle, so the first
@@ -328,10 +327,10 @@ class TestHowardMaxMeanCycle:
         edges = [(0, 0), (0, 1), (1, 2), (2, 0)]
         weights = [0.0, 5.0, -10.0]
         monkeypatch.setattr(infinite, "_HOWARD_MAX_ITERATIONS", 1)
-        assert _howard_max_mean_cycle(*edge_arrays(edges), [weights]) == [(0.0, [0])]
+        assert _howard_max_mean_cycle(*edge_arrays(edges), weights) == (0.0, [0])
         monkeypatch.setattr(infinite, "_HOWARD_MAX_ITERATIONS", 0)
         with pytest.raises(SolverContractError):
-            _howard_max_mean_cycle(*edge_arrays(edges), [weights])
+            _howard_max_mean_cycle(*edge_arrays(edges), weights)
 
     def test_long_tail_does_not_hide_a_slightly_better_cycle(self):
         # States 0..L-1 form a tail of weight 1 into a 0-weight self-loop at
@@ -343,7 +342,7 @@ class TestHowardMaxMeanCycle:
         edges = [(u, u + 1) for u in range(tail)]
         edges += [(loop, loop), (1, extra), (extra, 1)]
         weights = [1.0] * tail + [0.0, -1.0 + 2 * delta]
-        [(mean, cycle)] = _howard_max_mean_cycle(*edge_arrays(edges), [weights])
+        mean, cycle = _howard_max_mean_cycle(*edge_arrays(edges), weights)
         expected, _ = karp_mean_cycle(2, [(0, 1), (1, 0)], [1.0, weights[extra]], "max")
         assert mean == pytest.approx(expected, abs=1e-12)
         assert sorted(cycle) == [1, extra]
@@ -357,13 +356,12 @@ class TestHowardMaxMeanCycle:
             table = tg.weights(spec)
             components = _cycle_bearing_components(tg.state_graph)
             edges = edge_arrays(tg.state_graph.edges())
-            weightings = (table.reward_under, table.reward_over)
-            if not components:
-                with pytest.raises(NoCycleError):
-                    _howard_max_mean_cycle(*edges, weightings, tg.initial)
-                continue
-            results = _howard_max_mean_cycle(*edges, weightings, tg.initial)
-            for weights, (mean, _) in zip(weightings, results):
+            for weights in (table.reward_under, table.reward_over):
+                if not components:
+                    with pytest.raises(NoCycleError):
+                        _howard_max_mean_cycle(*edges, weights, tg.initial)
+                    continue
+                mean, _ = _howard_max_mean_cycle(*edges, weights, tg.initial)
                 best = max(
                     _component_karp(tg, comp, weights, "max")[0] for comp in components
                 )
@@ -427,36 +425,112 @@ class TestSolveInfiniteApprox:
         scaled = solve_infinite_approx(g, RewardSpec.uniform(2, 1e305, 0.99), 0, 1e305)
         assert scaled.r_under == pytest.approx(1.99e305)
 
-    def test_shared_policy_graph_matches_independent_runs(self):
-        # The solve runs both weightings in one Howard call on one trimmed
-        # graph; that must equal two one-weighting calls, and the solve's
-        # witnesses must be the cycles it finds.
+    def test_witnesses_follow_the_exact_or_fallback_rule(self):
+        # The solve runs Howard on the optimistic weights first. A cycle
+        # with no overflowed own age is exact and stands for both
+        # witnesses; otherwise a pessimistic run finds pi_under. Both
+        # cases must match independent one-weighting runs.
         rng = random.Random(36)
+        seen = set()
         for _ in range(40):
             n = rng.randint(2, 5)
             g = random_graph(rng, n, min_out=0, max_out=min(n, 3))
             spec = RewardSpec.uniform(g.node_count, 1.0, rng.uniform(0.2, 0.6))
-            depth = truncation_depth(spec, 0.05)
+            # Coarse truncations make overflowed optimistic cycles common.
+            epsilon = rng.choice((0.05, 1.0))
+            depth = truncation_depth(spec, epsilon)
             tg = build_truncated(g, 0, depth)
             table = tg.weights(spec)
-            weightings = (table.reward_under, table.reward_over)
             try:
-                bracket = solve_infinite_approx(g, spec, 0, 0.05)
+                bracket = solve_infinite_approx(g, spec, 0, epsilon)
             except NoCycleError:
-                for weights in weightings:
+                for weights in (table.reward_under, table.reward_over):
                     with pytest.raises(NoCycleError):
-                        _howard_max_mean_cycle(*tg.edge_arrays, [weights], tg.initial)
+                        _howard_max_mean_cycle(*tg.edge_arrays, weights, tg.initial)
                 continue
-            both = _howard_max_mean_cycle(*tg.edge_arrays, weightings, tg.initial)
-            assert both == [
-                _howard_max_mean_cycle(*tg.edge_arrays, [weights], tg.initial)[0]
-                for weights in weightings
-            ]
-            (_, under), (mean_over, over) = both
-            assert bracket.pi_under == _cycle_to_lasso(tg, under)
+            mean_over, over = _howard_max_mean_cycle(
+                *tg.edge_arrays, table.reward_over, tg.initial
+            )
+            exact = bool(tg.age_matrix[tg.node_array[over], over].all())
+            seen.add(exact)
             assert bracket.pi_over == _cycle_to_lasso(tg, over)
+            if exact:
+                assert bracket.pi_under is bracket.pi_over
+                assert bracket.r_under == pytest.approx(mean_over, abs=TOLERANCE)
+            else:
+                _, under = _howard_max_mean_cycle(
+                    *tg.edge_arrays, table.reward_under, tg.initial
+                )
+                assert bracket.pi_under == _cycle_to_lasso(tg, under)
             assert bracket.r_over == max(mean_over, bracket.r_under)
             assert bracket.depth == depth and bracket.state_count == tg.state_count
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize(
+        "epsilon, depth, runs", [(1e-5, 9, 1), (1e-3, 6, 2)], ids=["exact", "fallback"]
+    )
+    def test_exact_solve_runs_howard_once(
+        self, monkeypatch, two_cycles, epsilon, depth, runs
+    ):
+        # At depth 9 the optimistic cycle of the gamma 0.26 fixture visits
+        # no overflowed age; at depth 6 it does, and a second run follows.
+        calls = []
+        howard = infinite._howard_max_mean_cycle
+
+        def spy(*args):
+            calls.append(args)
+            return howard(*args)
+
+        monkeypatch.setattr(infinite, "_howard_max_mean_cycle", spy)
+        spec = RewardSpec.uniform(4, 1.0, 0.26)
+        bracket = solve_infinite_approx(two_cycles, spec, 0, epsilon)
+        assert (bracket.depth, len(calls)) == (depth, runs)
+        assert (bracket.pi_under is bracket.pi_over) == (runs == 1)
+        if runs == 1:
+            assert bracket.epsilon_achieved == 0.0
+        else:
+            assert bracket.epsilon_achieved == pytest.approx(3.5275e-6, rel=1e-4)
+
+    def test_overflowed_optimistic_cycle_keeps_the_pessimistic_run(self):
+        # The optimistic cycle waits at 0 and overflows its age at depth 2;
+        # skipping the pessimistic run would report it as the lower witness.
+        g = Graph.from_edges(2, [(0, 0), (0, 1), (1, 0)])
+        bracket = solve_infinite_approx(g, RewardSpec.uniform(2, 1.0, 0.6), 0, 1.0)
+        assert bracket.pi_under.cycle == (0, 1)
+        assert bracket.r_under == pytest.approx(1.6, abs=1e-12)
+        assert bracket.pi_over.cycle == (0, 1, 0)
+        assert bracket.r_over == pytest.approx(1.7, abs=1e-12)
+
+    def test_exact_solve_reports_the_optimistic_tie(self):
+        # The self-loops at 0 and 1 both collect 0.2 per step. The
+        # optimistic run settles on 1's loop and, being exact, names it
+        # as both witnesses (a pessimistic run would pick 0's loop).
+        g = Graph.from_edges(2, [(0, 0), (0, 1), (1, 1)])
+        bracket = solve_infinite_approx(g, RewardSpec((0.2, 0.2), (0.6, 0.5)), 0, 1.0)
+        assert bracket.pi_under == bracket.pi_over == Lasso((0, 1), (1,))
+        assert bracket.r_under == bracket.r_over == pytest.approx(0.2, abs=1e-12)
+
+    def test_one_run_matches_two_on_heterogeneous_specs(self):
+        rng = random.Random(38)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            g = random_graph(rng, n, max_out=min(n, 3))
+            spec = RewardSpec(
+                tuple(rng.uniform(0.0, 2.0) for _ in range(n)),
+                tuple(rng.uniform(0.2, 0.6) for _ in range(n)),
+            )
+            bracket = solve_infinite_approx(g, spec, 0, rng.choice((0.05, 1.0)))
+            tg = build_truncated(g, 0, bracket.depth)
+            table = tg.weights(spec)
+            mean_over, _ = _howard_max_mean_cycle(
+                *tg.edge_arrays, table.reward_over, tg.initial
+            )
+            _, under = _howard_max_mean_cycle(
+                *tg.edge_arrays, table.reward_under, tg.initial
+            )
+            r_under = average_reward(spec, _cycle_to_lasso(tg, under)).value
+            assert bracket.r_over == max(mean_over, r_under)
+            assert bracket.r_under == pytest.approx(r_under, abs=TOLERANCE)
 
     def test_budget_error_reports_feasible_epsilon(self, two_cycles):
         spec = RewardSpec.uniform(4, 1.0, 0.5)

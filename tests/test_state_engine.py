@@ -246,12 +246,11 @@ class TestBfsTree:
         g, v0 = instance
         tg = build_truncated(g, v0, depth)
         table = tg.weights(RewardSpec.uniform(g.node_count, 1.0, 0.5))
-        weightings = (table.reward_under, table.reward_over)
-        try:
-            results = _howard_max_mean_cycle(*tg.edge_arrays, weightings, tg.initial)
-        except NoCycleError:
-            results = []
-        for _, cycle in results:
+        for weights in (table.reward_under, table.reward_over):
+            try:
+                _, cycle = _howard_max_mean_cycle(*tg.edge_arrays, weights, tg.initial)
+            except NoCycleError:
+                continue
             _cycle_to_lasso(tg, cycle)
         assert "states" not in vars(tg) and "state_graph" not in vars(tg)
 
