@@ -39,6 +39,7 @@ from .rewards import (
     _OVERFLOW,
     _check_param,
     _check_rescore,
+    _is_finite_number,
     decayed_path_reward,
     make_step_reward,
 )
@@ -310,6 +311,8 @@ def decide_finite_value(
 
     False when no path of the requested length exists at all.
     """
+    if not _is_finite_number(threshold):
+        raise InvalidInputError("threshold must be a finite number")
     try:
         solution = solve_finite(g, spec, v0, horizon, state_budget=state_budget)
     except NoPathError:

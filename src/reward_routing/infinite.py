@@ -19,7 +19,7 @@ recurrence (:func:`karp_mean_cycle`) is the tests' reference for Howard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
@@ -59,6 +59,7 @@ from .rewards import (
     _OVERFLOW,
     _check_param,
     _check_rescore,
+    _is_finite_number,
     average_reward,
     decayed_average_reward,
     geometric_series,
@@ -299,6 +300,31 @@ def build_truncated(
     return TruncatedGraph(g, depth, initial, nodes, ages, (src, dst), parent)
 
 
+def _live_graph(g: Graph, v0: int) -> Graph:
+    """``g`` without the edges into nodes that have no infinite path onward.
+
+    A truncated state has its node's successors, so it reaches a cycle
+    exactly when its node has an infinite path. Peels nodes whose
+    out-degree has dropped to 0, one layer per round. Raises
+    :class:`NoCycleError` if ``v0`` is peeled.
+    """
+    _check_start(g, v0)
+    _, degree, dst = _csr(g)
+    src = np.arange(g.node_count).repeat(degree)
+    alive = np.ones(g.node_count, dtype=bool)
+    dying = degree == 0
+    while dying.any():
+        alive &= ~dying
+        degree -= np.bincount(src[dying[dst]], minlength=g.node_count)
+        dying = alive & (degree == 0)
+    if not alive[v0]:
+        raise NoCycleError(f"no infinite path starts at node {v0}")
+    if alive.all():
+        return g
+    keep = alive.tolist()
+    return replace(g, adjacency=tuple(tuple(w for w in s if keep[w]) for s in g.adjacency))
+
+
 def _verify_strongly_connected(m: int, edges: list[tuple[int, int]]) -> None:
     if m < 1:
         raise NotStronglyConnectedError("empty subgraph")
@@ -356,12 +382,12 @@ def karp_mean_cycle(
     order = np.lexsort((src, dst))
     src_sorted = src[order]
     dst_sorted = dst[order]
-    seg_starts = np.searchsorted(dst_sorted, np.arange(m))
+    bounds = np.searchsorted(dst_sorted, np.arange(m + 1))
 
     table = np.full((m + 1, m), np.inf)
     table[0, 0] = 0.0
     for n in range(1, m + 1):
-        best_in = np.minimum.reduceat(table[n - 1, src_sorted], seg_starts)
+        best_in = np.minimum.reduceat(table[n - 1, src_sorted], bounds[:-1])
         table[n] = best_in + w
 
     with np.errstate(invalid="ignore"):
@@ -377,9 +403,7 @@ def karp_mean_cycle(
     walk = [target]
     cursor = target
     for n in range(m, 0, -1):
-        lo = seg_starts[cursor]
-        hi = seg_starts[cursor + 1] if cursor + 1 < m else len(src_sorted)
-        preds = src_sorted[lo:hi]
+        preds = src_sorted[bounds[cursor] : bounds[cursor + 1]]
         cursor = int(preds[np.argmin(table[n - 1, preds])])
         walk.append(cursor)
     walk.reverse()
@@ -402,21 +426,6 @@ def karp_mean_cycle(
             f"extracted cycle mean {achieved} disagrees with {mean}"
         )
     return sign * mean, cycle
-
-
-def _trim_dead_ends(m: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Mask of the states that can reach a cycle.
-
-    Peels states whose out-degree has dropped to 0, one layer per round.
-    """
-    degree = np.bincount(src, minlength=m)
-    alive = np.ones(m, dtype=bool)
-    dying = degree == 0
-    while dying.any():
-        alive &= ~dying
-        degree -= np.bincount(src[dying[dst]], minlength=m)
-        dying = alive & (degree == 0)
-    return alive
 
 
 def _evaluate_policy(
@@ -465,40 +474,32 @@ def _howard_max_mean_cycle(
     """Best mean node weight ``w`` over the cycles reachable from ``start``.
 
     Howard's policy iteration (Cochet-Terrasson et al. 1998) on the whole
-    graph, which need not be strongly connected. The edges run from
-    ``src`` to ``dst``, ``intp`` arrays sorted by source, then target, as
-    :func:`build_truncated` emits them. Neither their order nor their
+    graph, which need not be strongly connected but must give every state
+    a successor, as a build on :func:`_live_graph` does. The edges run
+    from ``src`` to ``dst``, ``intp`` arrays sorted by source, then target,
+    as :func:`build_truncated` emits them. Neither their order nor their
     endpoints are checked: unsorted edges give a wrong answer, not an
-    error. ``w`` holds one weight per state. States that cannot reach a
-    cycle are trimmed first. A policy picks one successor per state; it
-    starts at the heaviest successor and switches only on an improvement
-    beyond ``TOLERANCE`` times the largest weight magnitude (at least 1),
-    first of the cycle mean reached, then of the bias; the returned mean
-    falls short of the best by at most that margin. Ties go to the lowest
-    successor. Returns ``(mean, cycle)``: ``cycle`` is the cycle the final
-    policy reaches from ``start``, listed once in traversal order, and
-    ``mean`` is its exactly summed mean weight.
+    error. ``w`` holds one weight per state. A policy picks one successor
+    per state; it starts at the heaviest successor and switches only on an
+    improvement beyond ``TOLERANCE`` times the largest weight magnitude (at
+    least 1), first of the cycle mean reached, then of the bias; the
+    returned mean falls short of the best by at most that margin. Ties go
+    to the lowest successor. Returns ``(mean, cycle)``: ``cycle`` is the
+    cycle the final policy reaches from ``start``, listed once in traversal
+    order, and ``mean`` is its exactly summed mean weight.
 
-    Raises :class:`NoCycleError` if no cycle is reachable from ``start``,
+    Raises :class:`InvalidInputError` if some state has no out-edge,
     :class:`SolverContractError` after ``_HOWARD_MAX_ITERATIONS`` improvements.
     """
-    w_all = np.asarray(w, dtype=np.float64)
-    m = len(w_all)
+    w = np.asarray(w, dtype=np.float64)
+    m = len(w)
     if not 0 <= start < m:
         raise InvalidInputError(f"start state {start} out of range")
-    alive = _trim_dead_ends(m, src, dst)
-    if not alive[start]:
-        raise NoCycleError(f"no cycle is reachable from state {start}")
-    kept = np.flatnonzero(alive)
-    live_index = np.cumsum(alive) - 1
-    # Compact to the live states, keeping their order (and so the ties).
-    if len(kept) < m:
-        live = alive[src] & alive[dst]
-        src, dst = live_index[src[live]], live_index[dst[live]]
-    # Every live state keeps a live successor, so no segment is empty.
-    starts = np.searchsorted(src, np.arange(len(kept)))
+    starts = np.searchsorted(src, np.arange(m))
+    degree = np.diff(starts, append=len(src))
+    if not degree.all():
+        raise InvalidInputError(f"state {int(np.argmin(degree))} has no out-edge")
     targets, positions = np.append(dst, -1), np.arange(len(src))
-    w = w_all[kept]
     tol = TOLERANCE * max(1.0, float(np.abs(w).max()))
 
     def first_successor(mask: np.ndarray) -> np.ndarray:
@@ -539,13 +540,13 @@ def _howard_max_mean_cycle(
             f"{_HOWARD_MAX_ITERATIONS} iterations"
         )
 
-    head = int(landing[live_index[start]])
-    cycle = [int(kept[head])]
+    head = int(landing[start])
+    cycle = [head]
     cursor = int(policy[head])
     while cursor != head:
-        cycle.append(int(kept[cursor]))
+        cycle.append(cursor)
         cursor = int(policy[cursor])
-    return math.fsum(w_all[cycle]) / len(cycle), cycle
+    return math.fsum(w[cycle]) / len(cycle), cycle
 
 
 @dataclass(frozen=True)
@@ -637,7 +638,6 @@ def solve_nondiscounted(
         raise InvalidInputError("lam length disagrees with the graph")
     for v, value in enumerate(lam):
         _check_param("lam", v, value)
-    _check_start(g, v0)
     components = _cycle_bearing_components(g, v0)
     if not components:
         raise NoCycleError(f"no infinite path starts at node {v0}")
@@ -675,7 +675,10 @@ def solve_infinite_approx(
 ) -> ValueBracket:
     """Bracket the optimal limit-average reward to within ``epsilon``.
 
-    Builds the truncated visit-age graph and runs
+    A start with no infinite path raises :class:`NoCycleError` before any
+    state is built. Otherwise builds the truncated visit-age graph on the
+    nodes with one (:func:`_live_graph`), so ``state_count`` counts the
+    reachable states an infinite path passes, and runs
     :func:`_howard_max_mean_cycle` over all of it from the initial state,
     first with the optimistic weights. If every state on that cycle has a
     non-zero own age, its mean is its lasso's true value and so the
@@ -709,8 +712,9 @@ def solve_infinite_approx(
         )
 
     depth = truncation_depth(spec, epsilon)
+    live = _live_graph(g, v0)
     try:
-        tg = build_truncated(g, v0, depth, state_budget=state_budget)
+        tg = build_truncated(live, v0, depth, state_budget=state_budget)
     except StateBudgetExceededError as exc:
         raise StateBudgetExceededError(
             state_budget,
@@ -733,8 +737,6 @@ def solve_infinite_approx(
             _, cycle_under = _howard_max_mean_cycle(
                 *tg.edge_arrays, weights.reward_under, tg.initial
             )
-    except NoCycleError:
-        raise NoCycleError(f"no infinite path starts at node {v0}") from None
     except OverflowError:
         raise InvalidInputError(_OVERFLOW) from None
 
@@ -747,19 +749,13 @@ def solve_infinite_approx(
     # r_under is the exact value of a real path, so it never exceeds the
     # optimum; lifting r_over to it only sheds rounding noise.
     r_over = max(mean_over, r_under)
-    if r_under > r_over + TOLERANCE or r_over - r_under > epsilon + TOLERANCE:
+    if r_over - r_under > epsilon + TOLERANCE:
         raise SolverContractError(
             f"bracket [{r_under}, {r_over}] violates its contract at "
             f"epsilon {epsilon}"
         )
     return ValueBracket(
-        r_under=r_under,
-        r_over=r_over,
-        pi_under=pi_under,
-        pi_over=pi_over,
-        depth=depth,
-        epsilon_achieved=r_over - r_under,
-        state_count=tg.state_count,
+        r_under, r_over, pi_under, pi_over, depth, r_over - r_under, tg.state_count
     )
 
 
@@ -779,9 +775,9 @@ def decide_infinite_value(
     and ``("unknown", bracket)`` otherwise; the caller may retry with a
     smaller epsilon.
     """
-    bracket = solve_infinite_approx(
-        g, spec, v0, epsilon, state_budget=state_budget
-    )
+    if not _is_finite_number(threshold):
+        raise InvalidInputError("threshold must be a finite number")
+    bracket = solve_infinite_approx(g, spec, v0, epsilon, state_budget=state_budget)
     if bracket.r_under >= threshold - TOLERANCE:
         return "yes", bracket
     if bracket.r_over < threshold - TOLERANCE:

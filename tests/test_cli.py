@@ -661,6 +661,24 @@ class TestExitCodes:
         assert code == EXIT_BUDGET
         assert "states" in err
 
+    def test_no_infinite_path_is_bad_input_under_a_tiny_budget(self, monkeypatch, tmp_path):
+        # Every path of a complete DAG ends; that is found on the input
+        # graph, before a state is built, so the budget cannot hide it.
+        ids = "abcdef"
+        doc = {
+            "defaults": {"lambda": 1.0, "gamma": 0.5},
+            "nodes": [{"id": i} for i in ids],
+            "edges": [[u, v] for k, u in enumerate(ids) for v in ids[k + 1 :]],
+        }
+        graph = tmp_path / "dag.json"
+        graph.write_text(json.dumps(doc))
+        monkeypatch.setenv("RRP_STATE_BUDGET", "20")
+        code, out, err = run(
+            ["infinite", "--graph", str(graph), "--start", "a", "--epsilon", "1e-3"]
+        )
+        assert (code, out) == (EXIT_BAD_INPUT, None)
+        assert err.splitlines()[-1] == "error: no infinite path starts at node 0"
+
     def test_malformed_budget_env(self, monkeypatch):
         monkeypatch.setenv("RRP_STATE_BUDGET", "many")
         code, _, _ = run(
@@ -983,11 +1001,12 @@ class TestInfiniteBeyondKarpTable:
             ["infinite", "--graph", str(graph), "--start", "s", "--epsilon", "1e-4"]
         )
         assert code == EXIT_OK, err
+        # The sink has no infinite path onward, so its state is never built.
+        assert out["state_count"] == 23
         for side in ("witness_under", "witness_over"):
             witness = out["bracket"][side]
-            assert witness["prefix"][0] == "s"
-            assert set(witness["prefix"][1:]) <= {"a", "b"}
-            assert sorted(witness["cycle"]) == ["a", "b"]
+            assert witness["prefix"] == ["s"] + ["a", "b"] * 10
+            assert witness["cycle"] == ["a", "b"]
         assert out["bracket"]["r_under"] == pytest.approx(1.5, abs=1e-4)
         assert rescored_under(str(graph), out) == pytest.approx(
             out["bracket"]["r_under"], abs=1e-9

@@ -28,6 +28,8 @@ from reward_routing import (
     SolverContractError,
     StateBudgetExceededError,
     build_truncated,
+    decide_finite_value,
+    decide_infinite_value,
     outcome,
     shortest_path,
     simulate_average_reward,
@@ -56,6 +58,10 @@ def test_public_names_are_unique_and_resolve():
 LOOP_STRATEGY = FiniteStrategy(
     MemoryStructure(1, 1, {(1, v): 1 for v in range(4)}), {(0, 1): 3, (3, 1): 0}, 0
 )
+
+# A two-node ring, whose solves answer any finite threshold.
+RING = Graph.from_edges(2, [(0, 1), (1, 0)])
+RING_SPEC = RewardSpec.uniform(2, 1.0, 0.5)
 
 # One bad call per raising function (per argument where it checks several),
 # with the message it must keep.
@@ -118,6 +124,18 @@ BAD_CALLS = {
     "outcome": (
         lambda: outcome(two_cycles_graph(), LOOP_STRATEGY, -1),
         "steps must be non-negative",
+    ),
+    "decide_finite_value": (
+        lambda: decide_finite_value(RING, RING_SPEC, 0, 3, float("nan")),
+        "^threshold must be a finite number$",
+    ),
+    "decide_infinite_value": (
+        lambda: decide_infinite_value(RING, RING_SPEC, 0, float("nan"), 1e-3),
+        "^threshold must be a finite number$",
+    ),
+    "decide_infinite_value.inf": (
+        lambda: decide_infinite_value(RING, RING_SPEC, 0, float("inf"), 1e-3),
+        "^threshold must be a finite number$",
     ),
 }
 

@@ -32,6 +32,7 @@ from reward_routing.infinite import (
     _cycle_bearing_components,
     _cycle_to_lasso,
     _howard_max_mean_cycle,
+    _live_graph,
 )
 from reward_routing.rewards import TOLERANCE
 
@@ -239,6 +240,18 @@ def random_digraph(rng: random.Random, n: int, density: int) -> list[tuple[int, 
     )
 
 
+def howard_on_live_part(g: Graph, weights, start: int = 0) -> tuple[float, list[int]]:
+    """Howard on the nodes of ``g`` with an infinite path onward, ids mapped back."""
+    live = _live_graph(g, start)
+    kept = [v for v in range(g.node_count) if live.adjacency[v]]
+    index = {v: i for i, v in enumerate(kept)}
+    edges = [(index[u], index[v]) for u, v in live.edges()]
+    mean, cycle = _howard_max_mean_cycle(
+        *edge_arrays(edges), [weights[v] for v in kept], index[start]
+    )
+    return mean, [kept[i] for i in cycle]
+
+
 class TestHowardMaxMeanCycle:
     def test_matches_karp_on_strongly_connected_graphs(self):
         rng = random.Random(31)
@@ -269,12 +282,21 @@ class TestHowardMaxMeanCycle:
             g = Graph.from_edges(n, edges)
             weights = [rng.uniform(-1, 3) for _ in range(n)]
             start = rng.randrange(n)
-            reach = oracles.reachability_closure(g)[start]
+            closure = oracles.reachability_closure(g)
+            reach = closure[start]
+            cyclic = [
+                comp
+                for comp in oracles.sccs_by_closure(g)
+                if len(comp) > 1 or g.has_edge(comp[0], comp[0])
+            ]
+            # The peel keeps exactly the nodes that reach a cycle.
+            ahead = [any(closure[v][c[0]] for c in cyclic) for v in range(n)]
+            if ahead[start]:
+                live = _live_graph(g, start)
+                assert [bool(succs) for succs in live.adjacency] == ahead
             best = None
-            for comp in oracles.sccs_by_closure(g):
+            for comp in cyclic:
                 if not reach[comp[0]]:
-                    continue
-                if len(comp) == 1 and not g.has_edge(comp[0], comp[0]):
                     continue
                 local = {s: i for i, s in enumerate(comp)}
                 inner = [(local[u], local[v]) for u, v in edges if u in local and v in local]
@@ -284,9 +306,9 @@ class TestHowardMaxMeanCycle:
                 best = mean if best is None else max(best, mean)
             if best is None:
                 with pytest.raises(NoCycleError):
-                    _howard_max_mean_cycle(*edge_arrays(edges), weights, start)
+                    _live_graph(g, start)
                 continue
-            mean, cycle = _howard_max_mean_cycle(*edge_arrays(edges), weights, start)
+            mean, cycle = howard_on_live_part(g, weights, start)
             assert mean == pytest.approx(best, abs=1e-9)
             assert reach[cycle[0]]
 
@@ -305,9 +327,9 @@ class TestHowardMaxMeanCycle:
             ]
             if not means:
                 with pytest.raises(NoCycleError):
-                    _howard_max_mean_cycle(*edge_arrays(edges), weights)
+                    _live_graph(g, 0)
                 continue
-            mean, _ = _howard_max_mean_cycle(*edge_arrays(edges), weights)
+            mean, _ = howard_on_live_part(g, weights)
             assert mean == pytest.approx(max(means), abs=1e-9)
 
     def test_ties_go_to_the_lowest_successor(self):
@@ -320,6 +342,14 @@ class TestHowardMaxMeanCycle:
         src, dst = edge_arrays([(0, 1), (1, 0)])
         with pytest.raises(InvalidInputError, match="start state 2 out of range"):
             _howard_max_mean_cycle(src, dst, [1.0, 2.0], 2)
+
+    @pytest.mark.parametrize(
+        "edges, dead", [([(0, 0), (0, 1)], 1), ([(0, 2), (2, 2)], 1), ([], 0)]
+    )
+    def test_state_without_out_edge_is_refused(self, edges, dead):
+        weights = [1.0] * 3
+        with pytest.raises(InvalidInputError, match=f"^state {dead} has no out-edge$"):
+            _howard_max_mean_cycle(*edge_arrays(edges), weights)
 
     def test_iteration_cap_raises(self, monkeypatch):
         # The heavier successor leads into the worse cycle, so the first
@@ -352,15 +382,18 @@ class TestHowardMaxMeanCycle:
         for _ in range(15):
             g = random_graph(rng, rng.randint(2, 4), min_out=0, max_out=2)
             spec = RewardSpec.uniform(g.node_count, 1.0, rng.uniform(0.2, 0.6))
-            tg = build_truncated(g, 0, rng.randint(2, 5))
+            depth = rng.randint(2, 5)
+            try:
+                live = _live_graph(g, 0)
+            except NoCycleError:
+                full = build_truncated(g, 0, depth)
+                assert not _cycle_bearing_components(full.state_graph)
+                continue
+            tg = build_truncated(live, 0, depth)
             table = tg.weights(spec)
             components = _cycle_bearing_components(tg.state_graph)
             edges = edge_arrays(tg.state_graph.edges())
             for weights in (table.reward_under, table.reward_over):
-                if not components:
-                    with pytest.raises(NoCycleError):
-                        _howard_max_mean_cycle(*edges, weights, tg.initial)
-                    continue
                 mean, _ = _howard_max_mean_cycle(*edges, weights, tg.initial)
                 best = max(
                     _component_karp(tg, comp, weights, "max")[0] for comp in components
@@ -439,15 +472,14 @@ class TestSolveInfiniteApprox:
             # Coarse truncations make overflowed optimistic cycles common.
             epsilon = rng.choice((0.05, 1.0))
             depth = truncation_depth(spec, epsilon)
-            tg = build_truncated(g, 0, depth)
-            table = tg.weights(spec)
             try:
                 bracket = solve_infinite_approx(g, spec, 0, epsilon)
             except NoCycleError:
-                for weights in (table.reward_under, table.reward_over):
-                    with pytest.raises(NoCycleError):
-                        _howard_max_mean_cycle(*tg.edge_arrays, weights, tg.initial)
+                full = build_truncated(g, 0, depth)
+                assert not _cycle_bearing_components(full.state_graph)
                 continue
+            tg = build_truncated(_live_graph(g, 0), 0, depth)
+            table = tg.weights(spec)
             mean_over, over = _howard_max_mean_cycle(
                 *tg.edge_arrays, table.reward_over, tg.initial
             )
@@ -537,6 +569,16 @@ class TestSolveInfiniteApprox:
         with pytest.raises(StateBudgetExceededError) as err:
             solve_infinite_approx(two_cycles, spec, 0, 1e-9, state_budget=20)
         assert "epsilon" in str(err.value)
+
+    def test_no_infinite_path_is_found_before_the_budget(self):
+        # Every path of a complete DAG ends, which the input graph shows;
+        # the truncated graph alone would overflow this budget.
+        g = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+        spec = RewardSpec.uniform(6, 1.0, 0.5)
+        with pytest.raises(StateBudgetExceededError):
+            build_truncated(g, 0, truncation_depth(spec, 1e-3), state_budget=20)
+        with pytest.raises(NoCycleError, match="^no infinite path starts at node 0$"):
+            solve_infinite_approx(g, spec, 0, 1e-3, state_budget=20)
 
     def test_bracket_contract_on_random_instances(self):
         rng = random.Random(77)

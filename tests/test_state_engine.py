@@ -33,7 +33,12 @@ from reward_routing.finite import (
     _csr,
     _expand,
 )
-from reward_routing.infinite import _cycle_to_lasso, _howard_max_mean_cycle
+from reward_routing.infinite import (
+    _cycle_bearing_components,
+    _cycle_to_lasso,
+    _howard_max_mean_cycle,
+    _live_graph,
+)
 from reward_routing.rewards import make_step_reward
 
 import oracles
@@ -244,15 +249,50 @@ class TestBfsTree:
     @given(graphs(max_nodes=5), st.integers(1, 4))
     def test_solving_builds_no_tuple_views(self, instance, depth):
         g, v0 = instance
-        tg = build_truncated(g, v0, depth)
+        try:
+            live = _live_graph(g, v0)
+        except NoCycleError:
+            return
+        tg = build_truncated(live, v0, depth)
         table = tg.weights(RewardSpec.uniform(g.node_count, 1.0, 0.5))
         for weights in (table.reward_under, table.reward_over):
-            try:
-                _, cycle = _howard_max_mean_cycle(*tg.edge_arrays, weights, tg.initial)
-            except NoCycleError:
-                continue
+            _, cycle = _howard_max_mean_cycle(*tg.edge_arrays, weights, tg.initial)
             _cycle_to_lasso(tg, cycle)
         assert "states" not in vars(tg) and "state_graph" not in vars(tg)
+
+    @settings(max_examples=60)
+    @given(graphs(max_nodes=5), st.integers(1, 4))
+    def test_live_graph_build_drops_only_states_without_a_cycle_ahead(
+        self, instance, depth
+    ):
+        # The states that reach a cycle, found on the full build, are the
+        # live graph's build: same order, edges and BFS parents.
+        g, v0 = instance
+        full = build_truncated(g, v0, depth)
+        preds: list[list[int]] = [[] for _ in range(full.state_count)]
+        for u, v in full.state_graph.edges():
+            preds[v].append(u)
+        stack = [s for comp in _cycle_bearing_components(full.state_graph) for s in comp]
+        ahead = set(stack)
+        while stack:
+            for u in preds[stack.pop()]:
+                if u not in ahead:
+                    ahead.add(u)
+                    stack.append(u)
+        if full.initial not in ahead:
+            with pytest.raises(NoCycleError):
+                _live_graph(g, v0)
+            return
+        tg = build_truncated(_live_graph(g, v0), v0, depth)
+        kept = sorted(ahead)
+        index = {s: k for k, s in enumerate(kept)}
+        assert tg.states == tuple(full.states[s] for s in kept)
+        assert tg.initial == index[full.initial]
+        assert tg.state_graph.adjacency == tuple(
+            tuple(index[v] for v in full.state_graph.adjacency[s] if v in index)
+            for s in kept
+        )
+        assert tg.parent.tolist() == [index[int(full.parent[s])] for s in kept]
 
 
 def complete_graph(n: int) -> Graph:
