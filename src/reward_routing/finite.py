@@ -317,4 +317,4 @@ def decide_finite_value(
         solution = solve_finite(g, spec, v0, horizon, state_budget=state_budget)
     except NoPathError:
         return False
-    return solution.value.value >= threshold - TOLERANCE
+    return solution.value.value >= threshold - TOLERANCE * abs(threshold)

@@ -74,6 +74,13 @@ _KARP_CELL_LIMIT = 60_000_000
 _HOWARD_MAX_ITERATIONS = 1000
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not _is_finite_number(epsilon):
+        raise InvalidInputError("epsilon must be a finite number")
+    if not epsilon > 0:
+        raise InvalidInputError("epsilon must be positive")
+
+
 def truncation_depth(spec: RewardSpec, epsilon: float) -> int:
     """Smallest age cap that keeps the per-step truncation error within epsilon.
 
@@ -83,8 +90,7 @@ def truncation_depth(spec: RewardSpec, epsilon: float) -> int:
     ``epsilon * (1 - gamma) / lam`` underflows to 0, its logarithm is taken
     term by term instead.
     """
-    if not epsilon > 0:
-        raise InvalidInputError("epsilon must be positive")
+    _check_epsilon(epsilon)
     depth = 1
     for lam, gamma in zip(spec.lam, spec.gamma):
         if lam == 0.0:
@@ -304,25 +310,27 @@ def _live_graph(g: Graph, v0: int) -> Graph:
     """``g`` without the edges into nodes that have no infinite path onward.
 
     A truncated state has its node's successors, so it reaches a cycle
-    exactly when its node has an infinite path. Peels nodes whose
-    out-degree has dropped to 0, one layer per round. Raises
-    :class:`NoCycleError` if ``v0`` is peeled.
+    exactly when its node has an infinite path. One queue over reverse
+    edges peels the nodes left without a live successor, in linear time.
+    Raises :class:`NoCycleError` if ``v0`` is peeled.
     """
     _check_start(g, v0)
-    _, degree, dst = _csr(g)
-    src = np.arange(g.node_count).repeat(degree)
-    alive = np.ones(g.node_count, dtype=bool)
-    dying = degree == 0
-    while dying.any():
-        alive &= ~dying
-        degree -= np.bincount(src[dying[dst]], minlength=g.node_count)
-        dying = alive & (degree == 0)
-    if not alive[v0]:
-        raise NoCycleError(f"no infinite path starts at node {v0}")
-    if alive.all():
+    degree = [len(succ) for succ in g.adjacency]
+    dead = [v for v, d in enumerate(degree) if not d]
+    if not dead:
         return g
-    keep = alive.tolist()
-    return replace(g, adjacency=tuple(tuple(w for w in s if keep[w]) for s in g.adjacency))
+    preds: list[list[int]] = [[] for _ in degree]
+    for u, succ in enumerate(g.adjacency):
+        for w in succ:
+            preds[w].append(u)
+    for v in dead:  # the queue: each peeled node appends the ones it kills
+        for u in preds[v]:
+            degree[u] -= 1
+            if not degree[u]:
+                dead.append(u)
+    if not degree[v0]:
+        raise NoCycleError(f"no infinite path starts at node {v0}")
+    return replace(g, adjacency=tuple(tuple(w for w in s if degree[w]) for s in g.adjacency))
 
 
 def _verify_strongly_connected(m: int, edges: list[tuple[int, int]]) -> None:
@@ -421,7 +429,7 @@ def karp_mean_cycle(
     assert cycle is not None  # a length-m walk over m states must repeat
 
     achieved = float(np.mean(w[cycle]))
-    if abs(achieved - mean) > TOLERANCE * max(1.0, abs(mean)):
+    if abs(achieved - mean) > TOLERANCE * max(abs(achieved), abs(mean)):
         raise SolverContractError(
             f"extracted cycle mean {achieved} disagrees with {mean}"
         )
@@ -481,12 +489,12 @@ def _howard_max_mean_cycle(
     endpoints are checked: unsorted edges give a wrong answer, not an
     error. ``w`` holds one weight per state. A policy picks one successor
     per state; it starts at the heaviest successor and switches only on an
-    improvement beyond ``TOLERANCE`` times the largest weight magnitude (at
-    least 1), first of the cycle mean reached, then of the bias; the
-    returned mean falls short of the best by at most that margin. Ties go
-    to the lowest successor. Returns ``(mean, cycle)``: ``cycle`` is the
-    cycle the final policy reaches from ``start``, listed once in traversal
-    order, and ``mean`` is its exactly summed mean weight.
+    improvement beyond ``TOLERANCE`` times the largest weight magnitude,
+    first of the cycle mean reached, then of the bias; the returned mean
+    falls short of the best by at most that margin. Ties go to the lowest
+    successor. Returns ``(mean, cycle)``: ``cycle`` is the cycle the final
+    policy reaches from ``start``, listed once in traversal order, and
+    ``mean`` is its exactly summed mean weight.
 
     Raises :class:`InvalidInputError` if some state has no out-edge,
     :class:`SolverContractError` after ``_HOWARD_MAX_ITERATIONS`` improvements.
@@ -500,7 +508,7 @@ def _howard_max_mean_cycle(
     if not degree.all():
         raise InvalidInputError(f"state {int(np.argmin(degree))} has no out-edge")
     targets, positions = np.append(dst, -1), np.arange(len(src))
-    tol = TOLERANCE * max(1.0, float(np.abs(w).max()))
+    tol = TOLERANCE * float(np.abs(w).max())
 
     def first_successor(mask: np.ndarray) -> np.ndarray:
         # Per source segment, the target of its first edge where mask
@@ -658,11 +666,9 @@ def _feasible_epsilon_estimate(spec: RewardSpec, budget: int) -> float:
     """Crude epsilon that would likely fit the budget, for error messages."""
     n = spec.node_count
     depth = max(1, int((budget / max(n, 1)) ** (1.0 / n)) - 1)
-    worst = 0.0
-    for lam, gamma in zip(spec.lam, spec.gamma):
-        if lam > 0 and gamma < 1:
-            worst = max(worst, lam * gamma**depth / (1.0 - gamma))
-    return worst
+    # Every gamma is below 1 here: the solve refused or delegated the rest.
+    pairs = zip(spec.lam, spec.gamma)
+    return max(lam * gamma**depth / (1.0 - gamma) for lam, gamma in pairs)
 
 
 def solve_infinite_approx(
@@ -680,17 +686,16 @@ def solve_infinite_approx(
     nodes with one (:func:`_live_graph`), so ``state_count`` counts the
     reachable states an infinite path passes, and runs
     :func:`_howard_max_mean_cycle` over all of it from the initial state,
-    first with the optimistic weights. If every state on that cycle has a
-    non-zero own age, its mean is its lasso's true value and so the
-    optimum: the solve is exact, ``pi_under is pi_over``, and a replay off
-    that mean raises :class:`SolverContractError`. Otherwise a second run
-    with the pessimistic weights finds ``pi_under``. ``r_under`` is
-    reported as the exact replay value of its witness, so
-    ``average_reward(spec, pi_under) == r_under`` holds identically. The
-    state budget is the only size limit. Raises
+    in units of the largest rate, first with the optimistic weights. If
+    every state on that cycle has a non-zero own age, its mean is its
+    lasso's true value and so the optimum: the solve is exact, ``pi_under
+    is pi_over``, ``r_over == r_under``, and a replay off that mean raises
+    :class:`SolverContractError`. Otherwise a second run with the
+    pessimistic weights finds ``pi_under``. ``r_under`` is the exact replay
+    value of its witness, so ``average_reward(spec, pi_under) == r_under``
+    holds identically. The state budget is the only size limit. Raises
     :class:`SolverContractError` if the bracket breaks its contract, and
-    :class:`InvalidInputError` if the rates are so large that a reward
-    sum overflows a float.
+    :class:`InvalidInputError` if a reward sum overflows a float.
 
     All survival probabilities must be below 1. With no decay anywhere,
     :func:`solve_nondiscounted` takes over and the bracket collapses to
@@ -698,8 +703,7 @@ def solve_infinite_approx(
     """
     if spec.node_count != g.node_count:
         raise InvalidInputError("spec size disagrees with the graph")
-    if not epsilon > 0:
-        raise InvalidInputError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if all(gamma == 1.0 for gamma in spec.gamma):
         exact = solve_nondiscounted(g, spec.lam, v0)
         value, witness = exact.value.value, exact.witness
@@ -712,34 +716,29 @@ def solve_infinite_approx(
         )
 
     depth = truncation_depth(spec, epsilon)
-    live = _live_graph(g, v0)
     try:
-        tg = build_truncated(live, v0, depth, state_budget=state_budget)
+        tg = build_truncated(_live_graph(g, v0), v0, depth, state_budget=state_budget)
     except StateBudgetExceededError as exc:
         raise StateBudgetExceededError(
             state_budget,
             f"{exc}; epsilon around {_feasible_epsilon_estimate(spec, state_budget):.3g} "
             "should fit the budget",
         ) from exc
-    weights = tg.weights(spec)
-    # reward_under <= reward_over elementwise, so one check covers both.
-    if not np.isfinite(weights.reward_over).all():
-        raise InvalidInputError(
-            "optimistic weight lambda/(1-gamma) overflows a float; scale lambda down"
+    # In units of the largest rate no weight passes 1/(1-gamma) <= 2**53.
+    unit = max(spec.lam) or 1.0
+    weights = tg.weights(RewardSpec(tuple(lam / unit for lam in spec.lam), spec.gamma))
+    mean_over, cycle_over = _howard_max_mean_cycle(
+        *tg.edge_arrays, weights.reward_over, tg.initial
+    )
+    # With no overflowed own age on it, the cycle's weights are exact.
+    exact = tg.age_matrix[tg.node_array[cycle_over], cycle_over].all()
+    if not exact:
+        _, cycle_under = _howard_max_mean_cycle(
+            *tg.edge_arrays, weights.reward_under, tg.initial
         )
-    try:
-        mean_over, cycle_over = _howard_max_mean_cycle(
-            *tg.edge_arrays, weights.reward_over, tg.initial
-        )
-        # With no overflowed own age on it, the cycle's weights are exact.
-        exact = tg.age_matrix[tg.node_array[cycle_over], cycle_over].all()
-        if not exact:
-            _, cycle_under = _howard_max_mean_cycle(
-                *tg.edge_arrays, weights.reward_under, tg.initial
-            )
-    except OverflowError:
-        raise InvalidInputError(_OVERFLOW) from None
-
+    mean_over *= unit
+    if not math.isfinite(mean_over):
+        raise InvalidInputError(_OVERFLOW)
     pi_over = _cycle_to_lasso(tg, cycle_over)
     pi_under = pi_over if exact else _cycle_to_lasso(tg, cycle_under)
     r_under = average_reward(spec, pi_under).value
@@ -748,7 +747,7 @@ def solve_infinite_approx(
         _check_rescore(mean_over, r_under)
     # r_under is the exact value of a real path, so it never exceeds the
     # optimum; lifting r_over to it only sheds rounding noise.
-    r_over = max(mean_over, r_under)
+    r_over = r_under if exact else max(mean_over, r_under)
     if r_over - r_under > epsilon + TOLERANCE:
         raise SolverContractError(
             f"bracket [{r_under}, {r_over}] violates its contract at "
@@ -778,8 +777,8 @@ def decide_infinite_value(
     if not _is_finite_number(threshold):
         raise InvalidInputError("threshold must be a finite number")
     bracket = solve_infinite_approx(g, spec, v0, epsilon, state_budget=state_budget)
-    if bracket.r_under >= threshold - TOLERANCE:
+    if bracket.r_under >= threshold - TOLERANCE * abs(threshold):
         return "yes", bracket
-    if bracket.r_over < threshold - TOLERANCE:
+    if bracket.r_over < threshold - TOLERANCE * abs(threshold):
         return "no", bracket
     return "unknown", bracket

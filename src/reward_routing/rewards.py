@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 from .errors import InvalidInputError, ProfileTableExhaustedError, SolverContractError
 from .graph import Graph, Lasso, Path, longest_simple_cycle
 
-#: Comparison tolerance used throughout the library.
+#: Relative comparison tolerance: two values agree when they differ by at
+#: most ``TOLERANCE`` times the larger magnitude, in any unit of the rates.
 TOLERANCE = 1e-9
 
 #: Why a reward sum too large for a float is refused; only huge rates cause one.
@@ -158,7 +159,7 @@ def _collected(
 
 def _check_rescore(reported: float, replayed: float) -> None:
     """Raise :class:`SolverContractError` if a witness replays off its value."""
-    if abs(reported - replayed) > TOLERANCE * max(1.0, abs(reported)):
+    if abs(reported - replayed) > TOLERANCE * max(abs(reported), abs(replayed)):
         raise SolverContractError(
             f"witness re-scores to {replayed}, solver reported {reported}"
         )

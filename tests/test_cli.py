@@ -867,9 +867,10 @@ class TestExitCodes:
         [["infinite", "--epsilon", "0.1"], ["decide", "--epsilon", "0.1", "--threshold", "1"]],
         ids=["infinite", "decide"],
     )
-    def test_overflowing_weights_are_refused_before_howard(self, tmp_path, argv):
-        # At gamma 0.5 the re-score refuses first; at 0.9 the optimistic
-        # weight lam / (1 - gamma) is already inf.
+    def test_overflowing_collected_reward_is_refused(self, tmp_path, argv):
+        # The optimistic weight lam / (1 - gamma) is inf at gamma 0.9, but
+        # Howard weighs in units of the largest rate; what overflows is the
+        # optimum itself, 1.9e308.
         doc = {
             "defaults": {"lambda": 1e308, "gamma": 0.9},
             "nodes": [{"id": "a"}, {"id": "b"}],
@@ -882,7 +883,7 @@ class TestExitCodes:
             code, out, err = run([argv[0], "--graph", str(graph_file), "--start", "a", *argv[1:]])
         assert code == EXIT_BAD_INPUT and out is None
         assert err.splitlines() == [
-            "error: optimistic weight lambda/(1-gamma) overflows a float; scale lambda down"
+            "error: collected reward overflows a float; scale lambda down"
         ]
 
     @pytest.mark.parametrize(

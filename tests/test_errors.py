@@ -35,6 +35,7 @@ from reward_routing import (
     simulate_average_reward,
     solve_bounded_memory,
     solve_finite,
+    solve_infinite_approx,
     solve_nondiscounted,
     truncation_depth,
     validate_path,
@@ -73,6 +74,18 @@ BAD_CALLS = {
         "horizon must be non-negative",
     ),
     "truncation_depth": (lambda: truncation_depth(SPEC, 0.0), "epsilon must be positive"),
+    "truncation_depth.str": (
+        lambda: truncation_depth(SPEC, "1"),
+        "^epsilon must be a finite number$",
+    ),
+    "solve_infinite_approx.inf": (
+        lambda: solve_infinite_approx(RING, RING_SPEC, 0, float("inf")),
+        "^epsilon must be a finite number$",
+    ),
+    "solve_infinite_approx.bool": (
+        lambda: solve_infinite_approx(RING, RING_SPEC, 0, True),
+        "^epsilon must be a finite number$",
+    ),
     "MemoryStructure": (lambda: MemoryStructure(0, 1, {}), "memory needs at least one slot"),
     "SimConfig": (lambda: SimConfig(trials=0, seed=0), "at least one trial required"),
     "cli._check_numbers": (

@@ -251,3 +251,10 @@ class TestDecideFiniteValue:
         g = Graph.from_edges(2, [(0, 1)])
         spec = RewardSpec.uniform(2, 1.0, 0.5)
         assert not decide_finite_value(g, spec, 0, 3, 0.0)
+
+    def test_threshold_slack_is_relative(self):
+        # The best 3-step ring walk collects 5.5 * 2**-30, about 5.12e-9.
+        spec = RewardSpec.uniform(2, 2.0**-30, 0.5)
+        assert solve_finite(ring_graph(2), spec, 0, 3).value.value == 5.5 * 2.0**-30
+        assert decide_finite_value(ring_graph(2), spec, 0, 3, 5.12e-9)
+        assert not decide_finite_value(ring_graph(2), spec, 0, 3, 6e-9)

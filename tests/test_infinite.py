@@ -49,6 +49,10 @@ from conftest import (
 TWO_CYCLES = two_cycles_graph()
 
 
+def _scaled(spec: RewardSpec, scale: float) -> RewardSpec:
+    return RewardSpec(tuple(lam * scale for lam in spec.lam), spec.gamma)
+
+
 def primitive_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     n = len(cycle)
     for period in range(1, n + 1):
@@ -447,16 +451,28 @@ class TestSolveInfiniteApprox:
         with pytest.raises(ValueError):
             solve_infinite_approx(two_cycles, spec, 0, 1e-3)
 
-    def test_infinite_optimistic_weight_is_refused(self):
+    def test_infinite_optimistic_weight_is_solved(self):
         # Waiting at a overflows b's age; that state's optimistic weight
-        # lam / (1 - gamma) = 1e309 is inf, though the optimum, the a-b
-        # cycle at about 1.99e307, fits in a float.
+        # lam / (1 - gamma) = 1e309 is inf, but Howard weighs in units of
+        # the largest rate, and the optimum, the a-b cycle, fits in a float.
         g = Graph(2, ((0, 1), (0,)))
         spec = RewardSpec.uniform(2, 1e307, 0.99)
-        with pytest.raises(InvalidInputError, match=r"lambda/\(1-gamma\) overflows"):
-            solve_infinite_approx(g, spec, 0, 1e307)
+        bracket = solve_infinite_approx(g, spec, 0, 1e307)
+        assert bracket.r_under == pytest.approx(1.99e307)
+        assert bracket.r_under <= bracket.r_over <= bracket.r_under + 1e307
         scaled = solve_infinite_approx(g, RewardSpec.uniform(2, 1e305, 0.99), 0, 1e305)
         assert scaled.r_under == pytest.approx(1.99e305)
+
+    def test_upper_mean_past_float_range_is_refused(self):
+        # At unit scale the lower witness is 0's self-loop at 1 and the
+        # upper mean is 2. At rates 2**1023 the self-loop still fits a
+        # float, but the upper mean alone overflows.
+        g = Graph.from_edges(3, [(u, v) for u in range(3) for v in range(3)])
+        spec = RewardSpec((1.0, 1.0, 0.25), (0.5,) * 3)
+        bracket = solve_infinite_approx(g, spec, 0, 1.0)
+        assert (bracket.r_under, bracket.r_over, bracket.pi_under.cycle) == (1.0, 2.0, (0,))
+        with pytest.raises(InvalidInputError, match="^collected reward overflows a float"):
+            solve_infinite_approx(g, _scaled(spec, 2.0**1023), 0, 2.0**1023)
 
     def test_witnesses_follow_the_exact_or_fallback_rule(self):
         # The solve runs Howard on the optimistic weights first. A cycle
@@ -494,7 +510,9 @@ class TestSolveInfiniteApprox:
                     *tg.edge_arrays, table.reward_under, tg.initial
                 )
                 assert bracket.pi_under == _cycle_to_lasso(tg, under)
-            assert bracket.r_over == max(mean_over, bracket.r_under)
+            # An exact solve reports its replay as both ends.
+            r_over = bracket.r_under if exact else max(mean_over, bracket.r_under)
+            assert bracket.r_over == r_over
             assert bracket.depth == depth and bracket.state_count == tg.state_count
         assert seen == {True, False}
 
@@ -553,16 +571,22 @@ class TestSolveInfiniteApprox:
             )
             bracket = solve_infinite_approx(g, spec, 0, rng.choice((0.05, 1.0)))
             tg = build_truncated(g, 0, bracket.depth)
-            table = tg.weights(spec)
-            mean_over, _ = _howard_max_mean_cycle(
+            # The solve weighs in units of the largest rate; so does this.
+            unit = max(spec.lam)
+            units = RewardSpec(tuple(lam / unit for lam in spec.lam), spec.gamma)
+            table = tg.weights(units)
+            mean_over, over = _howard_max_mean_cycle(
                 *tg.edge_arrays, table.reward_over, tg.initial
             )
             _, under = _howard_max_mean_cycle(
                 *tg.edge_arrays, table.reward_under, tg.initial
             )
             r_under = average_reward(spec, _cycle_to_lasso(tg, under)).value
-            assert bracket.r_over == max(mean_over, r_under)
             assert bracket.r_under == pytest.approx(r_under, abs=TOLERANCE)
+            if tg.age_matrix[tg.node_array[over], over].all():
+                assert bracket.r_over == bracket.r_under
+            else:
+                assert bracket.r_over == max(mean_over * unit, r_under)
 
     def test_budget_error_reports_feasible_epsilon(self, two_cycles):
         spec = RewardSpec.uniform(4, 1.0, 0.5)
@@ -666,6 +690,58 @@ class TestSolveInfiniteApprox:
             lower, upper = average_reward_bounds(two_cycles, spec)
             bracket = solve_infinite_approx(two_cycles, spec, 0, 1e-4)
             assert max(bracket.r_under, lower) <= min(bracket.r_over, upper) + 1e-9
+
+
+class TestRateUnits:
+    """The bracket's guarantees hold alike in any unit of the rates."""
+
+    def test_power_of_two_units_scale_the_bracket_exactly(self):
+        rng = random.Random(20)
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            g = random_graph(rng, n, max_out=min(n, 3))
+            spec = RewardSpec(
+                tuple(rng.uniform(0.0, 2.0) for _ in range(n)),
+                tuple(rng.uniform(0.2, 0.8) for _ in range(n)),
+            )
+            epsilon = rng.choice((1e-2, 0.1, 1.0))
+            base = solve_infinite_approx(g, spec, 0, epsilon)
+            for k in range(-40, 41, 10):
+                scale = 2.0**k
+                got = solve_infinite_approx(g, _scaled(spec, scale), 0, epsilon * scale)
+                assert got.r_under == base.r_under * scale
+                assert got.r_over == base.r_over * scale
+                assert (got.pi_under, got.pi_over) == (base.pi_under, base.pi_over)
+                assert (got.depth, got.state_count) == (base.depth, base.state_count)
+
+    @pytest.mark.parametrize("unreachable", [False, True], ids=["alone", "unreachable"])
+    def test_small_unit_upper_bound_covers_every_enumerated_lasso(self, unreachable):
+        # Rates near 1e-9; with ``unreachable`` a node of rate 1 that the
+        # start cannot reach is the largest rate, the unit Howard weighs in.
+        rng = random.Random(21)
+        scale = 2.0**-30
+        for _ in range(20):
+            n = rng.randint(2, 4)
+            g = random_graph(rng, n, max_out=min(n, 3))
+            lam = tuple(rng.uniform(0.1, 2.0) * scale for _ in range(n))
+            gamma = tuple(rng.uniform(0.2, 0.8) for _ in range(n))
+            if unreachable:
+                g = Graph(n + 1, g.adjacency + ((n,),))
+                lam, gamma = lam + (1.0,), gamma + (0.01,)
+            epsilon = 1e-2 * scale
+            bracket = solve_infinite_approx(g, RewardSpec(lam, gamma), 0, epsilon)
+            assert bracket.r_over - bracket.r_under <= epsilon
+            for length in range(1, 7):
+                for walk in oracles.enumerate_paths(g, 0, length):
+                    head = walk.index(walk[-1])
+                    if head == length:
+                        continue
+                    # The steady period: the second lap of the cycle.
+                    cycle = walk[head:-1]
+                    total = oracles.explicit_path_total(lam, gamma, cycle * 2)
+                    total -= oracles.explicit_path_total(lam, gamma, cycle)
+                    value = total / len(cycle)
+                    assert value <= bracket.r_over * (1.0 + TOLERANCE), spell(g, walk)
 
 
 class TestSolveNondiscounted:
@@ -817,3 +893,13 @@ class TestDecideInfiniteValue:
         )
         assert decision == "unknown"
         assert bracket.r_under <= exact + 1e-7 <= bracket.r_over
+
+    def test_threshold_slack_is_relative(self):
+        # The optimum is 1.5 * 2**-30, about 1.397e-9; a threshold 50% above
+        # it is out of reach, however small the unit.
+        spec = RewardSpec.uniform(2, 2.0**-30, 0.5)
+        decision, bracket = decide_infinite_value(
+            ring_graph(2), spec, 0, 2.095e-9, 2.0**-30 * 1e-3
+        )
+        assert bracket.r_over == 1.5 * 2.0**-30
+        assert decision == "no"

@@ -12,6 +12,7 @@ from reward_routing import (
     InvalidInputError,
     ProfileTableExhaustedError,
     RewardSpec,
+    SolverContractError,
     average_reward,
     average_reward_bounds,
     decayed_path_reward,
@@ -20,7 +21,12 @@ from reward_routing import (
     validate_lasso,
     validate_path,
 )
-from reward_routing.rewards import _steady_cycle_ages, _visit_ages, make_step_reward
+from reward_routing.rewards import (
+    _check_rescore,
+    _steady_cycle_ages,
+    _visit_ages,
+    make_step_reward,
+)
 
 import oracles
 from conftest import (
@@ -39,6 +45,20 @@ def lasso(text: str, prefix: str = "") -> Lasso:
     return validate_lasso(
         TWO_CYCLES, parse_route(TWO_CYCLES, prefix), parse_route(TWO_CYCLES, text)
     )
+
+
+class TestCheckRescore:
+    """The re-score check is relative, so it binds at every scale."""
+
+    @pytest.mark.parametrize("reported, replayed", [(1e-10, 1.5e-10), (1.5e-10, 1e-10)])
+    def test_small_values_off_by_half_are_refused(self, reported, replayed):
+        with pytest.raises(SolverContractError, match="witness re-scores to"):
+            _check_rescore(reported, replayed)
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40])
+    def test_rounding_noise_passes_at_any_scale(self, scale):
+        _check_rescore(3.0 * scale, 3.0 * scale * (1 + 1e-12))
+        _check_rescore(0.0, 0.0)
 
 
 class TestGeometricSeries:
