@@ -86,16 +86,16 @@ def _expand(
     csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     nodes: np.ndarray,
     ages: np.ndarray,
-    depth: int | None,
+    depth: int | np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every successor of every state, as ``(predecessor, nodes, ages)``.
 
     Successors come grouped by predecessor, in state order, and each
     state's in adjacency order. Leaving ``v`` resets its age to 1 and every
-    other age ticks up; under a ``depth`` cap an age that would pass it
-    overflows to 0, and 0 stays 0. ``depth=None`` is the uncapped DP. The
-    age matrix comes out C-ordered, so each node's ages are one contiguous
-    row.
+    other age ticks up; under a ``depth`` cap, one for all rows or a column
+    of one per row, an age that would pass it overflows to 0, and 0 stays
+    0. ``depth=None`` is the uncapped DP. The age matrix comes out
+    C-ordered, so each node's ages are one contiguous row.
     """
     first, degree, targets = csr
     degree = degree[nodes]

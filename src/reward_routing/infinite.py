@@ -5,15 +5,18 @@ optimal long-run average is the heaviest reachable strongly connected
 component, collected by looping a covering walk; that solver is polynomial.
 
 With decay the problem is approximated on a truncated visit-age graph:
-states ``(node, ages)`` track how long ago each node was visited, capped at
-a depth ``K`` (age 0 encodes "longer ago than K"). Each state carries a
-pessimistic and an optimistic weight. Howard's policy iteration for the
-maximum mean cycle runs on the build's sorted edge arrays with the
-optimistic weights, then with the pessimistic ones only if that cycle
-visits an overflowed age (else it is exact, hence optimal). This yields a
-bracket ``[r_under, r_over]`` around the true optimum whose width is
-controlled by ``K``, and ultimately periodic witness paths. Karp's
-recurrence (:func:`karp_mean_cycle`) is the tests' reference for Howard.
+states ``(node, ages)`` track how long ago each node was visited, each
+node's age capped at its own depth ``K_v`` (age 0 encodes "longer ago
+than ``K_v``"), the smallest that keeps the error of that node's
+collections within epsilon. Each state carries a pessimistic and an
+optimistic weight. Howard's policy iteration for the maximum mean cycle
+runs on the build's sorted edge arrays with the optimistic weights, then
+with the pessimistic ones only if that cycle visits an overflowed age at
+a node that generates reward (else it is exact, hence optimal). This
+yields a bracket ``[r_under, r_over]`` around the true optimum whose
+width is controlled by the caps, and ultimately periodic witness paths.
+Karp's recurrence (:func:`karp_mean_cycle`) is the tests' reference for
+Howard.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .finite import (
 from .graph import (
     Graph,
     Lasso,
+    _bfs,
     _check_int,
     _check_start,
     covering_cycle,
@@ -81,18 +85,21 @@ def _check_epsilon(epsilon: float) -> None:
         raise InvalidInputError("epsilon must be positive")
 
 
-def truncation_depth(spec: RewardSpec, epsilon: float) -> int:
-    """Smallest age cap that keeps the per-step truncation error within epsilon.
+def _node_caps(
+    spec: RewardSpec, epsilon: float, nodes: Iterable[int] | None = None
+) -> np.ndarray:
+    """Per node, the smallest age cap that keeps its truncation error within epsilon.
 
-    Per node the error of capping ages at ``K`` is
-    ``lam * gamma**K / (1 - gamma)``; the result is the largest per-node
-    requirement, at least 1. Nodes that generate nothing are ignored. When
+    The error of capping ``v``'s age at ``K`` is
+    ``lam * gamma**K / (1 - gamma)``. Nodes that generate nothing, and
+    nodes outside ``nodes`` when it is given, get cap 1. When
     ``epsilon * (1 - gamma) / lam`` underflows to 0, its logarithm is taken
     term by term instead.
     """
     _check_epsilon(epsilon)
-    depth = 1
-    for lam, gamma in zip(spec.lam, spec.gamma):
+    caps = np.ones(spec.node_count, dtype=np.intp)
+    for v in range(spec.node_count) if nodes is None else nodes:
+        lam, gamma = spec.lam[v], spec.gamma[v]
         if lam == 0.0:
             continue
         if gamma >= 1.0:
@@ -105,9 +112,18 @@ def truncation_depth(spec: RewardSpec, epsilon: float) -> int:
         else:
             log_ratio = math.log(epsilon) + math.log(1.0 - gamma) - math.log(lam)
         # The 1e-12 slack keeps exact integer boundaries from rounding up.
-        needed = math.ceil(log_ratio / math.log(gamma) - 1e-12)
-        depth = max(depth, needed)
-    return depth
+        caps[v] = max(1, math.ceil(log_ratio / math.log(gamma) - 1e-12))
+    return caps
+
+
+def truncation_depth(spec: RewardSpec, epsilon: float) -> int:
+    """The largest per-node age cap that keeps truncation errors within epsilon.
+
+    Each step collects at one node only, so capping every node at its own
+    cap keeps the per-step error within epsilon; this is the largest of
+    them, at least 1, as documents report it.
+    """
+    return int(_node_caps(spec, epsilon).max(initial=1))
 
 
 @dataclass(frozen=True)
@@ -159,8 +175,9 @@ class WeightTable:
 class TruncatedGraph:
     """The reachable part of the truncated visit-age graph, as arrays.
 
-    States are sorted by node, then age vector, so state indices double as
-    tie-break ranks. State ``i`` is ``node_array[i]`` with ages
+    Node ``v``'s age is capped at ``caps[v]``; ``depth`` is the largest
+    cap. States are sorted by node, then age vector, so state indices
+    double as tie-break ranks. State ``i`` is ``node_array[i]`` with ages
     ``age_matrix[:, i]``; the matrix is C-ordered, one contiguous row of
     ages per node. ``edge_arrays`` holds ``(src, dst)`` as ``intp``
     arrays, strictly increasing by source, then target, so
@@ -176,6 +193,7 @@ class TruncatedGraph:
     graph: Graph
     depth: int
     initial: int
+    caps: np.ndarray = field(repr=False)
     node_array: np.ndarray = field(repr=False)
     age_matrix: np.ndarray = field(repr=False)
     edge_arrays: tuple[np.ndarray, np.ndarray] = field(repr=False)
@@ -202,11 +220,13 @@ class TruncatedGraph:
 
         Weights depend only on a state's node and its own age, so each
         such pair is weighed once, with the same arithmetic as
-        :func:`weight_pair`, and the states read it from that table.
+        :func:`weight_pair` at the node's cap, and the states read it from
+        that table.
         """
         own_ages = self.age_matrix[self.node_array, np.arange(self.state_count)]
+        caps = self.caps.tolist()
         table = _PairTable(
-            lambda v, age: _weight_values(spec, v, age, self.depth)[2:],
+            lambda v, age: _weight_values(spec, v, age, caps[v])[2:],
             self.graph.node_count,
             (2,),
         )
@@ -217,13 +237,14 @@ class TruncatedGraph:
 def build_truncated(
     g: Graph,
     v0: int,
-    depth: int,
+    depth: int | Sequence[int],
     *,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> TruncatedGraph:
     """Breadth-first expansion of the truncated visit-age graph from ``v0``.
 
-    Starts at ``(v0, (1, ..., 1))`` and only materializes reachable states.
+    ``depth`` caps every node's age, or gives one cap per node. Starts at
+    ``(v0, (1, ..., 1))`` and only materializes reachable states.
     Each BFS level expands the whole frontier at once with the visit-age
     engine of :mod:`reward_routing.finite` and sorts the successors with
     the known states at the same nodes in one ``np.lexsort``; successors
@@ -235,23 +256,35 @@ def build_truncated(
     :class:`StateBudgetExceededError` when a level takes the state count
     past the budget.
     """
-    _check_int("truncation depth", depth)
-    if depth < 1:
-        raise InvalidInputError("truncation depth must be at least 1")
+    uniform = np.ndim(depth) == 0
+    for cap in [depth] if uniform else depth:
+        _check_int("truncation depth", cap)
+        if cap < 1:
+            raise InvalidInputError("truncation depth must be at least 1")
+    caps = np.array([depth] * g.node_count if uniform else depth, dtype=np.intp)
+    if len(caps) != g.node_count:
+        raise InvalidInputError("truncation caps disagree with the graph")
+    depth = int(caps.max(initial=1))
     _check_start(g, v0)
     csr = _csr(g)
     nodes = np.full(1, v0, dtype=csr[2].dtype)
     ages = np.ones((g.node_count, 1), dtype=_age_dtype(depth))
+    # One cap per age row, in the ages' own dtype.
+    cap_column = caps.astype(ages.dtype)[:, None]
     parent = np.zeros(1, dtype=np.intp)
     # Per level, the BFS index of every successor of the frontier: the
     # edge targets, by BFS source and each source's in adjacency order.
     targets: list[np.ndarray] = []
     frontier = slice(0, 1)
     while frontier.start < frontier.stop:
-        pred, succ, succ_ages = _expand(csr, nodes[frontier], ages[:, frontier], depth)
+        pred, succ, succ_ages = _expand(
+            csr, nodes[frontier], ages[:, frontier], cap_column
+        )
         # Only known states at the successors' nodes can equal a successor;
         # stability puts each ahead of its rediscoveries.
-        near = np.flatnonzero(np.isin(nodes, succ))
+        at = np.zeros(g.node_count, dtype=bool)
+        at[succ] = True
+        near = np.flatnonzero(at[nodes])
         order, fresh = _sort_states(
             np.concatenate((nodes[near], succ)),
             np.concatenate((ages.take(near, axis=1), succ_ages), axis=1),
@@ -303,7 +336,7 @@ def build_truncated(
     slot = (first[order] - degree.cumsum() + degree).repeat(degree)
     slot += np.arange(len(src))
     dst = rank[np.concatenate(targets)[slot]]
-    return TruncatedGraph(g, depth, initial, nodes, ages, (src, dst), parent)
+    return TruncatedGraph(g, depth, initial, caps, nodes, ages, (src, dst), parent)
 
 
 def _live_graph(g: Graph, v0: int) -> Graph:
@@ -662,12 +695,17 @@ def solve_nondiscounted(
     )
 
 
-def _feasible_epsilon_estimate(spec: RewardSpec, budget: int) -> float:
-    """Crude epsilon that would likely fit the budget, for error messages."""
-    n = spec.node_count
-    depth = max(1, int((budget / max(n, 1)) ** (1.0 / n)) - 1)
+def _feasible_epsilon_estimate(
+    spec: RewardSpec, budget: int, nodes: Collection[int]
+) -> float:
+    """Crude epsilon that would likely fit the budget, for error messages.
+
+    Sized from ``nodes``, the ones a solve gives their own caps.
+    """
+    n = len(nodes)
+    depth = max(1, int((budget / n) ** (1.0 / n)) - 1)
     # Every gamma is below 1 here: the solve refused or delegated the rest.
-    pairs = zip(spec.lam, spec.gamma)
+    pairs = [(spec.lam[v], spec.gamma[v]) for v in nodes]
     return max(lam * gamma**depth / (1.0 - gamma) for lam, gamma in pairs)
 
 
@@ -684,18 +722,23 @@ def solve_infinite_approx(
     A start with no infinite path raises :class:`NoCycleError` before any
     state is built. Otherwise builds the truncated visit-age graph on the
     nodes with one (:func:`_live_graph`), so ``state_count`` counts the
-    reachable states an infinite path passes, and runs
+    reachable states an infinite path passes. Each node the start reaches
+    there is capped at its own depth (:func:`_node_caps`), every other node
+    at 1, and ``depth`` reports the largest cap. Then it runs
     :func:`_howard_max_mean_cycle` over all of it from the initial state,
-    in units of the largest rate, first with the optimistic weights. If
-    every state on that cycle has a non-zero own age, its mean is its
-    lasso's true value and so the optimum: the solve is exact, ``pi_under
-    is pi_over``, ``r_over == r_under``, and a replay off that mean raises
-    :class:`SolverContractError`. Otherwise a second run with the
-    pessimistic weights finds ``pi_under``. ``r_under`` is the exact replay
-    value of its witness, so ``average_reward(spec, pi_under) == r_under``
-    holds identically. The state budget is the only size limit. Raises
-    :class:`SolverContractError` if the bracket breaks its contract, and
-    :class:`InvalidInputError` if a reward sum overflows a float.
+    in units of the largest rate, first with the optimistic weights. If no
+    state on that cycle at a node with a non-zero rate has an overflowed
+    own age, its mean is its lasso's true value and so the optimum: the
+    solve is exact, ``pi_under is pi_over``, ``r_over == r_under``, and a
+    replay off that mean raises :class:`SolverContractError`. Otherwise a
+    second run with the pessimistic weights finds ``pi_under``.
+    ``r_under`` is the exact replay value of its witness, so
+    ``average_reward(spec, pi_under) == r_under`` holds identically. The
+    state budget is the only size limit. Raises
+    :class:`SolverContractError` if the bracket breaks its contract (a
+    width past ``epsilon`` by more than ``TOLERANCE`` times the larger
+    end), and :class:`InvalidInputError` if a reward sum overflows a
+    float.
 
     All survival probabilities must be below 1. With no decay anywhere,
     :func:`solve_nondiscounted` takes over and the bracket collapses to
@@ -715,14 +758,15 @@ def solve_infinite_approx(
             "mixing decaying and non-decaying nodes is not supported"
         )
 
-    depth = truncation_depth(spec, epsilon)
+    live = _live_graph(g, v0)
+    reached = _bfs(live, v0, ())[0]
+    caps = _node_caps(spec, epsilon, reached)
     try:
-        tg = build_truncated(_live_graph(g, v0), v0, depth, state_budget=state_budget)
+        tg = build_truncated(live, v0, caps, state_budget=state_budget)
     except StateBudgetExceededError as exc:
+        estimate = _feasible_epsilon_estimate(spec, state_budget, reached)
         raise StateBudgetExceededError(
-            state_budget,
-            f"{exc}; epsilon around {_feasible_epsilon_estimate(spec, state_budget):.3g} "
-            "should fit the budget",
+            state_budget, f"{exc}; epsilon around {estimate:.3g} should fit the budget"
         ) from exc
     # In units of the largest rate no weight passes 1/(1-gamma) <= 2**53.
     unit = max(spec.lam) or 1.0
@@ -730,8 +774,11 @@ def solve_infinite_approx(
     mean_over, cycle_over = _howard_max_mean_cycle(
         *tg.edge_arrays, weights.reward_over, tg.initial
     )
-    # With no overflowed own age on it, the cycle's weights are exact.
-    exact = tg.age_matrix[tg.node_array[cycle_over], cycle_over].all()
+    # With no overflowed own age on it, the cycle's weights are exact; at a
+    # node that generates nothing an overflowed visit weighs 0 both ways.
+    on_cycle = tg.node_array[cycle_over]
+    overflowed = tg.age_matrix[on_cycle, cycle_over] == 0
+    exact = not np.asarray(spec.lam)[on_cycle[overflowed]].any()
     if not exact:
         _, cycle_under = _howard_max_mean_cycle(
             *tg.edge_arrays, weights.reward_under, tg.initial
@@ -748,13 +795,13 @@ def solve_infinite_approx(
     # r_under is the exact value of a real path, so it never exceeds the
     # optimum; lifting r_over to it only sheds rounding noise.
     r_over = r_under if exact else max(mean_over, r_under)
-    if r_over - r_under > epsilon + TOLERANCE:
+    if r_over - r_under > epsilon + TOLERANCE * max(abs(r_over), abs(r_under)):
         raise SolverContractError(
             f"bracket [{r_under}, {r_over}] violates its contract at "
             f"epsilon {epsilon}"
         )
     return ValueBracket(
-        r_under, r_over, pi_under, pi_over, depth, r_over - r_under, tg.state_count
+        r_under, r_over, pi_under, pi_over, tg.depth, r_over - r_under, tg.state_count
     )
 
 

@@ -353,35 +353,37 @@ def layered_dp_reference(
 
 
 def _truncated_successor(
-    ages: tuple[int, ...], v: int, w: int, depth: int, n: int
+    ages: tuple[int, ...], v: int, w: int, caps: tuple[int, ...], n: int
 ) -> State:
     # Leaving v resets its age to 1; every other age ticks up and overflows
-    # to 0 once it passes the cap (0 also stays 0).
+    # to 0 once it passes its node's cap (0 also stays 0).
     return (
         w,
         tuple(
             1
             if u == v
-            else (ages[u] + 1 if 0 < ages[u] and ages[u] + 1 <= depth else 0)
+            else (ages[u] + 1 if 0 < ages[u] and ages[u] + 1 <= caps[u] else 0)
             for u in range(n)
         ),
     )
 
 
 def truncated_bfs_reference(
-    g: Graph, v0: int, depth: int, *, state_budget: int
+    g: Graph, v0: int, depth: int | tuple[int, ...], *, state_budget: int
 ) -> tuple[tuple[State, ...], int, Graph]:
     """Tuple-per-state BFS of the truncated visit-age graph.
 
     The per-state loop the vectorized engine replaced, kept as its
-    reference. Returns ``(states, initial, state_graph)`` as
+    reference. ``depth`` caps every node's age, or is a tuple of one cap
+    per node. Returns ``(states, initial, state_graph)`` as
     :func:`reward_routing.build_truncated` lays them out.
     """
-    if depth < 1:
-        raise ValueError("truncation depth must be at least 1")
-    if not 0 <= v0 < g.node_count:
-        raise ValueError(f"start node {v0} out of range")
     n = g.node_count
+    caps = (depth,) * n if isinstance(depth, int) else depth
+    if len(caps) != n or min(caps, default=1) < 1:
+        raise ValueError("truncation depth must be at least 1")
+    if not 0 <= v0 < n:
+        raise ValueError(f"start node {v0} out of range")
     initial: State = (v0, (1,) * n)
     discovered: dict[State, int] = {initial: 0}
     order: list[State] = [initial]
@@ -392,14 +394,14 @@ def truncated_bfs_reference(
         v, ages = state
         src = discovered[state]
         for w in g.adjacency[v]:
-            succ = _truncated_successor(ages, v, w, depth, n)
+            succ = _truncated_successor(ages, v, w, caps, n)
             idx = discovered.get(succ)
             if idx is None:
                 idx = len(order)
                 if idx >= state_budget:
                     raise StateBudgetExceededError(
                         state_budget,
-                        f"truncated graph at depth {depth} exceeds "
+                        f"truncated graph at depth {max(caps, default=1)} exceeds "
                         f"{state_budget} states",
                     )
                 discovered[succ] = idx

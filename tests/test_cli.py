@@ -1002,11 +1002,13 @@ class TestInfiniteBeyondKarpTable:
             ["infinite", "--graph", str(graph), "--start", "s", "--epsilon", "1e-4"]
         )
         assert code == EXIT_OK, err
-        # The sink has no infinite path onward, so its state is never built.
-        assert out["state_count"] == 23
+        # The sink has no infinite path onward, so its state is never built
+        # and its rate of 50 sizes no cap; s, a and b are capped at 15.
+        assert out["state_count"] == 18
+        assert out["bracket"]["truncation_depth"] == 15
         for side in ("witness_under", "witness_over"):
             witness = out["bracket"][side]
-            assert witness["prefix"] == ["s"] + ["a", "b"] * 10
+            assert witness["prefix"] == ["s"] + ["a", "b"] * 8
             assert witness["cycle"] == ["a", "b"]
         assert out["bracket"]["r_under"] == pytest.approx(1.5, abs=1e-4)
         assert rescored_under(str(graph), out) == pytest.approx(

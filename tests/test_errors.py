@@ -78,6 +78,14 @@ BAD_CALLS = {
         lambda: truncation_depth(SPEC, "1"),
         "^epsilon must be a finite number$",
     ),
+    "build_truncated.caps": (
+        lambda: build_truncated(two_cycles_graph(), 0, (2, 2, 2)),
+        "^truncation caps disagree with the graph$",
+    ),
+    "build_truncated.cap": (
+        lambda: build_truncated(two_cycles_graph(), 0, (2, 0, 2, 2)),
+        "^truncation depth must be at least 1$",
+    ),
     "solve_infinite_approx.inf": (
         lambda: solve_infinite_approx(RING, RING_SPEC, 0, float("inf")),
         "^epsilon must be a finite number$",
@@ -192,6 +200,10 @@ NOT_INTEGERS = {
     ),
     "build_truncated.depth": (
         lambda: build_truncated(two_cycles_graph(), 0, 2.5),
+        "truncation depth must be an integer, got 2.5",
+    ),
+    "build_truncated.cap_float": (
+        lambda: build_truncated(two_cycles_graph(), 0, (2, 2.5, 2, 2)),
         "truncation depth must be an integer, got 2.5",
     ),
     "shortest_path.dst": (

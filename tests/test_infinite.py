@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from reward_routing import (
     Graph,
@@ -20,6 +21,7 @@ from reward_routing import (
     build_truncated,
     decide_infinite_value,
     karp_mean_cycle,
+    scc_decompose,
     solve_infinite_approx,
     solve_nondiscounted,
     truncation_depth,
@@ -28,6 +30,7 @@ from reward_routing import (
 )
 from reward_routing import infinite
 from reward_routing.infinite import (
+    ValueBracket,
     _component_karp,
     _cycle_bearing_components,
     _cycle_to_lasso,
@@ -51,6 +54,57 @@ TWO_CYCLES = two_cycles_graph()
 
 def _scaled(spec: RewardSpec, scale: float) -> RewardSpec:
     return RewardSpec(tuple(lam * scale for lam in spec.lam), spec.gamma)
+
+
+def solve_caps(g: Graph, spec: RewardSpec, epsilon: float, v0: int = 0) -> tuple[int, ...]:
+    """The age caps a solve builds with.
+
+    Each node the start reaches on the live graph is capped at its own
+    depth, every other node at 1.
+    """
+    reached = {v for comp in scc_decompose(_live_graph(g, v0), v0) for v in comp}
+    return tuple(
+        truncation_depth(RewardSpec((spec.lam[v],), (spec.gamma[v],)), epsilon)
+        if v in reached
+        else 1
+        for v in range(g.node_count)
+    )
+
+
+def global_depth_bracket(
+    g: Graph, spec: RewardSpec, epsilon: float, v0: int = 0
+) -> ValueBracket:
+    """The bracket of a solve that caps every node at ``truncation_depth``."""
+    depth = truncation_depth(spec, epsilon)
+    tg = build_truncated(_live_graph(g, v0), v0, depth)
+    unit = max(spec.lam) or 1.0
+    table = tg.weights(RewardSpec(tuple(lam / unit for lam in spec.lam), spec.gamma))
+    mean_over, over = _howard_max_mean_cycle(*tg.edge_arrays, table.reward_over, tg.initial)
+    pi_over = _cycle_to_lasso(tg, over)
+    if tg.age_matrix[tg.node_array[over], over].all():
+        pi_under = pi_over
+        r_under = r_over = average_reward(spec, pi_over).value
+    else:
+        _, under = _howard_max_mean_cycle(*tg.edge_arrays, table.reward_under, tg.initial)
+        pi_under = _cycle_to_lasso(tg, under)
+        r_under = average_reward(spec, pi_under).value
+        r_over = max(mean_over * unit, r_under)
+    return ValueBracket(
+        r_under, r_over, pi_under, pi_over, depth, r_over - r_under, tg.state_count
+    )
+
+
+@st.composite
+def heterogeneous_instances(draw) -> tuple[Graph, RewardSpec, float]:
+    """A 2-4-node graph, possibly with dead ends, a per-node spec and an epsilon."""
+    n = draw(st.integers(2, 4))
+    node = st.integers(0, n - 1)
+    succs = draw(st.lists(st.sets(node, max_size=3), min_size=n, max_size=n))
+    g = Graph.from_edges(n, [(v, w) for v in range(n) for w in succs[v]])
+    lam = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 1.75]), min_size=n, max_size=n))
+    gamma = draw(st.lists(st.floats(0.2, 0.6), min_size=n, max_size=n))
+    epsilon = draw(st.sampled_from([0.05, 0.2, 1.0]))
+    return g, RewardSpec(tuple(lam), tuple(gamma)), epsilon
 
 
 def primitive_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -494,7 +548,7 @@ class TestSolveInfiniteApprox:
                 full = build_truncated(g, 0, depth)
                 assert not _cycle_bearing_components(full.state_graph)
                 continue
-            tg = build_truncated(_live_graph(g, 0), 0, depth)
+            tg = build_truncated(_live_graph(g, 0), 0, solve_caps(g, spec, epsilon))
             table = tg.weights(spec)
             mean_over, over = _howard_max_mean_cycle(
                 *tg.edge_arrays, table.reward_over, tg.initial
@@ -569,8 +623,9 @@ class TestSolveInfiniteApprox:
                 tuple(rng.uniform(0.0, 2.0) for _ in range(n)),
                 tuple(rng.uniform(0.2, 0.6) for _ in range(n)),
             )
-            bracket = solve_infinite_approx(g, spec, 0, rng.choice((0.05, 1.0)))
-            tg = build_truncated(g, 0, bracket.depth)
+            epsilon = rng.choice((0.05, 1.0))
+            bracket = solve_infinite_approx(g, spec, 0, epsilon)
+            tg = build_truncated(g, 0, solve_caps(g, spec, epsilon))
             # The solve weighs in units of the largest rate; so does this.
             unit = max(spec.lam)
             units = RewardSpec(tuple(lam / unit for lam in spec.lam), spec.gamma)
@@ -690,6 +745,123 @@ class TestSolveInfiniteApprox:
             lower, upper = average_reward_bounds(two_cycles, spec)
             bracket = solve_infinite_approx(two_cycles, spec, 0, 1e-4)
             assert max(bracket.r_under, lower) <= min(bracket.r_over, upper) + 1e-9
+
+
+class TestPerNodeCaps:
+    """Each node's age is capped at its own depth, where the start can go."""
+
+    def test_heterogeneous_state_count_pin(self, two_cycles):
+        spec = RewardSpec((1.0, 0.5, 2.0, 0.25), (0.5, 0.3, 0.6, 0.4))
+        bracket = solve_infinite_approx(two_cycles, spec, 0, 0.01)
+        assert solve_caps(two_cycles, spec, 0.01) == (8, 4, 13, 5)
+        assert (bracket.depth, bracket.state_count) == (13, 39)
+        assert build_truncated(two_cycles, 0, 13).state_count == 62
+
+    def test_uniform_specs_solve_as_with_one_depth(self):
+        # A ring through every node keeps them all reached and live, so
+        # every cap is the one global depth: same bracket, bit for bit.
+        rng = random.Random(21)
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            edges = [(i, (i + 1) % n) for i in range(n)]
+            edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+            g = Graph.from_edges(n, edges)
+            spec = RewardSpec.uniform(n, rng.choice((0.0, 0.5, 1.0)), rng.uniform(0.2, 0.7))
+            epsilon = rng.choice((1e-3, 0.05, 1.0))
+            assert solve_infinite_approx(g, spec, 0, epsilon) == global_depth_bracket(
+                g, spec, epsilon
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(heterogeneous_instances())
+    def test_bracket_holds_and_overlaps_the_global_depth_bracket(self, instance):
+        g, spec, epsilon = instance
+        try:
+            bracket = solve_infinite_approx(g, spec, 0, epsilon)
+        except NoCycleError:
+            assume(False)
+        # r_under is a real path's exact value, so at most the optimum.
+        assert average_reward(spec, bracket.pi_under).value == bracket.r_under
+        assert bracket.r_over - bracket.r_under <= epsilon
+        # r_over is at least every enumerated lasso's value.
+        for length in range(1, 6):
+            for walk in oracles.enumerate_paths(g, 0, length):
+                head = walk.index(walk[-1])
+                if head == length:
+                    continue
+                cycle = walk[head:-1]
+                total = oracles.explicit_path_total(spec.lam, spec.gamma, cycle * 2)
+                total -= oracles.explicit_path_total(spec.lam, spec.gamma, cycle)
+                assert total / len(cycle) <= bracket.r_over * (1.0 + TOLERANCE)
+        wide = global_depth_bracket(g, spec, epsilon)
+        assert wide.r_over - wide.r_under <= epsilon
+        low = max(bracket.r_under, wide.r_under)
+        assert low <= min(bracket.r_over, wide.r_over) * (1.0 + TOLERANCE)
+        assert bracket.depth <= wide.depth
+        assert bracket.state_count <= wide.state_count
+
+    def test_overflowed_silent_node_keeps_the_solve_exact(self, monkeypatch):
+        # The only cycle passes the silent node 1 at age 2, past its cap of
+        # 1; that visit weighs 0 either way, so one Howard run is enough.
+        calls = []
+        howard = infinite._howard_max_mean_cycle
+
+        def spy(*args):
+            calls.append(args)
+            return howard(*args)
+
+        monkeypatch.setattr(infinite, "_howard_max_mean_cycle", spy)
+        g = Graph.from_edges(2, [(0, 1), (1, 0)])
+        spec = RewardSpec((1.0, 0.0), (0.6, 0.6))
+        bracket = solve_infinite_approx(g, spec, 0, 1e-3)
+        assert solve_caps(g, spec, 1e-3) == (16, 1)
+        assert len(calls) == 1 and bracket.pi_under is bracket.pi_over
+        assert bracket.r_under == bracket.r_over == pytest.approx(0.8, abs=1e-15)
+
+    def test_unreachable_large_rate_does_not_size_the_caps(self):
+        # Rates and epsilon near 1e-9 beside a self-loop node of rate 1 the
+        # start cannot reach. With that node's depth as every cap, these
+        # solves went 31-38 deep, and one passed this budget.
+        rng = random.Random(6)
+        scale = 2.0**-30
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            g = random_graph(rng, n, max_out=min(n, 3))
+            spec = RewardSpec(
+                tuple(rng.uniform(0.0, 2.0) * scale for _ in range(n)),
+                tuple(rng.uniform(0.2, 0.6) for _ in range(n)),
+            )
+            epsilon = rng.choice((0.01, 0.1, 1.0)) * scale
+            alone = solve_infinite_approx(g, spec, 0, epsilon, state_budget=100_000)
+            beside = solve_infinite_approx(
+                Graph(n + 1, g.adjacency + ((n,),)),
+                RewardSpec(spec.lam + (1.0,), spec.gamma + (0.5,)),
+                0,
+                epsilon,
+                state_budget=100_000,
+            )
+            assert (beside.depth, beside.state_count) == (alone.depth, alone.state_count)
+            assert beside.r_over - beside.r_under <= epsilon
+
+    def test_bracket_check_slack_is_relative(self, monkeypatch):
+        # A 2-ring at rates near 1e-9, every visit overflowed at cap 1: its
+        # width is 0.9e-9 of 1.6e-9. Widening the optimistic mean by
+        # epsilon / 2 breaks the contract by less than an absolute 1e-9.
+        g = Graph.from_edges(2, [(0, 1), (1, 0)])
+        spec = RewardSpec.uniform(2, 1e-9, 0.6)
+        epsilon = 1.6e-9
+        bracket = solve_infinite_approx(g, spec, 0, epsilon)
+        assert bracket.depth == 1 and bracket.pi_under is not bracket.pi_over
+        assert bracket.epsilon_achieved == pytest.approx(0.9e-9, rel=1e-12)
+        howard = infinite._howard_max_mean_cycle
+
+        def widened(*args):
+            mean, cycle = howard(*args)
+            return mean + epsilon / 2 / max(spec.lam), cycle
+
+        monkeypatch.setattr(infinite, "_howard_max_mean_cycle", widened)
+        with pytest.raises(SolverContractError, match="violates its contract"):
+            solve_infinite_approx(g, spec, 0, epsilon)
 
 
 class TestRateUnits:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reward_routing import (
     DecayProfile,
@@ -96,7 +96,7 @@ def assert_same_outcome(got, expected) -> None:
     assert got.states_expanded == expected.states_expanded
 
 
-def assert_same_truncated(g: Graph, v0: int, depth: int):
+def assert_same_truncated(g: Graph, v0: int, depth: int | tuple[int, ...]):
     tg = build_truncated(g, v0, depth)
     states, initial, state_graph = oracles.truncated_bfs_reference(
         g, v0, depth, state_budget=DEFAULT_STATE_BUDGET
@@ -196,6 +196,30 @@ class TestTruncatedAgainstReference:
         assert list(zip(src.tolist(), dst.tolist())) == list(state_graph.edges())
         increasing = (src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))
         assert increasing.all()
+
+    @settings(max_examples=60)
+    @given(graphs(), st.data())
+    def test_per_node_caps(self, instance, data):
+        # Unequal caps: states, edges and parents as the reference lays
+        # them out, and each state weighed at its own node's cap.
+        g, v0 = instance
+        n = g.node_count
+        caps = tuple(data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+        assume(len(set(caps)) > 1)
+        tg = assert_same_truncated(g, v0, caps)
+        assert (tg.depth, tg.caps.tolist()) == (max(caps), list(caps))
+        for state in range(tg.state_count):
+            expected = shortest_path(tg.state_graph, tg.initial, state).nodes
+            assert bfs_tree_path(tg, state) == expected
+        spec = RewardSpec(
+            tuple(data.draw(st.lists(rates, min_size=n, max_size=n))),
+            tuple(data.draw(st.lists(st.floats(0.05, 0.99), min_size=n, max_size=n))),
+        )
+        table = tg.weights(spec)
+        pairs = [weight_pair(spec, state, caps[state[0]]) for state in tg.states]
+        for name in ("reward_under", "reward_over"):
+            expected = np.array([getattr(p, name) for p in pairs])
+            assert getattr(table, name).tobytes() == expected.tobytes()
 
     @settings(max_examples=30)
     @given(graphs(max_nodes=5), st.integers(1, 4), st.data())
