@@ -10,11 +10,11 @@ node's age capped at its own depth ``K_v`` (age 0 encodes "longer ago
 than ``K_v``"), the smallest that keeps the error of that node's
 collections within epsilon. Each state carries a pessimistic and an
 optimistic weight. Howard's policy iteration for the maximum mean cycle
-runs on the build's sorted edge arrays with the optimistic weights, then
-with the pessimistic ones only if that cycle visits an overflowed age at
-a node that generates reward (else it is exact, hence optimal). This
-yields a bracket ``[r_under, r_over]`` around the true optimum whose
-width is controlled by the caps, and ultimately periodic witness paths.
+runs once, on the build's sorted edge arrays with the optimistic weights.
+Its cycle mean bounds every path's value from above, and the exact
+replay of its lasso, a real path, is at least the cycle's pessimistic
+mean: a bracket ``[r_under, r_over]`` around the true optimum whose width
+is controlled by the caps, with one ultimately periodic witness path.
 Karp's recurrence (:func:`karp_mean_cycle`) is the tests' reference for
 Howard.
 """
@@ -186,8 +186,8 @@ class TruncatedGraph:
     (``parent[initial] == initial``), so its walks are the paths
     :func:`shortest_path` finds. A cycle whose states all have a non-zero
     own age (``age_matrix[node_array[c], c]``) weighs exactly in both
-    weightings; a solve reports it as both witnesses. ``states`` (tuples)
-    and ``state_graph`` (a :class:`Graph`) are views built on first read.
+    weightings. ``states`` (tuples) and ``state_graph`` (a :class:`Graph`)
+    are views built on first read.
     """
 
     graph: Graph
@@ -597,8 +597,8 @@ class ValueBracket:
     ``r_under`` is the exact long-run value of ``pi_under`` (a real path,
     hence a lower bound); ``r_over`` is the optimistic cycle mean on the
     truncated graph, an upper bound on every path's value. Their gap is
-    at most the requested epsilon. On an exact solve, where the optimistic
-    cycle visits no overflowed age, both witnesses are one lasso object.
+    at most the requested epsilon. A decaying solve reports the lasso of
+    the optimistic cycle as both witnesses, one object.
     """
 
     r_under: float
@@ -725,15 +725,15 @@ def solve_infinite_approx(
     reachable states an infinite path passes. Each node the start reaches
     there is capped at its own depth (:func:`_node_caps`), every other node
     at 1, and ``depth`` reports the largest cap. Then it runs
-    :func:`_howard_max_mean_cycle` over all of it from the initial state,
-    in units of the largest rate, first with the optimistic weights. If no
-    state on that cycle at a node with a non-zero rate has an overflowed
-    own age, its mean is its lasso's true value and so the optimum: the
-    solve is exact, ``pi_under is pi_over``, ``r_over == r_under``, and a
-    replay off that mean raises :class:`SolverContractError`. Otherwise a
-    second run with the pessimistic weights finds ``pi_under``.
-    ``r_under`` is the exact replay value of its witness, so
-    ``average_reward(spec, pi_under) == r_under`` holds identically. The
+    :func:`_howard_max_mean_cycle` once over all of it from the initial
+    state, in units of the largest rate, with the optimistic weights. That
+    cycle's lasso is both witnesses, and ``r_under`` is its exact replay, so
+    ``average_reward(spec, pi_under) == r_under`` holds identically. If no
+    state on the cycle at a node with a non-zero rate has an overflowed
+    own age, the cycle mean is that replay and so the optimum: the solve
+    is exact, ``r_over == r_under``, and a replay off the mean raises
+    :class:`SolverContractError`. Otherwise ``r_over`` is the cycle mean;
+    an overflowed visit collects at most epsilon less than it weighs. The
     state budget is the only size limit. Raises
     :class:`SolverContractError` if the bracket breaks its contract (a
     width past ``epsilon`` by more than ``TOLERANCE`` times the larger
@@ -764,10 +764,12 @@ def solve_infinite_approx(
     try:
         tg = build_truncated(live, v0, caps, state_budget=state_budget)
     except StateBudgetExceededError as exc:
-        estimate = _feasible_epsilon_estimate(spec, state_budget, reached)
-        raise StateBudgetExceededError(
-            state_budget, f"{exc}; epsilon around {estimate:.3g} should fit the budget"
-        ) from exc
+        estimate = f"{_feasible_epsilon_estimate(spec, state_budget, reached):.3g}"
+        advice = f"epsilon around {estimate} should fit the budget"
+        # Caps only grow as epsilon shrinks, so only a larger one can help.
+        if not float(estimate) > epsilon:
+            advice = "raise the state budget"
+        raise StateBudgetExceededError(state_budget, f"{exc}; {advice}") from exc
     # In units of the largest rate no weight passes 1/(1-gamma) <= 2**53.
     unit = max(spec.lam) or 1.0
     weights = tg.weights(RewardSpec(tuple(lam / unit for lam in spec.lam), spec.gamma))
@@ -779,16 +781,11 @@ def solve_infinite_approx(
     on_cycle = tg.node_array[cycle_over]
     overflowed = tg.age_matrix[on_cycle, cycle_over] == 0
     exact = not np.asarray(spec.lam)[on_cycle[overflowed]].any()
-    if not exact:
-        _, cycle_under = _howard_max_mean_cycle(
-            *tg.edge_arrays, weights.reward_under, tg.initial
-        )
     mean_over *= unit
     if not math.isfinite(mean_over):
         raise InvalidInputError(_OVERFLOW)
-    pi_over = _cycle_to_lasso(tg, cycle_over)
-    pi_under = pi_over if exact else _cycle_to_lasso(tg, cycle_under)
-    r_under = average_reward(spec, pi_under).value
+    witness = _cycle_to_lasso(tg, cycle_over)
+    r_under = average_reward(spec, witness).value
     if exact:
         # The upper bound is a real path's value, hence the optimum.
         _check_rescore(mean_over, r_under)
@@ -801,7 +798,7 @@ def solve_infinite_approx(
             f"epsilon {epsilon}"
         )
     return ValueBracket(
-        r_under, r_over, pi_under, pi_over, tg.depth, r_over - r_under, tg.state_count
+        r_under, r_over, witness, witness, tg.depth, r_over - r_under, tg.state_count
     )
 
 

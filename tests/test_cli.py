@@ -419,6 +419,47 @@ class TestCommands:
         assert got == code
         assert normalized(doc) == expected
 
+    def test_fallback_document_reports_one_witness(self, tmp_path):
+        # The optimistic cycle a-b-a waits at a and overflows its age at
+        # depth 2. Its replay, 1.52, is the lower end, so a threshold
+        # between it and the a-b cycle's 1.6 is undecided.
+        graph = tmp_path / "fallback.json"
+        graph.write_text(
+            json.dumps(
+                {
+                    "defaults": {"lambda": 1.0, "gamma": 0.6},
+                    "nodes": [{"id": "a"}, {"id": "b"}],
+                    "edges": [["a", "a"], ["a", "b"], ["b", "a"]],
+                }
+            )
+        )
+        common = ["--graph", str(graph), "--start", "a", "--epsilon", "1"]
+        code, doc, err = run(["infinite", *common])
+        assert code == EXIT_OK, err
+        witness = {"prefix": ["a"], "cycle": ["a", "b", "a"]}
+        assert normalized(doc) == {
+            "arguments": {
+                "epsilon": 1.0,
+                "graph": "fallback.json",
+                "start": "a",
+                "subcommand": "infinite",
+            },
+            "bracket": {
+                "epsilon_achieved": 0.18,
+                "r_over": 1.7,
+                "r_under": 1.52,
+                "truncation_depth": 2,
+                "witness_over": witness,
+                "witness_under": witness,
+            },
+            "command": "infinite",
+            "node_order": ["a", "b"],
+            "state_count": 6,
+        }
+        code, decided, err = run(["decide", *common, "--threshold", "1.55"])
+        assert (code, decided["decision"]) == (EXIT_UNKNOWN, "unknown"), err
+        assert decided["bracket"] == doc["bracket"]
+
     def test_bounded_finds_the_counting_route(self):
         code, doc, _ = run(
             [

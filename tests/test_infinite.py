@@ -80,17 +80,14 @@ def global_depth_bracket(
     unit = max(spec.lam) or 1.0
     table = tg.weights(RewardSpec(tuple(lam / unit for lam in spec.lam), spec.gamma))
     mean_over, over = _howard_max_mean_cycle(*tg.edge_arrays, table.reward_over, tg.initial)
-    pi_over = _cycle_to_lasso(tg, over)
+    witness = _cycle_to_lasso(tg, over)
+    r_under = average_reward(spec, witness).value
     if tg.age_matrix[tg.node_array[over], over].all():
-        pi_under = pi_over
-        r_under = r_over = average_reward(spec, pi_over).value
+        r_over = r_under
     else:
-        _, under = _howard_max_mean_cycle(*tg.edge_arrays, table.reward_under, tg.initial)
-        pi_under = _cycle_to_lasso(tg, under)
-        r_under = average_reward(spec, pi_under).value
         r_over = max(mean_over * unit, r_under)
     return ValueBracket(
-        r_under, r_over, pi_under, pi_over, depth, r_over - r_under, tg.state_count
+        r_under, r_over, witness, witness, depth, r_over - r_under, tg.state_count
     )
 
 
@@ -518,21 +515,27 @@ class TestSolveInfiniteApprox:
         assert scaled.r_under == pytest.approx(1.99e305)
 
     def test_upper_mean_past_float_range_is_refused(self):
-        # At unit scale the lower witness is 0's self-loop at 1 and the
-        # upper mean is 2. At rates 2**1023 the self-loop still fits a
-        # float, but the upper mean alone overflows.
+        # At unit scale the witness is the 0-1 cycle, which replays to 1.5,
+        # and the upper mean is 2.
         g = Graph.from_edges(3, [(u, v) for u in range(3) for v in range(3)])
         spec = RewardSpec((1.0, 1.0, 0.25), (0.5,) * 3)
         bracket = solve_infinite_approx(g, spec, 0, 1.0)
-        assert (bracket.r_under, bracket.r_over, bracket.pi_under.cycle) == (1.0, 2.0, (0,))
+        assert (bracket.r_under, bracket.r_over) == (1.5, 2.0)
+        assert bracket.pi_under.cycle == (0, 1)
+        # A 2-ring capped at 1: its witness replays to 3.61e307 and fits a
+        # float, but the upper mean lam / (1 - gamma) = 1.9e308 does not.
+        ring = Graph.from_edges(2, [(0, 1), (1, 0)])
+        huge = RewardSpec.uniform(2, 1.9e307, 0.9)
+        replay = average_reward(huge, validate_lasso(ring, [], [0, 1])).value
+        assert replay == pytest.approx(3.61e307)
         with pytest.raises(InvalidInputError, match="^collected reward overflows a float"):
-            solve_infinite_approx(g, _scaled(spec, 2.0**1023), 0, 2.0**1023)
+            solve_infinite_approx(ring, huge, 0, 1.75e308)
 
     def test_witnesses_follow_the_exact_or_fallback_rule(self):
-        # The solve runs Howard on the optimistic weights first. A cycle
-        # with no overflowed own age is exact and stands for both
-        # witnesses; otherwise a pessimistic run finds pi_under. Both
-        # cases must match independent one-weighting runs.
+        # The solve runs Howard once, on the optimistic weights, and that
+        # cycle's lasso stands for both witnesses. A cycle with no
+        # overflowed own age is exact; otherwise r_over is its mean. Both
+        # cases must match an independent optimistic run and its replay.
         rng = random.Random(36)
         seen = set()
         for _ in range(40):
@@ -556,14 +559,10 @@ class TestSolveInfiniteApprox:
             exact = bool(tg.age_matrix[tg.node_array[over], over].all())
             seen.add(exact)
             assert bracket.pi_over == _cycle_to_lasso(tg, over)
+            assert bracket.pi_under is bracket.pi_over
+            assert bracket.r_under == average_reward(spec, bracket.pi_over).value
             if exact:
-                assert bracket.pi_under is bracket.pi_over
                 assert bracket.r_under == pytest.approx(mean_over, abs=TOLERANCE)
-            else:
-                _, under = _howard_max_mean_cycle(
-                    *tg.edge_arrays, table.reward_under, tg.initial
-                )
-                assert bracket.pi_under == _cycle_to_lasso(tg, under)
             # An exact solve reports its replay as both ends.
             r_over = bracket.r_under if exact else max(mean_over, bracket.r_under)
             assert bracket.r_over == r_over
@@ -571,13 +570,15 @@ class TestSolveInfiniteApprox:
         assert seen == {True, False}
 
     @pytest.mark.parametrize(
-        "epsilon, depth, runs", [(1e-5, 9, 1), (1e-3, 6, 2)], ids=["exact", "fallback"]
+        "epsilon, depth, width",
+        [(1e-5, 9, 0.0), (1e-3, 6, 3.5275e-6)],
+        ids=["exact", "fallback"],
     )
-    def test_exact_solve_runs_howard_once(
-        self, monkeypatch, two_cycles, epsilon, depth, runs
+    def test_solve_runs_howard_once(
+        self, monkeypatch, two_cycles, epsilon, depth, width
     ):
         # At depth 9 the optimistic cycle of the gamma 0.26 fixture visits
-        # no overflowed age; at depth 6 it does, and a second run follows.
+        # no overflowed age; at depth 6 it does, and its replay is r_under.
         calls = []
         howard = infinite._howard_max_mean_cycle
 
@@ -588,21 +589,19 @@ class TestSolveInfiniteApprox:
         monkeypatch.setattr(infinite, "_howard_max_mean_cycle", spy)
         spec = RewardSpec.uniform(4, 1.0, 0.26)
         bracket = solve_infinite_approx(two_cycles, spec, 0, epsilon)
-        assert (bracket.depth, len(calls)) == (depth, runs)
-        assert (bracket.pi_under is bracket.pi_over) == (runs == 1)
-        if runs == 1:
-            assert bracket.epsilon_achieved == 0.0
-        else:
-            assert bracket.epsilon_achieved == pytest.approx(3.5275e-6, rel=1e-4)
+        assert (bracket.depth, len(calls)) == (depth, 1)
+        assert bracket.pi_under is bracket.pi_over
+        assert bracket.epsilon_achieved == pytest.approx(width, rel=1e-4)
 
-    def test_overflowed_optimistic_cycle_keeps_the_pessimistic_run(self):
-        # The optimistic cycle waits at 0 and overflows its age at depth 2;
-        # skipping the pessimistic run would report it as the lower witness.
+    def test_overflowed_optimistic_cycle_is_both_witnesses(self):
+        # The optimistic cycle waits at 0 and overflows its age at depth 2.
+        # Its replay, 1.52, is the lower end, below the 0-1 cycle's 1.6 and
+        # within epsilon of the upper mean 1.7.
         g = Graph.from_edges(2, [(0, 0), (0, 1), (1, 0)])
         bracket = solve_infinite_approx(g, RewardSpec.uniform(2, 1.0, 0.6), 0, 1.0)
-        assert bracket.pi_under.cycle == (0, 1)
-        assert bracket.r_under == pytest.approx(1.6, abs=1e-12)
+        assert bracket.pi_under is bracket.pi_over
         assert bracket.pi_over.cycle == (0, 1, 0)
+        assert bracket.r_under == pytest.approx(1.52, abs=1e-12)
         assert bracket.r_over == pytest.approx(1.7, abs=1e-12)
 
     def test_exact_solve_reports_the_optimistic_tie(self):
@@ -614,7 +613,7 @@ class TestSolveInfiniteApprox:
         assert bracket.pi_under == bracket.pi_over == Lasso((0, 1), (1,))
         assert bracket.r_under == bracket.r_over == pytest.approx(0.2, abs=1e-12)
 
-    def test_one_run_matches_two_on_heterogeneous_specs(self):
+    def test_matches_one_optimistic_run_on_heterogeneous_specs(self):
         rng = random.Random(38)
         for _ in range(40):
             n = rng.randint(2, 5)
@@ -633,11 +632,9 @@ class TestSolveInfiniteApprox:
             mean_over, over = _howard_max_mean_cycle(
                 *tg.edge_arrays, table.reward_over, tg.initial
             )
-            _, under = _howard_max_mean_cycle(
-                *tg.edge_arrays, table.reward_under, tg.initial
-            )
-            r_under = average_reward(spec, _cycle_to_lasso(tg, under)).value
-            assert bracket.r_under == pytest.approx(r_under, abs=TOLERANCE)
+            assert bracket.pi_under is bracket.pi_over == _cycle_to_lasso(tg, over)
+            r_under = average_reward(spec, bracket.pi_over).value
+            assert bracket.r_under == r_under
             if tg.age_matrix[tg.node_array[over], over].all():
                 assert bracket.r_over == bracket.r_under
             else:
@@ -647,7 +644,22 @@ class TestSolveInfiniteApprox:
         spec = RewardSpec.uniform(4, 1.0, 0.5)
         with pytest.raises(StateBudgetExceededError) as err:
             solve_infinite_approx(two_cycles, spec, 0, 1e-9, state_budget=20)
-        assert "epsilon" in str(err.value)
+        # The suggestion is above the epsilon that failed.
+        assert str(err.value) == (
+            "truncated graph at depth 31 exceeds 20 states; "
+            "epsilon around 1 should fit the budget"
+        )
+
+    @pytest.mark.parametrize("lam", [(0.0, 0.0, 0.0), (1e-12, 0.0, 0.0)])
+    def test_budget_error_at_depth_one_asks_for_a_larger_budget(self, lam):
+        # Every cap is already 1, so no epsilon shrinks the build; the
+        # estimate (0, or 1e-12) is below the epsilon that failed.
+        g = Graph.from_edges(3, [(u, v) for u in range(3) for v in range(3) if u != v])
+        with pytest.raises(StateBudgetExceededError) as err:
+            solve_infinite_approx(g, RewardSpec(lam, (0.5,) * 3), 0, 0.1, state_budget=3)
+        assert str(err.value) == (
+            "truncated graph at depth 1 exceeds 3 states; raise the state budget"
+        )
 
     def test_no_infinite_path_is_found_before_the_budget(self):
         # Every path of a complete DAG ends, which the input graph shows;
@@ -851,7 +863,7 @@ class TestPerNodeCaps:
         spec = RewardSpec.uniform(2, 1e-9, 0.6)
         epsilon = 1.6e-9
         bracket = solve_infinite_approx(g, spec, 0, epsilon)
-        assert bracket.depth == 1 and bracket.pi_under is not bracket.pi_over
+        assert bracket.depth == 1 and bracket.pi_under is bracket.pi_over
         assert bracket.epsilon_achieved == pytest.approx(0.9e-9, rel=1e-12)
         howard = infinite._howard_max_mean_cycle
 
@@ -862,6 +874,49 @@ class TestPerNodeCaps:
         monkeypatch.setattr(infinite, "_howard_max_mean_cycle", widened)
         with pytest.raises(SolverContractError, match="violates its contract"):
             solve_infinite_approx(g, spec, 0, epsilon)
+
+
+class TestOneHowardRun:
+    """The optimistic witness's replay is the lower end of every bracket."""
+
+    def test_replay_covers_the_pessimistic_mean_of_its_cycle(self, monkeypatch):
+        # An overflowed visit collects at least its pessimistic weight, so
+        # the replay of pi_over is at least its state cycle's pessimistic
+        # mean, which is within epsilon of the optimistic mean.
+        runs = []
+        howard = infinite._howard_max_mean_cycle
+
+        def spy(*args):
+            runs.append((args, howard(*args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(infinite, "_howard_max_mean_cycle", spy)
+        rng = random.Random(22)
+        fallbacks = 0
+        for _ in range(80):
+            n = rng.randint(2, 6)
+            g = random_graph(rng, n, max_out=min(n, 3))
+            spec = RewardSpec(
+                tuple(rng.choice((0.0, 0.2, 1.0, 3.0)) for _ in range(n)),
+                tuple(rng.choice((0.2, 0.4, 0.6, 0.8)) for _ in range(n)),
+            )
+            epsilon = rng.choice((1.0, 0.1, 0.03))
+            runs.clear()
+            bracket = solve_infinite_approx(g, spec, 0, epsilon)
+            assert len(runs) == 1 and bracket.pi_under is bracket.pi_over
+            assert bracket.r_over - bracket.r_under <= epsilon
+            (src, dst, _, _), (_, cycle) = runs[0]
+            tg = build_truncated(_live_graph(g, 0), 0, solve_caps(g, spec, epsilon))
+            assert np.array_equal(src, tg.edge_arrays[0])
+            assert np.array_equal(dst, tg.edge_arrays[1])
+            on_cycle = tg.node_array[cycle]
+            overflowed = tg.age_matrix[on_cycle, cycle] == 0
+            if not np.asarray(spec.lam)[on_cycle[overflowed]].any():
+                continue
+            fallbacks += 1
+            pessimistic = math.fsum(tg.weights(spec).reward_under[cycle]) / len(cycle)
+            assert pessimistic <= bracket.r_under * (1.0 + TOLERANCE)
+        assert fallbacks >= 15
 
 
 class TestRateUnits:
