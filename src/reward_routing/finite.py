@@ -32,14 +32,14 @@ from .errors import (
 )
 from .graph import Graph, Path, _check_int, _check_start, validate_path
 from .rewards import (
-    TOLERANCE,
     DecayProfile,
     RewardSpec,
     RewardValue,
     _OVERFLOW,
     _check_param,
     _check_rescore,
-    _is_finite_number,
+    _check_threshold,
+    _reaches,
     decayed_path_reward,
     make_step_reward,
 )
@@ -141,15 +141,10 @@ class _PairTable:
     largest age asked for.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[int, int], object],
-        node_count: int,
-        shape: tuple[int, ...] = (),
-    ) -> None:
+    def __init__(self, fn: Callable[[int, int], float], node_count: int) -> None:
         self._fn = fn
         self._node_count = node_count
-        self._values = np.zeros((16 * node_count, *shape))
+        self._values = np.zeros(16 * node_count)
         self._known = np.zeros(16 * node_count, dtype=bool)
 
     def __call__(self, nodes: np.ndarray, ages: np.ndarray) -> np.ndarray:
@@ -159,7 +154,7 @@ class _PairTable:
         size = len(self._known)
         if len(index) and index.max() >= size:
             size = max(2 * size, int(index.max()) + 1)
-            values = np.zeros((size, *self._values.shape[1:]))
+            values = np.zeros(size)
             values[: len(self._values)] = self._values
             known = np.zeros(size, dtype=bool)
             known[: len(self._known)] = self._known
@@ -311,10 +306,9 @@ def decide_finite_value(
 
     False when no path of the requested length exists at all.
     """
-    if not _is_finite_number(threshold):
-        raise InvalidInputError("threshold must be a finite number")
+    _check_threshold(threshold)
     try:
         solution = solve_finite(g, spec, v0, horizon, state_budget=state_budget)
     except NoPathError:
         return False
-    return solution.value.value >= threshold - TOLERANCE * abs(threshold)
+    return _reaches(solution.value.value, threshold)

@@ -61,12 +61,16 @@ from .rewards import (
     RewardSpec,
     RewardValue,
     _OVERFLOW,
+    _agree,
     _check_param,
     _check_rescore,
+    _check_threshold,
     _is_finite_number,
+    _reaches,
+    _step_limit,
     average_reward,
     decayed_average_reward,
-    geometric_series,
+    make_step_reward,
 )
 
 # Karp's table holds (m + 1) * m floats for m states; refuse sizes where
@@ -132,7 +136,8 @@ class WeightPair:
 
     ``cost_over``/``cost_under`` bound the true cost ``gamma ** age`` from
     above and below when the age overflowed the cap (encoded as 0);
-    ``reward_under``/``reward_over`` are their collected-reward duals.
+    ``reward_under``/``reward_over`` are their collected-reward duals: the
+    step reward at the cap and its limit.
     """
 
     cost_over: float
@@ -141,26 +146,14 @@ class WeightPair:
     reward_over: float
 
 
-def _weight_values(
-    spec: RewardSpec, v: int, age: int, depth: int
-) -> tuple[float, float, float, float]:
-    """The fields of :class:`WeightPair` for a state at ``v`` of own age ``age``."""
-    lam, gamma = spec.lam[v], spec.gamma[v]
-    if age > 0:
-        cost = gamma**age
-        exact = lam * geometric_series(gamma, age)
-        return cost, cost, exact, exact
-    return (
-        gamma**depth,
-        0.0,
-        lam * geometric_series(gamma, depth),
-        lam / (1.0 - gamma),
-    )
-
-
 def weight_pair(spec: RewardSpec, state: State, depth: int) -> WeightPair:
     v, ages = state
-    return WeightPair(*_weight_values(spec, v, ages[v], depth))
+    age, gamma = ages[v], spec.gamma[v]
+    step = make_step_reward(spec.lam, spec.gamma)
+    if age > 0:
+        cost, exact = gamma**age, step(v, age)
+        return WeightPair(cost, cost, exact, exact)
+    return WeightPair(gamma**depth, 0.0, step(v, depth), _step_limit(spec.lam[v], gamma))
 
 
 @dataclass(frozen=True)
@@ -218,20 +211,26 @@ class TruncatedGraph:
     def weights(self, spec: RewardSpec) -> WeightTable:
         """The :func:`weight_pair` reward fields of every state, as arrays.
 
-        Weights depend only on a state's node and its own age, so each
-        such pair is weighed once, with the same arithmetic as
-        :func:`weight_pair` at the node's cap, and the states read it from
-        that table.
+        Both read :func:`reward_routing.rewards.make_step_reward`, once per
+        node and age: ``reward_under`` at each state's own age, or at its
+        node's cap where that age overflowed, and ``reward_over`` the same
+        with each overflowed entry at its node's limit ``lam / (1 - gamma)``.
         """
-        own_ages = self.age_matrix[self.node_array, np.arange(self.state_count)]
-        caps = self.caps.tolist()
-        table = _PairTable(
-            lambda v, age: _weight_values(spec, v, age, caps[v])[2:],
-            self.graph.node_count,
-            (2,),
-        )
-        columns = table(self.node_array, own_ages)
-        return WeightTable(*(columns[:, k].copy() for k in range(2)))
+        n = self.graph.node_count
+        if spec.node_count != n:
+            raise InvalidInputError("spec size disagrees with the graph")
+        nodes = self.node_array
+        own_ages = self.age_matrix[nodes, np.arange(self.state_count)]
+        overflowed = own_ages == 0
+        steps = _PairTable(make_step_reward(spec.lam, spec.gamma), n)
+        reward_under = steps(nodes, np.where(overflowed, self.caps[nodes], own_ages))
+        reward_over = reward_under.copy()
+        at = nodes[overflowed]
+        limits = np.zeros(n)
+        for v in np.flatnonzero(np.bincount(at, minlength=n)).tolist():
+            limits[v] = _step_limit(spec.lam[v], spec.gamma[v])
+        reward_over[overflowed] = limits[at]
+        return WeightTable(reward_under, reward_over)
 
 
 def build_truncated(
@@ -462,7 +461,7 @@ def karp_mean_cycle(
     assert cycle is not None  # a length-m walk over m states must repeat
 
     achieved = float(np.mean(w[cycle]))
-    if abs(achieved - mean) > TOLERANCE * max(abs(achieved), abs(mean)):
+    if not _agree(achieved, mean):
         raise SolverContractError(
             f"extracted cycle mean {achieved} disagrees with {mean}"
         )
@@ -818,11 +817,10 @@ def decide_infinite_value(
     and ``("unknown", bracket)`` otherwise; the caller may retry with a
     smaller epsilon.
     """
-    if not _is_finite_number(threshold):
-        raise InvalidInputError("threshold must be a finite number")
+    _check_threshold(threshold)
     bracket = solve_infinite_approx(g, spec, v0, epsilon, state_budget=state_budget)
-    if bracket.r_under >= threshold - TOLERANCE * abs(threshold):
+    if _reaches(bracket.r_under, threshold):
         return "yes", bracket
-    if bracket.r_over < threshold - TOLERANCE * abs(threshold):
+    if not _reaches(bracket.r_over, threshold):
         return "no", bracket
     return "unknown", bracket

@@ -20,10 +20,6 @@ from typing import Callable, Sequence
 from .errors import InvalidInputError, ProfileTableExhaustedError, SolverContractError
 from .graph import Graph, Lasso, Path, longest_simple_cycle
 
-#: Relative comparison tolerance: two values agree when they differ by at
-#: most ``TOLERANCE`` times the larger magnitude, in any unit of the rates.
-TOLERANCE = 1e-9
-
 #: Why a reward sum too large for a float is refused; only huge rates cause one.
 _OVERFLOW = "collected reward overflows a float; scale lambda down"
 
@@ -32,6 +28,20 @@ _FLOAT_MAX = sys.float_info.max
 # Below this distance from 1 the closed form (1 - g**q) / (1 - g) loses
 # precision to cancellation; sum explicitly instead.
 _NEAR_ONE = 1e-6
+
+#: Relative comparison tolerance: two values agree when they differ by at
+#: most ``TOLERANCE`` times the larger magnitude, in any unit of the rates.
+TOLERANCE = 1e-9
+
+
+def _agree(a: float, b: float) -> bool:
+    """Whether ``a`` and ``b`` agree within ``TOLERANCE`` times the larger one."""
+    return abs(a - b) <= TOLERANCE * max(abs(a), abs(b))
+
+
+def _reaches(value: float, threshold: float) -> bool:
+    """Whether ``value`` reaches ``threshold`` within ``TOLERANCE`` times its size."""
+    return value >= threshold - TOLERANCE * abs(threshold)
 
 
 def geometric_series(gamma: float, count: int) -> float:
@@ -52,6 +62,12 @@ def _is_finite_number(value: object) -> bool:
         return -_FLOAT_MAX <= value <= _FLOAT_MAX and type(value) is not bool
     except (TypeError, ValueError):
         return False
+
+
+def _check_threshold(threshold: float) -> None:
+    """Refuse a decision threshold that is not a finite number."""
+    if not _is_finite_number(threshold):
+        raise InvalidInputError("threshold must be a finite number")
 
 
 def _check_param(name: str, v: int, value: float) -> None:
@@ -137,6 +153,13 @@ def make_step_reward(
     return step
 
 
+def _step_limit(lam: float, gamma: float) -> float:
+    """``lam / (1 - gamma)``, the step reward's limit; refuses ``gamma`` 1."""
+    if gamma >= 1.0:
+        raise InvalidInputError("survival probability 1 cannot be truncated")
+    return lam / (1.0 - gamma)
+
+
 def _collected(
     lam: Sequence[float],
     decays: Sequence[float | DecayProfile],
@@ -146,8 +169,14 @@ def _collected(
     """Exact total of the step rewards of the visits ``zip(nodes, ages)``.
 
     Every solver re-scores its witness here, so a total too large for a
-    float is refused as the input's fault.
+    float, or a node without a rate, is refused as the input's fault.
     """
+    covered = min(len(lam), len(decays))
+    v = min(nodes) if min(nodes) < 0 else max(nodes)
+    if not 0 <= v < covered:
+        raise InvalidInputError(
+            f"node {v} has no rate: lam and decays cover {covered} nodes"
+        )
     try:
         total = math.fsum(map(make_step_reward(lam, decays), nodes, ages))
     except OverflowError:
@@ -159,7 +188,7 @@ def _collected(
 
 def _check_rescore(reported: float, replayed: float) -> None:
     """Raise :class:`SolverContractError` if a witness replays off its value."""
-    if abs(reported - replayed) > TOLERANCE * max(abs(reported), abs(replayed)):
+    if not _agree(reported, replayed):
         raise SolverContractError(
             f"witness re-scores to {replayed}, solver reported {reported}"
         )
@@ -306,19 +335,14 @@ def decayed_path_reward(
 def average_reward_bounds(
     g: Graph, spec: RewardSpec, v0: int = 0
 ) -> tuple[float, float]:
-    """Closed-form bounds on the optimal limit-average reward.
+    """Bounds on the optimal limit-average reward, from the step reward.
 
     Lower bound: the value of repeating a longest simple cycle (length
-    ``p``); upper bound: the same form with the full node count. Uses the
-    exact cycle search, so only suitable at desk scale. Node-invariant
-    parameters required.
+    ``p``), a visit at age ``p``; upper bound: a visit at the full node
+    count. Uses the exact cycle search, so only suitable at desk scale.
+    Node-invariant parameters required.
     """
-    gamma = spec.uniform_gamma()
-    lam = spec.uniform_lambda()
-    p = longest_simple_cycle(g).length
-    n = g.node_count
-    if gamma == 1.0:
-        return lam * p, lam * n
-    lower = lam * (1.0 - gamma**p) / (1.0 - gamma)
-    upper = lam * (1.0 - gamma**n) / (1.0 - gamma)
-    return lower, upper
+    spec.uniform_gamma()
+    spec.uniform_lambda()
+    step = make_step_reward(spec.lam, spec.gamma)
+    return step(0, longest_simple_cycle(g).length), step(0, g.node_count)

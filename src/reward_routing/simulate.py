@@ -15,7 +15,7 @@ bit-identical results regardless of how blocks are scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -123,15 +123,6 @@ def _poisson_totals(
     return totals
 
 
-def _summarize(totals: np.ndarray, cfg: SimConfig) -> SimResult:
-    mean = float(np.mean(totals))
-    if len(totals) > 1:
-        stderr = float(np.std(totals, ddof=1) / math.sqrt(len(totals)))
-    else:
-        stderr = 0.0
-    return SimResult(mean, stderr, cfg.trials, cfg.seed)
-
-
 def simulate_finite_reward(
     g: Graph, spec: RewardSpec, p: Path, cfg: SimConfig
 ) -> SimResult:
@@ -151,7 +142,8 @@ def simulate_finite_reward(
         value = _deterministic_total(spec, p.nodes)
         return SimResult(value, 0.0, cfg.trials, cfg.seed)
     totals = _poisson_totals(spec, p.nodes, cfg.trials, cfg.seed)
-    return _summarize(totals, cfg)
+    stderr = np.std(totals, ddof=1) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
+    return SimResult(float(np.mean(totals)), float(stderr), cfg.trials, cfg.seed)
 
 
 def simulate_average_reward(
@@ -159,12 +151,11 @@ def simulate_average_reward(
 ) -> SimResult:
     """Monte Carlo estimate of the per-step reward of an ultimately periodic path.
 
-    Unrolls the lasso to the configured horizon, simulates the finite
-    total, and divides by the number of visits. The horizon must cover the
+    Unrolls the lasso to the configured horizon, simulates that path's
+    total with :func:`simulate_finite_reward`, and divides its mean and
+    standard error by the number of visits. The horizon must cover the
     cycle at least a hundred times for the average to be close to its limit.
     """
-    if spec.node_count != g.node_count:
-        raise InvalidInputError("spec size disagrees with the graph")
     if cfg.horizon is None:
         raise InvalidInputError("average-reward simulation needs a horizon")
     if cfg.horizon < 100 * len(lasso.cycle):
@@ -172,14 +163,6 @@ def simulate_average_reward(
             f"horizon {cfg.horizon} too short; need at least "
             f"{100 * len(lasso.cycle)} steps for this cycle"
         )
-    route = lasso.unroll(cfg.horizon)
-    validate_path(g, route)
+    total = simulate_finite_reward(g, spec, Path(lasso.unroll(cfg.horizon)), cfg)
     visits = cfg.horizon + 1
-    if cfg.generation == "deterministic":
-        value = _deterministic_total(spec, route) / visits
-        return SimResult(value, 0.0, cfg.trials, cfg.seed)
-    totals = _poisson_totals(spec, route, cfg.trials, cfg.seed)
-    summary = _summarize(totals, cfg)
-    return SimResult(
-        summary.mean / visits, summary.stderr / visits, cfg.trials, cfg.seed
-    )
+    return replace(total, mean=total.mean / visits, stderr=total.stderr / visits)

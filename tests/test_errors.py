@@ -22,6 +22,7 @@ from reward_routing import (
     Lasso,
     MemoryStructure,
     NoCycleError,
+    Path as RoutePath,
     RewardRoutingError,
     RewardSpec,
     SimConfig,
@@ -29,8 +30,12 @@ from reward_routing import (
     StateBudgetExceededError,
     build_truncated,
     decide_finite_value,
+    decayed_average_reward,
+    decayed_path_reward,
     decide_infinite_value,
     outcome,
+    average_reward,
+    path_reward,
     shortest_path,
     simulate_average_reward,
     solve_bounded_memory,
@@ -39,6 +44,7 @@ from reward_routing import (
     solve_nondiscounted,
     truncation_depth,
     validate_path,
+    weight_pair,
 )
 from reward_routing import cli, infinite
 from reward_routing.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_INTERNAL, main
@@ -63,6 +69,11 @@ LOOP_STRATEGY = FiniteStrategy(
 # A two-node ring, whose solves answer any finite threshold.
 RING = Graph.from_edges(2, [(0, 1), (1, 0)])
 RING_SPEC = RewardSpec.uniform(2, 1.0, 0.5)
+
+# Edges 0->0 and 0<->1 with node 1 never decaying: capped at age 1, the
+# state (1, (1, 0)) has an overflowed own age at a node without a limit.
+LOOP_AND_RING = Graph.from_edges(2, [(0, 0), (0, 1), (1, 0)])
+UNDECAYING_SPEC = RewardSpec((1.0, 1.0), (0.5, 1.0))
 
 # One bad call per raising function (per argument where it checks several),
 # with the message it must keep.
@@ -93,6 +104,38 @@ BAD_CALLS = {
     "solve_infinite_approx.bool": (
         lambda: solve_infinite_approx(RING, RING_SPEC, 0, True),
         "^epsilon must be a finite number$",
+    ),
+    "TruncatedGraph.weights.gamma": (
+        lambda: build_truncated(LOOP_AND_RING, 0, 1).weights(UNDECAYING_SPEC),
+        "^survival probability 1 cannot be truncated$",
+    ),
+    "TruncatedGraph.weights.size": (
+        lambda: build_truncated(two_cycles_graph(), 0, 2).weights(RING_SPEC),
+        "^spec size disagrees with the graph$",
+    ),
+    "weight_pair": (
+        lambda: weight_pair(UNDECAYING_SPEC, (1, (1, 0)), 1),
+        "^survival probability 1 cannot be truncated$",
+    ),
+    "average_reward": (
+        lambda: average_reward(RING_SPEC, Lasso((0,), (1, 2))),
+        "^node 2 has no rate: lam and decays cover 2 nodes$",
+    ),
+    "path_reward": (
+        lambda: path_reward(RING_SPEC, RoutePath((0, 1, 3, 0))),
+        "^node 3 has no rate: lam and decays cover 2 nodes$",
+    ),
+    "path_reward.negative": (
+        lambda: path_reward(RING_SPEC, RoutePath((0, -1))),
+        "^node -1 has no rate: lam and decays cover 2 nodes$",
+    ),
+    "decayed_average_reward": (
+        lambda: decayed_average_reward((0.5,), (1.0, 1.0), Lasso((), (0, 1))),
+        "^node 1 has no rate: lam and decays cover 1 nodes$",
+    ),
+    "decayed_path_reward": (
+        lambda: decayed_path_reward((0.5, 0.5), (1.0,), RoutePath((1,))),
+        "^node 1 has no rate: lam and decays cover 1 nodes$",
     ),
     "MemoryStructure": (lambda: MemoryStructure(0, 1, {}), "memory needs at least one slot"),
     "SimConfig": (lambda: SimConfig(trials=0, seed=0), "at least one trial required"),
@@ -297,4 +340,5 @@ def test_bench_span_targets_resolve():
         assert callable(getattr(target, attr, None)), f"{module}.{attr}"
     for module, cls_name, attr in spans.METHOD_TARGETS:
         target = importlib.import_module(f"{spans.PACKAGE}.{module}")
-        assert attr in vars(getattr(target, cls_name)), f"{module}.{cls_name}.{attr}"
+        method = vars(getattr(target, cls_name)).get(attr)
+        assert callable(method), f"{module}.{cls_name}.{attr}"

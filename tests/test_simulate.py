@@ -5,6 +5,7 @@ import pytest
 from reward_routing import (
     Graph,
     InvalidInputError,
+    Path,
     RewardSpec,
     SimConfig,
     average_reward,
@@ -111,6 +112,19 @@ class TestAverageSimulation:
         result = simulate_average_reward(TWO_CYCLES, SPEC, lasso, cfg)
         exact = average_reward(SPEC, lasso).value
         assert result.mean == pytest.approx(exact, abs=1e-3)
+
+    @pytest.mark.parametrize("generation", ["poisson", "deterministic"])
+    def test_is_the_scaled_finite_simulation_of_the_unrolled_lasso(self, generation):
+        spec = RewardSpec((0.5, 2.0, 1.0, 0.3), (0.3, 0.9, 0.7, 0.5))
+        lasso = validate_lasso(
+            TWO_CYCLES, parse_route(TWO_CYCLES, "ad"), parse_route(TWO_CYCLES, "abc")
+        )
+        cfg = SimConfig(trials=300, seed=17, generation=generation, horizon=400)
+        average = simulate_average_reward(TWO_CYCLES, spec, lasso, cfg)
+        total = simulate_finite_reward(TWO_CYCLES, spec, Path(lasso.unroll(400)), cfg)
+        assert average.mean == total.mean / 401
+        assert average.stderr == total.stderr / 401
+        assert (average.trials, average.seed) == (300, 17)
 
     def test_horizon_must_cover_the_cycle(self):
         lasso = validate_lasso(TWO_CYCLES, [], parse_route(TWO_CYCLES, "abcad"))

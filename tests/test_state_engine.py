@@ -21,6 +21,7 @@ from reward_routing import (
     RewardSpec,
     StateBudgetExceededError,
     build_truncated,
+    geometric_series,
     shortest_path,
     solve_finite,
     solve_finite_decay,
@@ -178,6 +179,34 @@ class TestRowMajorAges:
         assert tg.age_matrix.flags.c_contiguous
 
 
+def closed_form_weights(tg, spec: RewardSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The reward columns by the closed forms, state by state.
+
+    ``lam * geometric_series(gamma, age)`` at the state's own age, or at
+    its node's cap where that age overflowed (0); the optimistic column
+    has ``lam / (1 - gamma)`` there instead.
+    """
+    under, over = [], []
+    for v, ages in tg.states:
+        lam, gamma, age = spec.lam[v], spec.gamma[v], ages[v]
+        under.append(lam * geometric_series(gamma, age or int(tg.caps[v])))
+        over.append(under[-1] if age else lam / (1.0 - gamma))
+    return np.array(under), np.array(over)
+
+
+def assert_closed_form_weights(tg, spec: RewardSpec) -> None:
+    """``tg.weights`` and :func:`weight_pair` match the closed forms bit for bit."""
+    table = tg.weights(spec)
+    pairs = [weight_pair(spec, state, int(tg.caps[state[0]])) for state in tg.states]
+    names = ("reward_under", "reward_over")
+    for name, expected in zip(names, closed_form_weights(tg, spec)):
+        column = getattr(table, name)
+        assert column.dtype == expected.dtype
+        assert column.tobytes() == expected.tobytes()
+        paired = np.array([getattr(p, name) for p in pairs])
+        assert paired.tobytes() == expected.tobytes()
+
+
 class TestTruncatedAgainstReference:
     @settings(max_examples=40)
     @given(graphs(), st.integers(1, 4))
@@ -215,11 +244,7 @@ class TestTruncatedAgainstReference:
             tuple(data.draw(st.lists(rates, min_size=n, max_size=n))),
             tuple(data.draw(st.lists(st.floats(0.05, 0.99), min_size=n, max_size=n))),
         )
-        table = tg.weights(spec)
-        pairs = [weight_pair(spec, state, caps[state[0]]) for state in tg.states]
-        for name in ("reward_under", "reward_over"):
-            expected = np.array([getattr(p, name) for p in pairs])
-            assert getattr(table, name).tobytes() == expected.tobytes()
+        assert_closed_form_weights(tg, spec)
 
     @settings(max_examples=30)
     @given(graphs(max_nodes=5), st.integers(1, 4), st.data())
@@ -230,14 +255,7 @@ class TestTruncatedAgainstReference:
             tuple(data.draw(st.lists(rates, min_size=n, max_size=n))),
             tuple(data.draw(st.lists(st.floats(0.05, 0.99), min_size=n, max_size=n))),
         )
-        tg = build_truncated(g, v0, depth)
-        table = tg.weights(spec)
-        pairs = [weight_pair(spec, state, depth) for state in tg.states]
-        for name in ("reward_under", "reward_over"):
-            expected = np.array([getattr(p, name) for p in pairs])
-            column = getattr(table, name)
-            assert column.dtype == expected.dtype
-            assert column.tobytes() == expected.tobytes()
+        assert_closed_form_weights(build_truncated(g, v0, depth), spec)
 
 
 def bfs_tree_path(tg, state: int) -> tuple[int, ...]:
