@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -44,6 +43,8 @@ from .graph import Graph, Lasso, validate_lasso, validate_path
 from .rewards import (
     DecayProfile,
     RewardSpec,
+    _FLOAT_MAX,
+    _check_threshold,
     _is_finite_number,
     average_reward,
     path_reward,
@@ -165,7 +166,6 @@ def parse_graph_document(doc: Any) -> GraphModel:
     lams: list[float] = []
     decays: list[float | DecayProfile] = []
     # The rules of _parse_lambda and _parse_gamma, inline.
-    float_max = sys.float_info.max
     for i, raw in enumerate(raw_nodes):
         if not isinstance(raw, dict):
             raise GraphFileError(f"nodes[{i}]", "must be an object")
@@ -184,7 +184,7 @@ def parse_graph_document(doc: Any) -> GraphModel:
         elif (
             isinstance(lam, (int, float))
             and not isinstance(lam, bool)
-            and abs(lam) <= float_max
+            and abs(lam) <= _FLOAT_MAX
             and lam >= 0
         ):
             lam = float(lam)
@@ -488,14 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_numbers(args: argparse.Namespace) -> None:
     """Refuse bad numeric arguments before the graph loads.
 
-    Non-finite ``--epsilon``/``--threshold``, ``--epsilon <= 0`` and
+    ``--threshold`` and ``--epsilon`` get the library's own checks;
     ``--memory``/``--trials`` below 1 raise a message naming the flag.
     """
-    for name in ("epsilon", "threshold"):
-        if not math.isfinite(getattr(args, name, 0.0)):
-            raise InvalidInputError(f"{name} must be a finite number")
-    if getattr(args, "epsilon", 1.0) <= 0:
-        raise InvalidInputError("epsilon must be positive")
+    _check_threshold(getattr(args, "threshold", 0.0))
+    infinite._check_epsilon(getattr(args, "epsilon", 1.0))
     for name in ("memory", "trials"):
         if getattr(args, name, 1) < 1:
             raise InvalidInputError(f"{name} must be at least 1")

@@ -255,8 +255,6 @@ def solve_finite(
     Returns the exact optimum and a witness path achieving it; the
     witness replays to the value, as :func:`solve_finite_decay` checks.
     """
-    if spec.node_count != g.node_count:
-        raise InvalidInputError("spec size disagrees with the graph")
     return solve_finite_decay(g, spec.lam, spec.gamma, v0, horizon, state_budget=state_budget)
 
 
@@ -280,7 +278,7 @@ def solve_finite_decay(
     replay raises :class:`SolverContractError`.
     """
     if len(lam) != g.node_count or len(decays) != g.node_count:
-        raise InvalidInputError("lam/decays size disagrees with the graph")
+        raise InvalidInputError("spec size disagrees with the graph")
     for v, value in enumerate(lam):
         _check_param("lam", v, value)
     for v, decay in enumerate(decays):

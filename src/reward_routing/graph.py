@@ -171,13 +171,14 @@ def _check_start(g: Graph, v0: int, name: str = "start node") -> None:
 def validate_path(g: Graph, nodes: Sequence[int]) -> Path:
     """Check a node sequence against the graph and wrap it as a :class:`Path`.
 
-    Raises :class:`InvalidInputError` for an empty sequence, a node outside
-    ``g``, or a step that is not an edge, the first such step named as
-    ``step {i}: ({u}, {v}) is not an edge``.
+    Raises :class:`InvalidInputError` for an empty sequence, a node that
+    :func:`_check_start` refuses, or a step that is not an edge, the first
+    such step named as ``step {i}: ({u}, {v}) is not an edge``.
     """
+    n = g.node_count
     for v in nodes:
-        if not 0 <= v < g.node_count:
-            raise InvalidInputError(f"node {v} out of range")
+        if type(v) is not int or not 0 <= v < n:
+            _check_start(g, v, "node")
     for i in range(len(nodes) - 1):
         if not g.has_edge(nodes[i], nodes[i + 1]):
             raise InvalidInputError(
@@ -191,10 +192,9 @@ def validate_lasso(g: Graph, prefix: Sequence[int], cycle: Sequence[int]) -> Las
 
     The walk checked ends with the step that closes the cycle.
     """
-    if not cycle:
-        raise InvalidInputError("a lasso needs a non-empty cycle")
-    validate_path(g, [*prefix, *cycle, cycle[0]])
-    return Lasso(tuple(prefix), tuple(cycle))
+    lasso = Lasso(tuple(prefix), tuple(cycle))
+    validate_path(g, [*lasso.prefix, *lasso.cycle, lasso.cycle[0]])
+    return lasso
 
 
 def scc_decompose(g: Graph, root: int | None = None) -> tuple[tuple[int, ...], ...]:

@@ -89,20 +89,17 @@ def _check_epsilon(epsilon: float) -> None:
         raise InvalidInputError("epsilon must be positive")
 
 
-def _node_caps(
-    spec: RewardSpec, epsilon: float, nodes: Iterable[int] | None = None
-) -> np.ndarray:
+def _node_caps(spec: RewardSpec, epsilon: float, nodes: Iterable[int]) -> np.ndarray:
     """Per node, the smallest age cap that keeps its truncation error within epsilon.
 
     The error of capping ``v``'s age at ``K`` is
     ``lam * gamma**K / (1 - gamma)``. Nodes that generate nothing, and
-    nodes outside ``nodes`` when it is given, get cap 1. When
-    ``epsilon * (1 - gamma) / lam`` underflows to 0, its logarithm is taken
-    term by term instead.
+    nodes outside ``nodes``, get cap 1. ``epsilon`` is checked by the
+    caller. When ``epsilon * (1 - gamma) / lam`` underflows to 0, its
+    logarithm is taken term by term instead.
     """
-    _check_epsilon(epsilon)
     caps = np.ones(spec.node_count, dtype=np.intp)
-    for v in range(spec.node_count) if nodes is None else nodes:
+    for v in nodes:
         lam, gamma = spec.lam[v], spec.gamma[v]
         if lam == 0.0:
             continue
@@ -125,9 +122,12 @@ def truncation_depth(spec: RewardSpec, epsilon: float) -> int:
 
     Each step collects at one node only, so capping every node at its own
     cap keeps the per-step error within epsilon; this is the largest of
-    them, at least 1, as documents report it.
+    them over every node, at least 1. A solve's ``depth``, which documents
+    report, is the largest cap over the nodes its start reaches on an
+    infinite path only, so it can be smaller.
     """
-    return int(_node_caps(spec, epsilon).max(initial=1))
+    _check_epsilon(epsilon)
+    return int(_node_caps(spec, epsilon, range(spec.node_count)).max(initial=1))
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,11 @@ class TruncatedGraph:
     :func:`_howard_max_mean_cycle` takes them without a sort. ``parent[i]``
     is the state the build's BFS first reached ``i`` from
     (``parent[initial] == initial``), so its walks are the paths
-    :func:`shortest_path` finds. A cycle whose states all have a non-zero
-    own age (``age_matrix[node_array[c], c]``) weighs exactly in both
-    weightings. ``states`` (tuples) and ``state_graph`` (a :class:`Graph`)
-    are views built on first read.
+    :func:`shortest_path` finds. State ``c``'s own age
+    ``age_matrix[node_array[c], c]`` is 0 where it overflowed its cap. A
+    cycle is exact when both weightings of :meth:`weights` agree on it.
+    ``states`` (tuples) and ``state_graph`` (a :class:`Graph`) are views
+    built on first read.
     """
 
     graph: Graph
@@ -727,13 +728,12 @@ def solve_infinite_approx(
     :func:`_howard_max_mean_cycle` once over all of it from the initial
     state, in units of the largest rate, with the optimistic weights. That
     cycle's lasso is both witnesses, and ``r_under`` is its exact replay, so
-    ``average_reward(spec, pi_under) == r_under`` holds identically. If no
-    state on the cycle at a node with a non-zero rate has an overflowed
-    own age, the cycle mean is that replay and so the optimum: the solve
-    is exact, ``r_over == r_under``, and a replay off the mean raises
-    :class:`SolverContractError`. Otherwise ``r_over`` is the cycle mean;
-    an overflowed visit collects at most epsilon less than it weighs. The
-    state budget is the only size limit. Raises
+    ``average_reward(spec, pi_under) == r_under`` holds identically. A
+    cycle is exact when both weightings agree on it; then its mean is that
+    replay and so the optimum: ``r_over == r_under``, and a replay off the
+    mean raises :class:`SolverContractError`. Otherwise ``r_over`` is the
+    cycle mean; an overflowed visit collects at most epsilon less than it
+    weighs. The state budget is the only size limit. Raises
     :class:`SolverContractError` if the bracket breaks its contract (a
     width past ``epsilon`` by more than ``TOLERANCE`` times the larger
     end), and :class:`InvalidInputError` if a reward sum overflows a
@@ -775,11 +775,8 @@ def solve_infinite_approx(
     mean_over, cycle_over = _howard_max_mean_cycle(
         *tg.edge_arrays, weights.reward_over, tg.initial
     )
-    # With no overflowed own age on it, the cycle's weights are exact; at a
-    # node that generates nothing an overflowed visit weighs 0 both ways.
-    on_cycle = tg.node_array[cycle_over]
-    overflowed = tg.age_matrix[on_cycle, cycle_over] == 0
-    exact = not np.asarray(spec.lam)[on_cycle[overflowed]].any()
+    # Where both weightings agree on the cycle, its weights are exact.
+    exact = np.array_equal(weights.reward_under[cycle_over], weights.reward_over[cycle_over])
     mean_over *= unit
     if not math.isfinite(mean_over):
         raise InvalidInputError(_OVERFLOW)

@@ -332,9 +332,7 @@ def decayed_path_reward(
     return RewardValue(total, "finite_sum", horizon=p.length)
 
 
-def average_reward_bounds(
-    g: Graph, spec: RewardSpec, v0: int = 0
-) -> tuple[float, float]:
+def average_reward_bounds(g: Graph, spec: RewardSpec) -> tuple[float, float]:
     """Bounds on the optimal limit-average reward, from the step reward.
 
     Lower bound: the value of repeating a longest simple cycle (length

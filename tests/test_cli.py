@@ -813,6 +813,19 @@ class TestExitCodes:
         assert code == EXIT_BAD_INPUT and out is None
         assert err == f"error: {flag} must be at least 1\n"
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["infinite", "--start", "a", "--epsilon", "nan"], "epsilon"),
+            (["decide", "--start", "a", "--epsilon", "1e-3", "--threshold", "inf"], "threshold"),
+        ],
+    )
+    def test_bad_epsilon_and_threshold_are_named_before_loading(self, argv, flag):
+        # The graph file does not exist: the flag is refused before loading.
+        code, out, err = run([*argv, "--graph", "/no/such/file.json"])
+        assert code == EXIT_BAD_INPUT and out is None
+        assert err == f"error: {flag} must be a finite number\n"
+
     def test_usage_error_returns_two(self):
         argv = [
             "infinite",

@@ -43,6 +43,7 @@ from reward_routing import (
     solve_infinite_approx,
     solve_nondiscounted,
     truncation_depth,
+    validate_lasso,
     validate_path,
     weight_pair,
 )
@@ -276,6 +277,18 @@ NOT_INTEGERS = {
     "MemoryStructure.initial": (
         lambda: MemoryStructure(2, 1.0, {}),
         "initial slot must be an integer, got 1.0",
+    ),
+    "validate_path.node": (
+        lambda: validate_path(RING, [0, 1.0]),
+        "node must be an integer, got 1.0",
+    ),
+    "validate_lasso.prefix": (
+        lambda: validate_lasso(RING, [True], [0, 1]),
+        "node must be an integer, got True",
+    ),
+    "validate_lasso.cycle": (
+        lambda: validate_lasso(RING, [], [0, 1.0]),
+        "node must be an integer, got 1.0",
     ),
 }
 

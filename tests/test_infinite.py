@@ -133,6 +133,14 @@ class TestTruncationDepth:
         spec = RewardSpec((0.0, 1.0), (0.99, 0.5))
         assert truncation_depth(spec, 1 / 64) == 7
 
+    def test_caps_every_node_where_a_solve_caps_only_the_reached_ones(self):
+        # Node 2's self-loop is out of reach from 0, and only it needs 88.
+        g = Graph.from_edges(3, [(0, 1), (1, 0), (2, 2)])
+        spec = RewardSpec((1.0, 1.0, 1.0), (0.5, 0.5, 0.9))
+        assert truncation_depth(spec, 1e-3) == 88
+        bracket = solve_infinite_approx(g, spec, 0, 1e-3)
+        assert (bracket.depth, bracket.state_count) == (11, 3)
+
     def test_underflowing_ratio_is_taken_in_log_space(self):
         # epsilon * (1 - gamma) / lam is 5e-601, below the smallest float.
         spec = RewardSpec((1e300, 1.0), (0.5, 0.5))
