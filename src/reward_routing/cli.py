@@ -71,7 +71,8 @@ class GraphModel:
     """A parsed graph file: structure, reward parameters, id mapping.
 
     ``decays[v]`` is node ``v``'s survival probability ``gamma``, or its
-    :class:`DecayProfile`. ``index`` maps each id to its position in ``ids``.
+    :class:`DecayProfile`. ``index`` maps each id to its position in ``ids``,
+    the only copy of the ids: ``graph`` carries no labels.
     """
 
     graph: Graph
@@ -227,9 +228,8 @@ def parse_graph_document(doc: Any) -> GraphModel:
         unknown = w if isinstance(u, str) and u in index else u
         raise GraphFileError(f"edges[{i}]", f"unknown node id {unknown!r}")
 
-    ids = tuple(index)
-    graph = Graph.from_successors(successors, ids)
-    return GraphModel(graph, tuple(lams), tuple(decays), ids, index)
+    graph = Graph.from_successors(successors)
+    return GraphModel(graph, tuple(lams), tuple(decays), tuple(index), index)
 
 
 def load_graph_file(path: str) -> GraphModel:
@@ -476,9 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--cycle", help="comma-separated node ids (long-run average)")
     p_sim.add_argument("--trials", type=int, default=10000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
-        "--mode", choices=("poisson", "deterministic"), default="poisson"
-    )
+    p_sim.add_argument("--mode", choices=simulate._GENERATION_MODES, default="poisson")
     p_sim.add_argument("--horizon", type=int, help="steps for the average mode")
     p_sim.set_defaults(func=cmd_simulate)
 

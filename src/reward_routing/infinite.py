@@ -10,7 +10,9 @@ node's age capped at its own depth ``K_v`` (age 0 encodes "longer ago
 than ``K_v``"), the smallest that keeps the error of that node's
 collections within epsilon. Each state carries a pessimistic and an
 optimistic weight. Howard's policy iteration for the maximum mean cycle
-runs once, on the build's sorted edge arrays with the optimistic weights.
+runs once, on the build's edge arrays with the optimistic weights:
+states in BFS discovery order, edges grouped by source and, within a
+source, in tie order (ascending target node).
 Its cycle mean bounds every path's value from above, and the exact
 replay of its lasso, a real path, is at least the cycle's pessimistic
 mean: a bracket ``[r_under, r_over]`` around the true optimum whose width
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from decimal import ROUND_CEILING, Context
 from functools import cached_property
 from operator import itemgetter
 from typing import Collection, Iterable, Sequence
@@ -103,8 +106,7 @@ def _node_caps(spec: RewardSpec, epsilon: float, nodes: Iterable[int]) -> np.nda
         lam, gamma = spec.lam[v], spec.gamma[v]
         if lam == 0.0:
             continue
-        if gamma >= 1.0:
-            raise InvalidInputError("survival probability 1 cannot be truncated")
+        _step_limit(lam, gamma)  # refuses gamma 1
         ratio = epsilon * (1.0 - gamma) / lam
         if ratio >= 1.0:
             continue
@@ -169,14 +171,18 @@ class TruncatedGraph:
     """The reachable part of the truncated visit-age graph, as arrays.
 
     Node ``v``'s age is capped at ``caps[v]``; ``depth`` is the largest
-    cap. States are sorted by node, then age vector, so state indices
-    double as tie-break ranks. State ``i`` is ``node_array[i]`` with ages
-    ``age_matrix[:, i]``; the matrix is C-ordered, one contiguous row of
-    ages per node. ``edge_arrays`` holds ``(src, dst)`` as ``intp``
-    arrays, strictly increasing by source, then target, so
-    :func:`_howard_max_mean_cycle` takes them without a sort. ``parent[i]``
-    is the state the build's BFS first reached ``i`` from
-    (``parent[initial] == initial``), so its walks are the paths
+    cap. States are numbered in BFS discovery order, so the start state
+    ``initial`` is 0 and ``parent[i] < i`` for every other state ``i``.
+    State ``i`` is ``node_array[i]`` with ages ``age_matrix[:, i]``; the
+    matrix is C-ordered, one contiguous row of ages per node.
+    ``edge_arrays`` holds ``(src, dst)`` as ``intp`` arrays, strictly
+    increasing by source, then target: a state's successors lie at
+    distinct nodes and are first found together, in adjacency order, so
+    within a source target nodes and indices ascend alike. That order is
+    the tie order of :func:`_howard_max_mean_cycle`, which takes them
+    without a sort.
+    ``parent[i]`` is the state the build's BFS first reached ``i`` from
+    (``parent[0] == 0``), so its walks are the paths
     :func:`shortest_path` finds. State ``c``'s own age
     ``age_matrix[node_array[c], c]`` is 0 where it overflowed its cap. A
     cycle is exact when both weightings of :meth:`weights` agree on it.
@@ -250,11 +256,10 @@ def build_truncated(
     the known states at the same nodes in one ``np.lexsort``; successors
     found nowhere before form the next frontier, in FIFO discovery order,
     each with its first discoverer as parent. The same sort gives every
-    successor its BFS index, the target of its edge. At the end one sort
-    puts the states in order, and each source's block of edges moves to
-    the source's sorted place, its targets renumbered. Raises
-    :class:`StateBudgetExceededError` when a level takes the state count
-    past the budget.
+    successor its BFS index, the target of its edge, so the states keep
+    their discovery order and each source's edges their adjacency order.
+    Raises :class:`StateBudgetExceededError` when a level takes the state
+    count past the budget.
     """
     uniform = np.ndim(depth) == 0
     for cap in [depth] if uniform else depth:
@@ -317,26 +322,9 @@ def build_truncated(
                 f"truncated graph at depth {depth} exceeds "
                 f"{state_budget} states",
             )
-    order, _ = _sort_states(nodes, ages)
-    # Map BFS indices to sorted ones; the start state was BFS index 0.
-    m = len(nodes)
-    rank = np.empty(m, dtype=np.intp)
-    rank[order] = np.arange(m)
-    parent = rank[parent[order]]
-    initial = int(rank[0])
-
-    # Move each source's block of edges from its BFS slot to its sorted
-    # one. States sort by node first and a source's successors lie at
-    # distinct nodes in ascending order, so targets stay ascending.
-    degree = csr[1][nodes]
-    first = degree.cumsum() - degree
-    nodes, ages = nodes[order], ages.take(order, axis=1)
-    degree = degree[order]
-    src = np.arange(m).repeat(degree)
-    slot = (first[order] - degree.cumsum() + degree).repeat(degree)
-    slot += np.arange(len(src))
-    dst = rank[np.concatenate(targets)[slot]]
-    return TruncatedGraph(g, depth, initial, caps, nodes, ages, (src, dst), parent)
+    src = np.arange(len(nodes)).repeat(csr[1][nodes])
+    dst = np.concatenate(targets)
+    return TruncatedGraph(g, depth, 0, caps, nodes, ages, (src, dst), parent)
 
 
 def _live_graph(g: Graph, v0: int) -> Graph:
@@ -517,17 +505,18 @@ def _howard_max_mean_cycle(
     Howard's policy iteration (Cochet-Terrasson et al. 1998) on the whole
     graph, which need not be strongly connected but must give every state
     a successor, as a build on :func:`_live_graph` does. The edges run
-    from ``src`` to ``dst``, ``intp`` arrays sorted by source, then target,
-    as :func:`build_truncated` emits them. Neither their order nor their
-    endpoints are checked: unsorted edges give a wrong answer, not an
+    from ``src`` to ``dst``, ``intp`` arrays grouped by source in
+    ascending order, as :func:`build_truncated` emits them; within a
+    source, edge order is tie order. Neither their order nor their
+    endpoints are checked: ungrouped edges give a wrong answer, not an
     error. ``w`` holds one weight per state. A policy picks one successor
     per state; it starts at the heaviest successor and switches only on an
     improvement beyond ``TOLERANCE`` times the largest weight magnitude,
     first of the cycle mean reached, then of the bias; the returned mean
-    falls short of the best by at most that margin. Ties go to the lowest
-    successor. Returns ``(mean, cycle)``: ``cycle`` is the cycle the final
-    policy reaches from ``start``, listed once in traversal order, and
-    ``mean`` is its exactly summed mean weight.
+    falls short of the best by at most that margin. Ties go to the
+    source's first edge. Returns ``(mean, cycle)``: ``cycle`` is the cycle
+    the final policy reaches from ``start``, listed once in traversal
+    order, and ``mean`` is its exactly summed mean weight.
 
     Raises :class:`InvalidInputError` if some state has no out-edge,
     :class:`SolverContractError` after ``_HOWARD_MAX_ITERATIONS`` improvements.
@@ -651,9 +640,10 @@ def _component_karp(
 def _cycle_to_lasso(tg: TruncatedGraph, cycle: list[int]) -> Lasso:
     """Reach path plus cycle, projected from states down to graph nodes.
 
-    The cycle starts at its lowest state, reached along ``tg.parent``.
+    The cycle starts at its lowest state in (node, ages) order, reached
+    along ``tg.parent``.
     """
-    pivot = cycle.index(min(cycle))
+    pivot = int(_sort_states(tg.node_array[cycle], tg.age_matrix[:, cycle])[0][0])
     rotated = cycle[pivot:] + cycle[:pivot]
     reach = [rotated[0]]
     while reach[-1] != tg.initial:
@@ -696,17 +686,26 @@ def solve_nondiscounted(
 
 
 def _feasible_epsilon_estimate(
-    spec: RewardSpec, budget: int, nodes: Collection[int]
+    spec: RewardSpec, budget: int, nodes: Collection[int], edge_count: int
 ) -> float:
-    """Crude epsilon that would likely fit the budget, for error messages.
+    """An epsilon whose build fits the budget, for error messages; 0 if none.
 
-    Sized from ``nodes``, the ones a solve gives their own caps.
+    ``nodes`` are the ones a solve gives their own caps: capped at ``K``,
+    their ages make at most ``n * (K + 1)**n`` states. At ``K`` 1 a state
+    is the start or the edge into it, of ``edge_count``. The estimate is
+    rounded up to three significant digits, which the message prints
+    exactly: rounded down, it could take a node's cap one past the depth
+    the budget fits.
     """
     n = len(nodes)
-    depth = max(1, int((budget / n) ** (1.0 / n)) - 1)
+    depth = int((budget / n) ** (1.0 / n)) - 1
+    if depth < 1 and edge_count >= budget:
+        return 0.0
+    depth = max(depth, 1)
     # Every gamma is below 1 here: the solve refused or delegated the rest.
     pairs = [(spec.lam[v], spec.gamma[v]) for v in nodes]
-    return max(lam * gamma**depth / (1.0 - gamma) for lam, gamma in pairs)
+    estimate = max(lam * gamma**depth / (1.0 - gamma) for lam, gamma in pairs)
+    return float(Context(3, ROUND_CEILING).create_decimal_from_float(estimate))
 
 
 def solve_infinite_approx(
@@ -763,10 +762,10 @@ def solve_infinite_approx(
     try:
         tg = build_truncated(live, v0, caps, state_budget=state_budget)
     except StateBudgetExceededError as exc:
-        estimate = f"{_feasible_epsilon_estimate(spec, state_budget, reached):.3g}"
-        advice = f"epsilon around {estimate} should fit the budget"
+        estimate = _feasible_epsilon_estimate(spec, state_budget, reached, live.edge_count)
+        advice = f"epsilon around {estimate:.3g} should fit the budget"
         # Caps only grow as epsilon shrinks, so only a larger one can help.
-        if not float(estimate) > epsilon:
+        if not estimate > epsilon:
             advice = "raise the state budget"
         raise StateBudgetExceededError(state_budget, f"{exc}; {advice}") from exc
     # In units of the largest rate no weight passes 1/(1-gamma) <= 2**53.

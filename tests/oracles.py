@@ -376,7 +376,9 @@ def truncated_bfs_reference(
     The per-state loop the vectorized engine replaced, kept as its
     reference. ``depth`` caps every node's age, or is a tuple of one cap
     per node. Returns ``(states, initial, state_graph)`` as
-    :func:`reward_routing.build_truncated` lays them out.
+    :func:`reward_routing.build_truncated` lays them out: states in FIFO
+    discovery order, so ``initial`` is 0, and each state's targets sorted
+    as a :class:`Graph` holds them.
     """
     n = g.node_count
     caps = (depth,) * n if isinstance(depth, int) else depth
@@ -409,19 +411,13 @@ def truncated_bfs_reference(
                 queue.append(succ)
             edges.append((src, idx))
 
-    # Re-rank states lexicographically so indices are stable tie-breakers.
-    ranked = sorted(range(len(order)), key=lambda i: order[i])
-    rank_of = [0] * len(order)
-    for new, old in enumerate(ranked):
-        rank_of[old] = new
-    states = tuple(order[old] for old in ranked)
-    adjacency: list[list[int]] = [[] for _ in range(len(states))]
+    adjacency: list[list[int]] = [[] for _ in range(len(order))]
     for src, dst in edges:
-        adjacency[rank_of[src]].append(rank_of[dst])
+        adjacency[src].append(dst)
     state_graph = Graph(
-        len(states), tuple(tuple(sorted(set(a))) for a in adjacency)
+        len(order), tuple(tuple(sorted(set(a))) for a in adjacency)
     )
-    return states, rank_of[0], state_graph
+    return tuple(order), 0, state_graph
 
 
 def bounded_memory_reference(
@@ -587,7 +583,7 @@ def parse_graph_document_reference(doc: Any) -> GraphModel:
     succs: list[set[int]] = [set() for _ in ids]
     for u, v in edges:
         succs[u].add(v)
-    graph = Graph(len(ids), tuple(tuple(sorted(s)) for s in succs), ids)
+    graph = Graph(len(ids), tuple(tuple(sorted(s)) for s in succs))
     return GraphModel(graph, tuple(lams), tuple(decays), ids, index)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,46 @@ class TestBuildTruncated:
                         assert new_ages[u] == 0
                     else:
                         assert new_ages[u] == ages[u] + 1
+
+
+class TestTieOrder:
+    """States are numbered in BFS discovery order; ties still go by node."""
+
+    # From 0, node 1 leads to a loop at 3 and node 2 is a loop itself.
+    BRANCHES = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 2), (3, 3)])
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_tied_cycles_go_to_the_smaller_node(self, depth):
+        # Equal weights tie every cycle. The loop at 2 is found a level
+        # earlier, so its states have the smaller BFS indices, yet Howard
+        # and the witness take node 1, the smaller of the start's choices.
+        tg = build_truncated(self.BRANCHES, 0, depth)
+        loop_at = {v: max(np.flatnonzero(tg.node_array == v)) for v in (2, 3)}
+        assert loop_at[2] < loop_at[3]
+        mean, cycle = _howard_max_mean_cycle(
+            *tg.edge_arrays, np.ones(tg.state_count), tg.initial
+        )
+        assert (mean, cycle) == (1.0, [loop_at[3]])
+        assert _cycle_to_lasso(tg, cycle) == Lasso((0, 1) + (3,) * depth, (3,))
+
+    def test_silent_solve_takes_the_smaller_node(self):
+        spec = RewardSpec.uniform(4, 0.0, 0.5)
+        bracket = solve_infinite_approx(self.BRANCHES, spec, 0, 0.1)
+        assert bracket.pi_under == Lasso((0, 1, 3), (3,))
+
+    def test_witness_cycle_starts_at_its_lowest_node_and_ages(self):
+        # Alternating 0 and 1 through 2 is optimal. The cycle's lowest BFS
+        # index is a state at node 2; the witness still starts at its
+        # lowest state in (node, ages) order, the one at node 0.
+        g = Graph.from_edges(3, [(0, 2), (1, 2), (2, 0), (2, 1)])
+        spec = RewardSpec.uniform(3, 1.0, 0.5)
+        bracket = solve_infinite_approx(g, spec, 2, 0.5)
+        assert bracket.pi_under == Lasso((2, 1, 2), (0, 2, 1, 2))
+        tg = build_truncated(_live_graph(g, 2), 2, solve_caps(g, spec, 0.5, 2))
+        table = tg.weights(spec)
+        _, cycle = _howard_max_mean_cycle(*tg.edge_arrays, table.reward_over, tg.initial)
+        assert tg.node_array[min(cycle)] == 2
+        assert _cycle_to_lasso(tg, cycle) == bracket.pi_under
 
 
 class TestWeightPairs:
@@ -400,6 +441,10 @@ class TestHowardMaxMeanCycle:
         edges = [(0, 3), (0, 2), (0, 1), (1, 1), (2, 2), (3, 3)]
         weights = [0.0, 1.0, 1.0, 1.0]
         assert _howard_max_mean_cycle(*edge_arrays(edges), weights) == (1.0, [1])
+        # Listed backwards, the first edge still wins, whatever its index.
+        src = np.array([0, 0, 0, 1, 2, 3], dtype=np.intp)
+        dst = np.array([3, 2, 1, 1, 2, 3], dtype=np.intp)
+        assert _howard_max_mean_cycle(src, dst, weights) == (1.0, [3])
 
     def test_bad_start_is_refused(self):
         src, dst = edge_arrays([(0, 1), (1, 0)])
@@ -657,6 +702,47 @@ class TestSolveInfiniteApprox:
             "truncated graph at depth 31 exceeds 20 states; "
             "epsilon around 1 should fit the budget"
         )
+
+    def test_advised_epsilon_fits_the_budget(self):
+        # Retrying at the advised epsilon, with the same budget, fits.
+        rng = random.Random(11)
+        advised = 0
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            g = random_graph(rng, n)
+            spec = RewardSpec(
+                tuple(rng.uniform(0.1, 2.0) for _ in range(n)),
+                tuple(rng.uniform(0.05, 0.95) for _ in range(n)),
+            )
+            budget = rng.choice([20, 50, 200, 1000, 3000])
+            try:
+                solve_infinite_approx(
+                    g, spec, 0, rng.choice([1e-2, 1e-3, 1e-4]), state_budget=budget
+                )
+                continue
+            except StateBudgetExceededError as exc:
+                advice = re.search(r"epsilon around (\S+) should fit", str(exc))
+            if advice:
+                advised += 1
+                solve_infinite_approx(g, spec, 0, float(advice[1]), state_budget=budget)
+        assert advised > 150
+
+    @pytest.mark.parametrize(
+        "budget, advice",
+        [(25, "raise the state budget"), (26, "epsilon around 1 should fit the budget")],
+    )
+    def test_depth_one_advice_counts_the_edges(self, budget, advice):
+        # K5 with self-loops: at depth 1, one state per edge and the start,
+        # 26 in all; no age grid of 5 nodes fits either budget.
+        g = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(5)])
+        spec = RewardSpec.uniform(5, 1.0, 0.5)
+        with pytest.raises(StateBudgetExceededError) as err:
+            solve_infinite_approx(g, spec, 0, 1e-3, state_budget=budget)
+        assert str(err.value) == (
+            f"truncated graph at depth 11 exceeds {budget} states; {advice}"
+        )
+        if budget == 26:
+            assert solve_infinite_approx(g, spec, 0, 1.0, state_budget=26).state_count == 26
 
     @pytest.mark.parametrize("lam", [(0.0, 0.0, 0.0), (1e-12, 0.0, 0.0)])
     def test_budget_error_at_depth_one_asks_for_a_larger_budget(self, lam):

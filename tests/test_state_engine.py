@@ -217,7 +217,8 @@ class TestTruncatedAgainstReference:
     @given(graphs(), st.integers(1, 4))
     def test_edge_arrays_are_sorted_and_match(self, instance, depth):
         g, v0 = instance
-        src, dst = build_truncated(g, v0, depth).edge_arrays
+        tg = build_truncated(g, v0, depth)
+        src, dst = tg.edge_arrays
         _, _, state_graph = oracles.truncated_bfs_reference(
             g, v0, depth, state_budget=DEFAULT_STATE_BUDGET
         )
@@ -225,6 +226,11 @@ class TestTruncatedAgainstReference:
         assert list(zip(src.tolist(), dst.tolist())) == list(state_graph.edges())
         increasing = (src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))
         assert increasing.all()
+        # Within a source, the target nodes ascend as the indices do: in
+        # BFS order a state's successors are first found together.
+        same = src[1:] == src[:-1]
+        target_nodes = tg.node_array[dst]
+        assert (target_nodes[1:][same] > target_nodes[:-1][same]).all()
 
     @settings(max_examples=60)
     @given(graphs(), st.data())
@@ -277,6 +283,14 @@ class TestBfsTree:
         for state in range(tg.state_count):
             expected = shortest_path(tg.state_graph, tg.initial, state).nodes
             assert bfs_tree_path(tg, state) == expected
+
+    @settings(max_examples=40)
+    @given(graphs(), st.integers(1, 4))
+    def test_numbering_is_bfs_discovery_order(self, instance, depth):
+        # The start is state 0 and every other state comes after its parent.
+        tg = build_truncated(*instance, depth)
+        assert tg.initial == 0 and tg.parent[0] == 0
+        assert (tg.parent[1:] < np.arange(1, tg.state_count)).all()
 
     @settings(max_examples=40)
     @given(graphs(max_nodes=5), st.integers(1, 4))
