@@ -11,9 +11,12 @@ the truncated graph of :mod:`reward_routing.infinite`. A layer (or BFS
 frontier) is a node vector plus a row-major age matrix with one column
 per state, in the narrowest unsigned dtype that holds the largest age.
 The successors of every state come out of array operations on a CSR view
-of the adjacency. Equal states are found by one stable ``np.lexsort``
-over the integer node and age keys only; the DP then keeps one state per
-run of equals by a segmented max over the run.
+of the adjacency, with one post-visit age column per state: the ages it
+leaves behind, which all its successors share. The DP gathers them per
+successor; the truncated graph keeps one per vector. Equal states are
+found by one stable ``np.lexsort`` over the integer node and age keys
+only; the DP then keeps one state per run of equals by a segmented max
+over the run.
 """
 
 from __future__ import annotations
@@ -88,29 +91,30 @@ def _expand(
     ages: np.ndarray,
     depth: int | np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every successor of every state, as ``(predecessor, nodes, ages)``.
+    """Every successor of every state, as ``(predecessor, nodes, post)``.
 
     Successors come grouped by predecessor, in state order, and each
-    state's in adjacency order. Leaving ``v`` resets its age to 1 and every
-    other age ticks up; under a ``depth`` cap, one for all rows or a column
-    of one per row, an age that would pass it overflows to 0, and 0 stays
-    0. ``depth=None`` is the uncapped DP. The age matrix comes out
-    C-ordered, so each node's ages are one contiguous row.
+    state's in adjacency order. ``post`` holds one column per state: its
+    ages right after it leaves its node ``v``, which every one of its
+    successors has. Leaving ``v`` resets its age to 1 and every other age
+    ticks up; under a ``depth`` cap, one for all rows or a column of one
+    per row, an age that would pass it overflows to 0, and 0 stays 0.
+    ``depth=None`` is the uncapped DP. ``post`` comes out C-ordered, so
+    each node's ages are one contiguous row.
     """
     first, degree, targets = csr
     degree = degree[nodes]
     pred = np.arange(len(nodes)).repeat(degree)
-    slots = np.arange(len(pred))
     # Slot i of predecessor p reads edge first[v] + i - (slots before p).
-    succ = targets[slots + (first[nodes] - degree.cumsum() + degree).repeat(degree)]
-    succ_ages = ages.take(pred, axis=1)
+    succ = targets[np.arange(len(pred)) + (first[nodes] - degree.cumsum() + degree).repeat(degree)]
+    post = ages.copy()
     if depth is not None:
-        succ_ages *= succ_ages < depth
-        succ_ages += succ_ages > 0
+        post *= post < depth
+        post += post > 0
     else:
-        succ_ages += 1
-    succ_ages[nodes[pred], slots] = 1
-    return pred, succ, succ_ages
+        post += 1
+    post[nodes, np.arange(len(nodes))] = 1
+    return pred, succ, post
 
 
 def _sort_states(nodes: np.ndarray, ages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,8 +199,9 @@ def _solve_layered(
     # An overflowing sum turns inf and is refused after the loop.
     with np.errstate(over="ignore"):
         for _ in range(horizon):
-            pred, succ, succ_ages = _expand(csr, nodes, ages, None)
-            gained = values[pred] + steps(succ, succ_ages[succ, np.arange(len(succ))])
+            pred, succ, post = _expand(csr, nodes, ages, None)
+            succ_ages = post.take(pred, axis=1)
+            gained = values[pred] + steps(succ, post[succ, pred])
             order, fresh = _sort_states(succ, succ_ages)
             if fresh.all():
                 # Small solves mostly have no duplicates; skipping the

@@ -316,7 +316,8 @@ def covering_cycle(g: Graph, scc: Iterable[int]) -> Path:
 
     Starts at the smallest node, then repeatedly takes a BFS shortest path
     inside the component to a nearest node not yet on the walk, and at last
-    returns to the start. At most ``len(scc)`` legs of fewer than
+    returns to the start; a leg of one edge, to the smallest such
+    successor, needs no search. At most ``len(scc)`` legs of fewer than
     ``len(scc)`` steps each bound the length by ``len(scc) ** 2``. Raises
     :class:`NotStronglyConnectedError` if the node set is not strongly
     connected or bears no closed walk (an isolated node without self-loop).
@@ -332,10 +333,17 @@ def covering_cycle(g: Graph, scc: Iterable[int]) -> Path:
     walk, uncovered = [start], inside - {start}
     while True:
         targets = uncovered or (start,)
-        parent, hit = _bfs(g, walk[-1], targets, inside)
-        if hit is None:
-            raise NotStronglyConnectedError(f"no path inside the set from {walk[-1]}")
-        walk += _path_to(parent, hit)[1:]
+        # The smallest successor among the targets is the one the search
+        # would discover first.
+        for hit in g.adjacency[walk[-1]]:
+            if hit in targets:
+                walk.append(hit)
+                break
+        else:
+            parent, hit = _bfs(g, walk[-1], targets, inside)
+            if hit is None:
+                raise NotStronglyConnectedError(f"no path inside the set from {walk[-1]}")
+            walk += _path_to(parent, hit)[1:]
         if not uncovered:
             return Path(tuple(walk))
         uncovered.remove(hit)

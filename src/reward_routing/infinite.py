@@ -11,8 +11,9 @@ than ``K_v``"), the smallest that keeps the error of that node's
 collections within epsilon. Each state carries a pessimistic and an
 optimistic weight. Howard's policy iteration for the maximum mean cycle
 runs once, on the build's edge arrays with the optimistic weights:
-states in BFS discovery order, edges grouped by source and, within a
-source, in tie order (ascending target node).
+states in BFS discovery order, and each state's successors the
+consecutive states that share the ages it leaves behind, in tie order
+(ascending target node).
 Its cycle mean bounds every path's value from above, and the exact
 replay of its lasso, a real path, is at least the cycle's pessimistic
 mean: a bracket ``[r_under, r_over]`` around the true optimum whose width
@@ -176,11 +177,12 @@ class TruncatedGraph:
     State ``i`` is ``node_array[i]`` with ages ``age_matrix[:, i]``; the
     matrix is C-ordered, one contiguous row of ages per node.
     ``edge_arrays`` holds ``(src, dst)`` as ``intp`` arrays, strictly
-    increasing by source, then target: a state's successors lie at
-    distinct nodes and are first found together, in adjacency order, so
-    within a source target nodes and indices ascend alike. That order is
-    the tie order of :func:`_howard_max_mean_cycle`, which takes them
-    without a sort.
+    increasing by source, then target: a state's successors are the
+    consecutive states of its post-visit vector (see
+    :func:`build_truncated`), one per successor of its node in adjacency
+    order, so within a source target nodes and indices ascend alike. That
+    order is the tie order of :func:`_howard_max_mean_cycle`, which takes
+    them without a sort.
     ``parent[i]`` is the state the build's BFS first reached ``i`` from
     (``parent[0] == 0``), so its walks are the paths
     :func:`shortest_path` finds. State ``c``'s own age
@@ -251,13 +253,20 @@ def build_truncated(
 
     ``depth`` caps every node's age, or gives one cap per node. Starts at
     ``(v0, (1, ..., 1))`` and only materializes reachable states.
-    Each BFS level expands the whole frontier at once with the visit-age
-    engine of :mod:`reward_routing.finite` and sorts the successors with
-    the known states at the same nodes in one ``np.lexsort``; successors
-    found nowhere before form the next frontier, in FIFO discovery order,
-    each with its first discoverer as parent. The same sort gives every
-    successor its BFS index, the target of its edge, so the states keep
-    their discovery order and each source's edges their adjacency order.
+    Every other state is ``(w, A)``: ``A`` is the post-visit vector, the
+    ages right after leaving the node ``v`` whose age in ``A`` is 1, and
+    ``w`` a successor of ``v``. So a state's successors are the states of
+    its own post-visit vector, one per successor of the node it leaves,
+    and the BFS runs over these vectors. Each level computes one vector
+    per frontier state with the visit-age engine of
+    :mod:`reward_routing.finite` and sorts them with the known vectors
+    left at the same nodes in one ``np.lexsort``. A vector found nowhere
+    before brings all its states at once: they take the next BFS indices,
+    in frontier order and each vector's in adjacency order, with the
+    frontier state that first left it as parent, and form the next
+    frontier. Every state's edges then run through its vector's block of
+    consecutive states. In a one-node graph leaving the start gives back
+    its own ages, so its block is the start itself.
     Raises :class:`StateBudgetExceededError` when a level takes the state
     count past the budget.
     """
@@ -276,54 +285,64 @@ def build_truncated(
     ages = np.ones((g.node_count, 1), dtype=_age_dtype(depth))
     # One cap per age row, in the ages' own dtype.
     cap_column = caps.astype(ages.dtype)[:, None]
-    parent = np.zeros(1, dtype=np.intp)
-    # Per level, the BFS index of every successor of the frontier: the
-    # edge targets, by BFS source and each source's in adjacency order.
+    # The post-visit vectors found so far, one column each, with the node
+    # each was left at and the first state of its block. In a one-node
+    # graph, leaving the start gives back its own ages: the start is the
+    # block of its own vector.
+    one = int(g.node_count == 1)
+    known, left, heads = ages[:, :one], nodes[:one], np.zeros(one, dtype=np.intp)
+    # Per level, its states as (nodes, ages, parents), and the first state
+    # of the block each state's edges point to.
+    levels = [(nodes, ages, np.zeros(1, dtype=np.intp))]
     targets: list[np.ndarray] = []
-    frontier = slice(0, 1)
-    while frontier.start < frontier.stop:
-        pred, succ, succ_ages = _expand(
-            csr, nodes[frontier], ages[:, frontier], cap_column
-        )
-        # Only known states at the successors' nodes can equal a successor;
-        # stability puts each ahead of its rediscoveries.
+    count = 1
+    while len(nodes):
+        pred, succ, post = _expand(csr, nodes, ages, cap_column)
+        # Only vectors left at the frontier's nodes can equal one of its
+        # own; stability puts each known one ahead of its rediscoveries.
         at = np.zeros(g.node_count, dtype=bool)
-        at[succ] = True
-        near = np.flatnonzero(at[nodes])
+        at[nodes] = True
+        near = np.flatnonzero(at[left])
         order, fresh = _sort_states(
-            np.concatenate((nodes[near], succ)),
-            np.concatenate((ages.take(near, axis=1), succ_ages), axis=1),
+            np.concatenate((left[near], nodes)),
+            np.concatenate((known[:, near], post), axis=1),
         )
-        # Positions among the successors; known states are negative.
-        order -= len(near)
-        firsts = order[fresh]
-        found = firsts >= 0
-        # Successors come by predecessor, each one's in adjacency order, so
-        # position order is discovery order.
-        is_new = np.zeros(len(succ), dtype=bool)
-        is_new[firsts[found]] = True
+        # Each run of equal vectors starts at a known one, or else at the
+        # frontier state that first left it: a new vector.
+        firsts = order[fresh] - len(near)
+        is_new = np.zeros(len(nodes), dtype=bool)
+        is_new[firsts[firsts >= 0]] = True
         added = np.flatnonzero(is_new)
-        # The BFS index of each run of equal states: the known state's own,
-        # or the one its first successor gets in discovery order.
-        index = np.empty(len(firsts), dtype=np.intp)
-        index[~found] = near[firsts[~found] + len(near)]
-        index[found] = len(nodes) - 1 + np.cumsum(is_new)[firsts[found]]
-        is_succ = order >= 0
-        level = np.empty(len(succ), dtype=np.intp)
-        level[order[is_succ]] = index[np.cumsum(fresh)[is_succ] - 1]
-        targets.append(level)
-        parent = np.concatenate((parent, pred[added] + frontier.start))
-        frontier = slice(len(nodes), len(nodes) + len(added))
-        nodes = np.concatenate((nodes, succ[added]))
-        ages = np.concatenate((ages, succ_ages.take(added, axis=1)), axis=1)
-        if len(added) and len(nodes) > state_budget:
+        # A new vector's states are its leaver's successors: they take the
+        # next indices, in frontier order, each block in adjacency order.
+        sizes = csr[1][nodes[added]]
+        starts = count + sizes.cumsum() - sizes
+        block = np.concatenate((heads[near], np.zeros(len(nodes), dtype=np.intp)))
+        block[len(near) + added] = starts
+        level = np.empty(len(order), dtype=np.intp)
+        level[order] = block[order[fresh]][np.cumsum(fresh) - 1]
+        # A copy: a view would keep the known vectors' part alive.
+        targets.append(level[len(near) :].copy())
+        known = np.concatenate((known, post[:, added]), axis=1)
+        left = np.concatenate((left, nodes[added]))
+        heads = np.concatenate((heads, starts))
+        keep = is_new[pred]
+        parent = pred[keep] + (count - len(nodes))
+        nodes, ages = succ[keep], post.take(pred[keep], axis=1)
+        levels.append((nodes, ages, parent))
+        count += len(nodes)
+        if len(nodes) and count > state_budget:
             raise StateBudgetExceededError(
                 state_budget,
                 f"truncated graph at depth {depth} exceeds "
                 f"{state_budget} states",
             )
-    src = np.arange(len(nodes)).repeat(csr[1][nodes])
-    dst = np.concatenate(targets)
+    nodes, ages, parent = (np.concatenate(part, axis=-1) for part in zip(*levels))
+    degree = csr[1][nodes]
+    src = np.arange(count).repeat(degree)
+    # Each source's edges run through its vector's block in order.
+    shift = np.concatenate(targets) - degree.cumsum() + degree
+    dst = np.arange(len(src)) + shift.repeat(degree)
     return TruncatedGraph(g, depth, 0, caps, nodes, ages, (src, dst), parent)
 
 
@@ -513,7 +532,9 @@ def _howard_max_mean_cycle(
     per state; it starts at the heaviest successor and switches only on an
     improvement beyond ``TOLERANCE`` times the largest weight magnitude,
     first of the cycle mean reached, then of the bias; the returned mean
-    falls short of the best by at most that margin. Ties go to the
+    falls short of the best by at most that margin. A switch that cannot
+    fire is skipped: the mean's when every state reaches the same one,
+    and the successor pick where no state improves. Ties go to the
     source's first edge. Returns ``(mean, cycle)``: ``cycle`` is the cycle
     the final policy reaches from ``start``, listed once in traversal
     order, and ``mean`` is its exactly summed mean weight.
@@ -541,29 +562,38 @@ def _howard_max_mean_cycle(
     def improves(new: np.ndarray, old: np.ndarray) -> np.ndarray:
         return new > old + tol
 
-    def switch(value: np.ndarray, current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def switch(value: np.ndarray, current: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         # Per state: does some successor's value beat the current one, and
-        # the lowest successor that does while tying the best.
+        # the lowest successor that does while tying the best; None when no
+        # state's does.
         best = np.maximum.reduceat(value, starts)
+        raises = improves(best, current)
+        if not raises.any():
+            return None
         pick = improves(value, current[src]) & ~improves(best[src], value)
-        return improves(best, current), first_successor(pick)
+        return raises, first_successor(pick)
 
     heaviest = np.maximum.reduceat(w[dst], starts)
     policy = first_successor(w[dst] == heaviest[src])
     for _ in range(_HOWARD_MAX_ITERATIONS + 1):
         eta, bias, landing = _evaluate_policy(policy, w)
         # Improve the cycle mean reached first; among successors that
-        # reach the same mean, improve the bias.
-        eta_next = eta[dst]
-        raise_eta, to_eta = switch(eta_next, eta)
-        same = ~improves(eta_next, eta[src]) & ~improves(eta[src], eta_next)
+        # reach the same mean, improve the bias. Where every state reaches
+        # one mean, none can raise it and every edge keeps it.
         current = bias[policy]
-        bias_next = np.where(same, bias[dst], current[src])
-        raise_bias, to_bias = switch(bias_next, current)
-        raise_bias &= ~raise_eta
-        if not (raise_eta.any() or raise_bias.any()):
+        if eta.min() == eta.max():
+            by_eta, bias_next = None, bias[dst]
+        else:
+            eta_next = eta[dst]
+            by_eta = switch(eta_next, eta)
+            same = ~improves(eta_next, eta[src]) & ~improves(eta[src], eta_next)
+            bias_next = np.where(same, bias[dst], current[src])
+        by_bias = switch(bias_next, current)
+        if by_eta is None and by_bias is None:
             break
-        policy = np.where(raise_eta, to_eta, np.where(raise_bias, to_bias, policy))
+        # A raised mean takes precedence over a raised bias.
+        for raises, to in filter(None, (by_bias, by_eta)):
+            policy = np.where(raises, to, policy)
     else:
         raise SolverContractError(
             "policy iteration did not converge in "

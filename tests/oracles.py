@@ -10,14 +10,19 @@ graph-file parser, covering walk and float rounding that the one-pass
 parser, the breadth-first search that stops on discovery and the
 string-skipping rounding replaced; and the whole-graph decomposition plus
 reachability search that picked the no-decay optimum before one rooted
-Tarjan pass did.
+Tarjan pass did; and Howard's policy iteration as it ran before it
+skipped the switches that cannot fire, on the library's own policy
+evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from typing import Any, Callable, Container, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from reward_routing import (
     BoundedMemorySolution,
@@ -26,6 +31,7 @@ from reward_routing import (
     FiniteStrategy,
     Graph,
     InstanceTooLargeError,
+    InvalidInputError,
     Lasso,
     MemoryStructure,
     NoCycleError,
@@ -34,6 +40,7 @@ from reward_routing import (
     Path,
     RewardSpec,
     RewardValue,
+    SolverContractError,
     StateBudgetExceededError,
     average_reward,
     validate_lasso,
@@ -46,7 +53,9 @@ from reward_routing.cli import (
     _parse_profile,
     _require,
 )
+from reward_routing.infinite import _HOWARD_MAX_ITERATIONS, _evaluate_policy
 from reward_routing.memory import ProductNode, _canonical_cycle
+from reward_routing.rewards import TOLERANCE
 
 State = tuple[int, tuple[int, ...]]
 
@@ -641,3 +650,90 @@ def round_floats_reference(value: Any) -> Any:
     if isinstance(value, list):
         return [round_floats_reference(v) for v in value]
     return value
+
+
+# ``infinite._howard_max_mean_cycle`` as it was before its shortcuts: every
+# iteration runs both switches in full.
+def howard_reference(
+    src: np.ndarray,
+    dst: np.ndarray,
+    w: Sequence[float],
+    start: int = 0,
+) -> tuple[float, list[int]]:
+    """Best mean node weight ``w`` over the cycles reachable from ``start``.
+
+    Howard's policy iteration (Cochet-Terrasson et al. 1998) on the whole
+    graph, which need not be strongly connected but must give every state
+    a successor, as a build on :func:`_live_graph` does. The edges run
+    from ``src`` to ``dst``, ``intp`` arrays grouped by source in
+    ascending order, as :func:`build_truncated` emits them; within a
+    source, edge order is tie order. Neither their order nor their
+    endpoints are checked: ungrouped edges give a wrong answer, not an
+    error. ``w`` holds one weight per state. A policy picks one successor
+    per state; it starts at the heaviest successor and switches only on an
+    improvement beyond ``TOLERANCE`` times the largest weight magnitude,
+    first of the cycle mean reached, then of the bias; the returned mean
+    falls short of the best by at most that margin. Ties go to the
+    source's first edge. Returns ``(mean, cycle)``: ``cycle`` is the cycle
+    the final policy reaches from ``start``, listed once in traversal
+    order, and ``mean`` is its exactly summed mean weight.
+
+    Raises :class:`InvalidInputError` if some state has no out-edge,
+    :class:`SolverContractError` after ``_HOWARD_MAX_ITERATIONS`` improvements.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    m = len(w)
+    if not 0 <= start < m:
+        raise InvalidInputError(f"start state {start} out of range")
+    starts = np.searchsorted(src, np.arange(m))
+    degree = np.diff(starts, append=len(src))
+    if not degree.all():
+        raise InvalidInputError(f"state {int(np.argmin(degree))} has no out-edge")
+    targets, positions = np.append(dst, -1), np.arange(len(src))
+    tol = TOLERANCE * float(np.abs(w).max())
+
+    def first_successor(mask: np.ndarray) -> np.ndarray:
+        # Per source segment, the target of its first edge where mask
+        # holds; -1 for segments without one.
+        pick = np.where(mask, positions, len(mask))
+        return targets[np.minimum.reduceat(pick, starts)]
+
+    def improves(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+        return new > old + tol
+
+    def switch(value: np.ndarray, current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Per state: does some successor's value beat the current one, and
+        # the lowest successor that does while tying the best.
+        best = np.maximum.reduceat(value, starts)
+        pick = improves(value, current[src]) & ~improves(best[src], value)
+        return improves(best, current), first_successor(pick)
+
+    heaviest = np.maximum.reduceat(w[dst], starts)
+    policy = first_successor(w[dst] == heaviest[src])
+    for _ in range(_HOWARD_MAX_ITERATIONS + 1):
+        eta, bias, landing = _evaluate_policy(policy, w)
+        # Improve the cycle mean reached first; among successors that
+        # reach the same mean, improve the bias.
+        eta_next = eta[dst]
+        raise_eta, to_eta = switch(eta_next, eta)
+        same = ~improves(eta_next, eta[src]) & ~improves(eta[src], eta_next)
+        current = bias[policy]
+        bias_next = np.where(same, bias[dst], current[src])
+        raise_bias, to_bias = switch(bias_next, current)
+        raise_bias &= ~raise_eta
+        if not (raise_eta.any() or raise_bias.any()):
+            break
+        policy = np.where(raise_eta, to_eta, np.where(raise_bias, to_bias, policy))
+    else:
+        raise SolverContractError(
+            "policy iteration did not converge in "
+            f"{_HOWARD_MAX_ITERATIONS} iterations"
+        )
+
+    head = int(landing[start])
+    cycle = [head]
+    cursor = int(policy[head])
+    while cursor != head:
+        cycle.append(cursor)
+        cursor = int(policy[cursor])
+    return math.fsum(w[cycle]) / len(cycle), cycle

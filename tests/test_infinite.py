@@ -356,7 +356,76 @@ def howard_on_live_part(g: Graph, weights, start: int = 0) -> tuple[float, list[
     return mean, [kept[i] for i in cycle]
 
 
+@st.composite
+def howard_instances(draw) -> tuple[np.ndarray, np.ndarray, list[float], int]:
+    """Edge arrays, weights and a start for Howard, in shuffled state order.
+
+    One to three strongly connected components, each a ring with chords,
+    linked onward to later components by an edge or through a gateway
+    state, with transient states in front. A component's weights are a
+    level plus an offset that makes its mean tie another's, or differ from
+    it within Howard's margin or just past it; some components vary their
+    weights around that. A light gateway to a better component is a switch
+    that only the cycle mean reached can make. Where every policy cycle
+    has one mean, as in a single component of uniform weights, Howard
+    skips the switch on the mean.
+    """
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    comps, edges, weights = [], set(), []
+    for size in sizes:
+        comp = range(len(weights), len(weights) + size)
+        comps.append(comp)
+        edges |= {(u, comp[(i + 1) % size]) for i, u in enumerate(comp)}
+        chords = st.tuples(st.sampled_from(comp), st.sampled_from(comp))
+        edges |= set(draw(st.lists(chords, max_size=2 * size)))
+        level = draw(st.sampled_from([0.0, 1.0])) + draw(
+            st.sampled_from([0.0, 1e-13, 1e-7, 1e-3])
+        )
+        spread = draw(st.sampled_from([0.0, 0.0, 0.5]))
+        weights += [level + spread * draw(st.sampled_from([-1, 0, 1])) for _ in comp]
+    lighter = st.sampled_from([-1.0, 0.0, 3.0])
+    for i, comp in enumerate(comps):
+        for later in comps[i + 1 :]:
+            link = draw(st.sampled_from(["none", "edge", "gateway"]))
+            if link == "none":
+                continue
+            u, w = draw(st.sampled_from(comp)), draw(st.sampled_from(later))
+            if link == "gateway":
+                edges |= {(u, len(weights)), (len(weights), w)}
+                weights.append(draw(lighter))
+            else:
+                edges.add((u, w))
+    # Transient states point only to lower states, so they close no cycle.
+    for t in range(len(weights), len(weights) + draw(st.integers(0, 3))):
+        ahead = st.integers(0, t - 1)
+        edges |= {(t, w) for w in draw(st.lists(ahead, min_size=1, max_size=3))}
+        weights.append(draw(lighter))
+    n = len(weights)
+    label = draw(st.permutations(range(n)))
+    # Within a source, edge order is tie order: ascending or descending.
+    sign = draw(st.sampled_from([1, -1]))
+    pairs = sorted((label[u], sign * label[w]) for u, w in edges)
+    src = np.array([u for u, _ in pairs], dtype=np.intp)
+    dst = np.array([sign * w for _, w in pairs], dtype=np.intp)
+    relabeled = [0.0] * n
+    for u, weight in enumerate(weights):
+        relabeled[label[u]] = weight
+    return src, dst, relabeled, draw(st.integers(0, n - 1))
+
+
 class TestHowardMaxMeanCycle:
+    @settings(max_examples=300)
+    @given(howard_instances())
+    def test_matches_the_reference_without_shortcuts(self, instance):
+        # The skipped switches cannot fire, so the answer is bit-identical.
+        def outcome(howard):
+            try:
+                return howard(*instance)
+            except SolverContractError as exc:
+                return str(exc)
+
+        assert outcome(_howard_max_mean_cycle) == outcome(oracles.howard_reference)
+
     def test_matches_karp_on_strongly_connected_graphs(self):
         rng = random.Random(31)
         for _ in range(60):
@@ -435,6 +504,16 @@ class TestHowardMaxMeanCycle:
                 continue
             mean, _ = howard_on_live_part(g, weights)
             assert mean == pytest.approx(max(means), abs=1e-9)
+
+    def test_a_mean_just_past_the_margin_is_reached_through_a_light_state(self):
+        # The start's self-loop weighs 1; through a gateway of weight -1 it
+        # reaches a self-loop only 1e-7 heavier, 100 times Howard's margin.
+        # Only the switch on the cycle mean reached takes the gateway.
+        edges = [(0, 0), (0, 1), (1, 2), (2, 2)]
+        weights = [1.0, -1.0, 1.0 + 1e-7]
+        got = _howard_max_mean_cycle(*edge_arrays(edges), weights)
+        assert got == (1.0 + 1e-7, [2])
+        assert got == oracles.howard_reference(*edge_arrays(edges), weights)
 
     def test_ties_go_to_the_lowest_successor(self):
         # Three equal self-loops behind the start; the first one wins.

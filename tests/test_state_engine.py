@@ -34,11 +34,13 @@ from reward_routing.finite import (
     _csr,
     _expand,
 )
+from reward_routing import infinite
 from reward_routing.infinite import (
     _cycle_bearing_components,
     _cycle_to_lasso,
     _howard_max_mean_cycle,
     _live_graph,
+    _node_caps,
 )
 from reward_routing.rewards import make_step_reward
 
@@ -168,9 +170,11 @@ class TestRowMajorAges:
         n = g.node_count
         # A column slice, as a BFS frontier is, is not contiguous.
         ages = np.ones((n, 2 * n), dtype=_age_dtype(8))[:, ::2]
-        _, succ, succ_ages = _expand(_csr(g), np.arange(n, dtype=np.uint8), ages, depth)
-        assert succ_ages.shape == (n, len(succ))
-        assert succ_ages.flags.c_contiguous
+        pred, succ, post = _expand(_csr(g), np.arange(n, dtype=np.uint8), ages, depth)
+        # One post-visit column per predecessor, which its successors share.
+        assert post.shape == (n, n)
+        assert post.flags.c_contiguous
+        assert len(pred) == len(succ) == g.edge_count
 
     @settings(max_examples=30)
     @given(graphs(), st.integers(1, 4))
@@ -271,6 +275,14 @@ def bfs_tree_path(tg, state: int) -> tuple[int, ...]:
         assert len(walk) <= tg.state_count, "parent walk does not reach initial"
         walk.append(int(tg.parent[walk[-1]]))
     return tuple(reversed(walk))
+
+
+def bfs_levels(tg) -> np.ndarray:
+    """Each state's BFS level: its distance from the initial state."""
+    level = np.zeros(tg.state_count, dtype=np.intp)
+    for state, parent in enumerate(tg.parent.tolist()[1:], start=1):
+        level[state] = level[parent] + 1
+    return level
 
 
 class TestBfsTree:
@@ -376,6 +388,45 @@ class TestEdgeCases:
         ):
             build_truncated(g, 0, 4, state_budget=states - 1)
 
+    def test_deep_cap_build_matches_the_reference(self):
+        # One BFS level per age up to node 1's cap of 4,603.
+        g = Graph.from_edges(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        spec = RewardSpec((0.2, 3.0), (0.3, 0.999))
+        caps = tuple(_node_caps(spec, 30.0, range(2)).tolist())
+        tg = assert_same_truncated(g, 0, caps)
+        assert (tg.depth, tg.state_count) == (4603, 9209)
+        assert bfs_levels(tg).max() == 4603
+
+    @pytest.mark.parametrize(
+        "g, depth",
+        [
+            (complete_graph(4), 3),
+            (Graph.from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 0), (2, 1)]), (2, 4, 3)),
+        ],
+    )
+    def test_budget_refusal_comes_after_the_level_that_passes_it(
+        self, monkeypatch, g, depth
+    ):
+        # Each refusal comes right after expanding the level that takes
+        # the count past the budget, and names the largest cap.
+        tg = build_truncated(g, 0, depth)
+        reached = np.bincount(bfs_levels(tg)).cumsum()
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _expand(*args)
+
+        monkeypatch.setattr(infinite, "_expand", counted)
+        for budget in range(1, tg.state_count):
+            calls.clear()
+            message = f"^truncated graph at depth {tg.depth} exceeds {budget} states$"
+            with pytest.raises(StateBudgetExceededError, match=message):
+                build_truncated(g, 0, depth, state_budget=budget)
+            assert len(calls) == np.searchsorted(reached, budget, side="right")
+            with pytest.raises(StateBudgetExceededError, match=message):
+                oracles.truncated_bfs_reference(g, 0, depth, state_budget=budget)
+
     def test_ties_keep_the_smallest_predecessor(self):
         # Without decay, 0 0 1 0 2 and 0 1 1 0 2 both collect 12 and meet in
         # one final state; its predecessors differ only in node 0's own
@@ -429,8 +480,11 @@ class TestEdgeCases:
         got = solve_finite(g, spec, 0, 4)
         assert_same_outcome(got, reference(g, 0, 4, spec.lam, spec.gamma))
         assert got.states_expanded == 5
-        tg = assert_same_truncated(g, 0, 3)
-        assert tg.states == ((0, (1,)),) and tg.state_graph.adjacency == ((0,),)
+        # Leaving the start of a one-node graph gives back the start's own
+        # ages, so its self-loop leads back to it: one state, not two.
+        for depth in (1, 3):
+            tg = assert_same_truncated(g, 0, depth)
+            assert tg.states == ((0, (1,)),) and tg.state_graph.adjacency == ((0,),)
 
     def test_horizon_zero(self):
         g = complete_graph(3)

@@ -32,3 +32,35 @@ def test_same_outputs_names_each_request_that_differs():
     assert tool.differences([record], [dict(record)]) == []
     changed = dict(record, **{"exit code": 2, "stderr": "error: x\n"})
     assert tool.differences([record], [changed]) == ["r: exit code, stderr differ"]
+
+
+SAME_SOLVES = ROOT / "tools" / "same_solves.py"
+
+
+def test_same_solves_finds_a_checkout_identical_to_itself():
+    argv = [sys.executable, str(SAME_SOLVES), str(ROOT), str(ROOT), "--seeds", "1-30"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "90 of 90 solves identical"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == [
+        "infinite", "finite gamma", "finite profiles"
+    ]
+
+
+def test_same_solves_names_each_field_that_differs():
+    module_spec = importlib.util.spec_from_file_location("same_solves", SAME_SOLVES)
+    tool = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tool)
+    assert tool.instance(7) == tool.instance(7)
+    assert tool.seed_range("3-5") == range(3, 6) and tool.seed_range("4") == range(4, 5)
+    result = {"value": (1.5).hex(), "witness": [0, 1], "states_expanded": 3}
+    record = {"solve": "seed 1 finite gamma", "result": result}
+    assert tool.differences([record], [dict(record)]) == []
+    moved = {"solve": record["solve"], "result": dict(result, states_expanded=4)}
+    refused = {"solve": record["solve"], "result": {"error": "NoPathError: x"}}
+    assert tool.differences([record], [moved]) == ["seed 1 finite gamma: states_expanded differ"]
+    assert tool.differences([record], [refused]) == [
+        "seed 1 finite gamma: error, states_expanded, value, witness differ"
+    ]
+    assert tool.tally([record, refused]) == ["  finite gamma: 1 NoPathError, 1 answered"]
