@@ -10,13 +10,15 @@ This module also holds the visit-age state engine that the DP shares with
 the truncated graph of :mod:`reward_routing.infinite`. A layer (or BFS
 frontier) is a node vector plus a row-major age matrix with one column
 per state, in the narrowest unsigned dtype that holds the largest age.
-The successors of every state come out of array operations on a CSR view
-of the adjacency, with one post-visit age column per state: the ages it
-leaves behind, which all its successors share. The DP gathers them per
-successor; the truncated graph keeps one per vector. Equal states are
-found by one stable ``np.lexsort`` over the integer node and age keys
-only; the DP then keeps one state per run of equals by a segmented max
-over the run.
+Each state leaves one post-visit age column: its ages right after it
+leaves its node, which fix that node and which all its successors share.
+So both solvers first sort these vectors by one stable ``np.lexsort``
+over their integer age rows and merge equal ones, then expand each
+distinct vector once, by array operations on a CSR view of the
+adjacency. The DP keeps, per vector, the first predecessor of best value
+by a segmented max over its run, and then checks the members ahead of it
+whose sums can round to the same value; the truncated graph expands only
+the vectors it has not met before.
 """
 
 from __future__ import annotations
@@ -85,28 +87,19 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, degree, targets
 
 
-def _expand(
-    csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-    nodes: np.ndarray,
-    ages: np.ndarray,
-    depth: int | np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every successor of every state, as ``(predecessor, nodes, post)``.
+def _post_visit(
+    nodes: np.ndarray, ages: np.ndarray, depth: int | np.ndarray | None
+) -> np.ndarray:
+    """One post-visit age column per state: its ages right after it leaves.
 
-    Successors come grouped by predecessor, in state order, and each
-    state's in adjacency order. ``post`` holds one column per state: its
-    ages right after it leaves its node ``v``, which every one of its
-    successors has. Leaving ``v`` resets its age to 1 and every other age
-    ticks up; under a ``depth`` cap, one for all rows or a column of one
-    per row, an age that would pass it overflows to 0, and 0 stays 0.
-    ``depth=None`` is the uncapped DP. ``post`` comes out C-ordered, so
-    each node's ages are one contiguous row.
+    Leaving node ``v`` resets its age to 1 and every other age ticks up;
+    under a ``depth`` cap, one for all rows or a column of one per row, an
+    age that would pass it overflows to 0, and 0 stays 0. ``depth=None``
+    is the uncapped DP. Every other age comes out 0 or at least 2, so a
+    post-visit vector fixes the node it was left at, and with it its
+    successors. The columns come out C-ordered, so each node's ages are
+    one contiguous row.
     """
-    first, degree, targets = csr
-    degree = degree[nodes]
-    pred = np.arange(len(nodes)).repeat(degree)
-    # Slot i of predecessor p reads edge first[v] + i - (slots before p).
-    succ = targets[np.arange(len(pred)) + (first[nodes] - degree.cumsum() + degree).repeat(degree)]
     post = ages.copy()
     if depth is not None:
         post *= post < depth
@@ -114,25 +107,51 @@ def _expand(
     else:
         post += 1
     post[nodes, np.arange(len(nodes))] = 1
-    return pred, succ, post
+    return post
 
 
-def _sort_states(nodes: np.ndarray, ages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """State order and, per sorted position, whether it starts a new state.
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``i`` of ``counts[i]`` consecutive integers from ``starts[i]``.
 
-    One stable ``np.lexsort`` by node, then ages, then position, all
-    integer keys: equal states come out in input order. Age rows that are
-    equal in every state cannot change the order and are left out of the
-    sort.
+    Returns ``(owner, index)``: the runs back to back, in order, with the
+    ``i`` each entry belongs to.
     """
-    ages = ages[(ages != ages[:, :1]).any(axis=1)]
-    order = np.lexsort((*ages[::-1], nodes))
-    fresh = np.empty(len(order), dtype=bool)
+    owner = np.arange(len(counts)).repeat(counts)
+    index = np.arange(len(owner)) + (starts - counts.cumsum() + counts).repeat(counts)
+    return owner, index
+
+
+def _successors(
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray], nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every successor of every node, as ``(position, successor)``.
+
+    Successors come grouped by position in ``nodes``, in order, and each
+    node's in adjacency order, which is ascending.
+    """
+    first, degree, targets = csr
+    position, edge = _ranges(first[nodes], degree[nodes])
+    return position, targets[edge]
+
+
+def _sort_columns(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column order of an integer matrix and, per position, whether it starts a run.
+
+    One stable ``np.lexsort`` by the rows, the first row first, so equal
+    columns form runs in input order. Rows equal in every column cannot
+    change the order and are left out of the sort; when no row is left,
+    every column is equal and the order is the input order.
+    """
+    count = keys.shape[1]
+    fresh = np.empty(count, dtype=bool)
     fresh[:1] = True
-    ordered = nodes[order]
-    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    ordered = ages.take(order, axis=1)
-    fresh[1:] |= (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    if count < 2:
+        return np.arange(count), fresh
+    # ufunc reductions: np.any costs several times more on small layers.
+    keys = keys[np.logical_or.reduce(keys != keys[:, :1], axis=1)]
+    order = np.lexsort(keys[::-1]) if len(keys) else np.arange(count)
+    ordered = keys.take(order, axis=1)
+    np.logical_or.reduce(ordered[:, 1:] != ordered[:, :-1], axis=0, out=fresh[1:])
     return order, fresh
 
 
@@ -199,36 +218,67 @@ def _solve_layered(
     # An overflowing sum turns inf and is refused after the loop.
     with np.errstate(over="ignore"):
         for _ in range(horizon):
-            pred, succ, post = _expand(csr, nodes, ages, None)
-            succ_ages = post.take(pred, axis=1)
-            gained = values[pred] + steps(succ, post[succ, pred])
-            order, fresh = _sort_states(succ, succ_ages)
-            if fresh.all():
-                # Small solves mostly have no duplicates; skipping the
-                # selection here keeps their per-layer cost at the sort's.
-                keep = order
+            # Each state's successors are the states of its post-visit
+            # vector, and a successor's value is its predecessor's plus a
+            # step that the vector and the successor node fix. So the
+            # predecessors are merged by vector first, and each distinct
+            # vector is expanded once.
+            post = _post_visit(nodes, ages, None)
+            order, fresh = _sort_columns(post)
+            merged = np.count_nonzero(fresh) < len(fresh)
+            if not merged:
+                # Small solves mostly leave no vector twice; skipping the
+                # selection keeps their per-layer cost at the sort's.
+                kept = order
             else:
-                # The best value wins; ties keep the smallest predecessor, which
-                # is the lexicographically smallest since the layer is sorted.
-                # A run of equal states lists its members by predecessor, so
-                # keep its first position that holds the run's maximum: every
-                # run holds one, so the first such position at or after a
-                # run's start is the run's own.
+                # The best sum wins; ties keep the smallest predecessor in
+                # state order, the order each run of equal vectors lists
+                # its members in. Pick the run's first member of largest
+                # value: every run holds one, so the first such position
+                # at or after a run's start is the run's own.
                 starts = np.flatnonzero(fresh)
-                ranked = gained[order]
+                ranked = values[order]
                 best = np.maximum.reduceat(ranked, starts)
-                hits = np.flatnonzero(ranked == best.repeat(np.diff(starts, append=len(order))))
-                keep = order[hits[np.searchsorted(hits, starts)]]
-            if not len(keep):
+                run = np.cumsum(fresh) - 1
+                hits = np.flatnonzero(ranked == best[run])
+                firsts = hits[np.searchsorted(hits, starts)]
+                kept = order[firsts]
+            # One entry per successor state, by vector in age order.
+            vector, succ = _successors(csr, nodes[kept])
+            parent = kept[vector]
+            step = steps(succ, post[succ, parent])
+            gained = values[parent] + step
+            if not len(succ):
                 raise NoPathError(
                     f"no path of length {horizon} from node {v0}"
                 )
-            total_states += len(keep)
+            total_states += len(succ)
             if total_states > state_budget:
                 raise StateBudgetExceededError(state_budget)
-            nodes, ages, values = succ[keep], succ_ages.take(keep, axis=1), gained[keep]
+            if merged:
+                # A member ahead of its run's pick has a smaller value, yet
+                # its rounded sum with a step can equal the pick's, and
+                # then it wins the tie for that successor. Two sums round
+                # alike only if the values lie within one spacing of the
+                # larger sum, so only members within two are compared,
+                # per successor; the smallest one that ties wins.
+                ahead = np.flatnonzero(np.arange(len(order)) < firsts[run])
+                top = best[run[ahead]]
+                apart = top - ranked[ahead] > 2 * np.spacing(top + step.max())
+                near = ahead[~apart]
+                if len(near):
+                    member, entry = _ranges(
+                        np.searchsorted(vector, run[near]), csr[1][nodes[order[near]]]
+                    )
+                    near = near[member]
+                    tie = ranked[near] + step[entry] == gained[entry]
+                    np.minimum.at(parent, entry[tie], order[near[tie]])
+            # Stable by node, so (node, ages): the layer in state order.
+            layer = np.argsort(succ, kind="stable")
+            parent, nodes, values = parent[layer], succ[layer], gained[layer]
+            ages = post.take(parent, axis=1)
             layer_nodes.append(nodes)
-            parents.append(pred[keep])
+            parents.append(parent)
 
     # argmax takes the first best state, the smallest in state order.
     cursor = int(values.argmax())

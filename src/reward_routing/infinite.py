@@ -45,9 +45,11 @@ from .finite import (
     State,
     _age_dtype,
     _csr,
-    _expand,
     _PairTable,
-    _sort_states,
+    _post_visit,
+    _ranges,
+    _sort_columns,
+    _successors,
 )
 from .graph import (
     Graph,
@@ -297,16 +299,13 @@ def build_truncated(
     targets: list[np.ndarray] = []
     count = 1
     while len(nodes):
-        pred, succ, post = _expand(csr, nodes, ages, cap_column)
+        post = _post_visit(nodes, ages, cap_column)
         # Only vectors left at the frontier's nodes can equal one of its
         # own; stability puts each known one ahead of its rediscoveries.
         at = np.zeros(g.node_count, dtype=bool)
         at[nodes] = True
         near = np.flatnonzero(at[left])
-        order, fresh = _sort_states(
-            np.concatenate((left[near], nodes)),
-            np.concatenate((known[:, near], post), axis=1),
-        )
+        order, fresh = _sort_columns(np.concatenate((known[:, near], post), axis=1))
         # Each run of equal vectors starts at a known one, or else at the
         # frontier state that first left it: a new vector.
         firsts = order[fresh] - len(near)
@@ -326,9 +325,10 @@ def build_truncated(
         known = np.concatenate((known, post[:, added]), axis=1)
         left = np.concatenate((left, nodes[added]))
         heads = np.concatenate((heads, starts))
-        keep = is_new[pred]
-        parent = pred[keep] + (count - len(nodes))
-        nodes, ages = succ[keep], post.take(pred[keep], axis=1)
+        position, succ = _successors(csr, nodes[added])
+        leaver = added[position]
+        parent = leaver + (count - len(nodes))
+        nodes, ages = succ, post.take(leaver, axis=1)
         levels.append((nodes, ages, parent))
         count += len(nodes)
         if len(nodes) and count > state_budget:
@@ -338,11 +338,8 @@ def build_truncated(
                 f"{state_budget} states",
             )
     nodes, ages, parent = (np.concatenate(part, axis=-1) for part in zip(*levels))
-    degree = csr[1][nodes]
-    src = np.arange(count).repeat(degree)
     # Each source's edges run through its vector's block in order.
-    shift = np.concatenate(targets) - degree.cumsum() + degree
-    dst = np.arange(len(src)) + shift.repeat(degree)
+    src, dst = _ranges(np.concatenate(targets), csr[1][nodes])
     return TruncatedGraph(g, depth, 0, caps, nodes, ages, (src, dst), parent)
 
 
@@ -673,7 +670,7 @@ def _cycle_to_lasso(tg: TruncatedGraph, cycle: list[int]) -> Lasso:
     The cycle starts at its lowest state in (node, ages) order, reached
     along ``tg.parent``.
     """
-    pivot = int(_sort_states(tg.node_array[cycle], tg.age_matrix[:, cycle])[0][0])
+    pivot = int(_sort_columns(np.vstack((tg.node_array[cycle], tg.age_matrix[:, cycle])))[0][0])
     rotated = cycle[pivot:] + cycle[:pivot]
     reach = [rotated[0]]
     while reach[-1] != tg.initial:

@@ -32,7 +32,9 @@ from reward_routing.finite import (
     DEFAULT_STATE_BUDGET,
     _age_dtype,
     _csr,
-    _expand,
+    _post_visit,
+    _sort_columns,
+    _successors,
 )
 from reward_routing import infinite
 from reward_routing.infinite import (
@@ -160,6 +162,35 @@ class TestMergeTieRule:
         assert got.witness.nodes == (0, 1, 0, 2, 0, 1, 0)
 
 
+class TestNearTies:
+    """Sums that round alike tie, even where the values they add to differ.
+
+    A state's predecessors all leave its post-visit vector, and each adds
+    the same step. Two of them whose values lie within a rounding step of
+    each other can reach equal sums; the smaller one in state order wins,
+    though its value is smaller.
+    """
+
+    def test_one_ulp_apart_values_tie_on_their_sums(self):
+        g = Graph.from_edges(2, [(0, 0), (0, 1), (1, 0)])
+        lam, decays = [2.0, 1.187240340634804], [1.0, 1.0]
+        got = solve_finite_decay(g, lam, decays, 1, 7)
+        assert_same_outcome(got, reference(g, 1, 7, lam, decays))
+        assert got.witness.nodes == (1, 0, 1, 0, 1, 0, 1, 0)
+
+    @settings(max_examples=150)
+    @given(graphs(3), st.integers(4, 10), st.sampled_from([0.5, 1.0]), st.data())
+    def test_short_decimal_rates(self, instance, horizon, gamma, data):
+        # Sums of 0.1, 0.2, 0.3 and 0.7 times ages, or times halvings,
+        # land one ulp apart often.
+        g, v0 = instance
+        n = g.node_count
+        lam = data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7]), min_size=n, max_size=n))
+        spec = RewardSpec(tuple(lam), (gamma,) * n)
+        got = outcome(lambda: solve_finite(g, spec, v0, horizon))
+        assert_same_outcome(got, reference(g, v0, horizon, spec.lam, spec.gamma))
+
+
 class TestRowMajorAges:
     """Age matrices stay C-ordered, one contiguous row per node."""
 
@@ -170,11 +201,12 @@ class TestRowMajorAges:
         n = g.node_count
         # A column slice, as a BFS frontier is, is not contiguous.
         ages = np.ones((n, 2 * n), dtype=_age_dtype(8))[:, ::2]
-        pred, succ, post = _expand(_csr(g), np.arange(n, dtype=np.uint8), ages, depth)
-        # One post-visit column per predecessor, which its successors share.
+        post = _post_visit(np.arange(n, dtype=np.uint8), ages, depth)
+        # One post-visit column per state, which its successors share.
         assert post.shape == (n, n)
         assert post.flags.c_contiguous
-        assert len(pred) == len(succ) == g.edge_count
+        position, succ = _successors(_csr(g), np.arange(n))
+        assert len(position) == len(succ) == g.edge_count
 
     @settings(max_examples=30)
     @given(graphs(), st.integers(1, 4))
@@ -415,9 +447,9 @@ class TestEdgeCases:
 
         def counted(*args):
             calls.append(1)
-            return _expand(*args)
+            return _post_visit(*args)
 
-        monkeypatch.setattr(infinite, "_expand", counted)
+        monkeypatch.setattr(infinite, "_post_visit", counted)
         for budget in range(1, tg.state_count):
             calls.clear()
             message = f"^truncated graph at depth {tg.depth} exceeds {budget} states$"
@@ -477,14 +509,49 @@ class TestEdgeCases:
     def test_single_node_self_loop(self):
         g = Graph.from_edges(1, [(0, 0)])
         spec = RewardSpec.uniform(1, 2.0, 0.5)
-        got = solve_finite(g, spec, 0, 4)
-        assert_same_outcome(got, reference(g, 0, 4, spec.lam, spec.gamma))
-        assert got.states_expanded == 5
+        for horizon in (4, 5):
+            got = solve_finite(g, spec, 0, horizon)
+            assert_same_outcome(got, reference(g, 0, horizon, spec.lam, spec.gamma))
+            assert got.states_expanded == horizon + 1
         # Leaving the start of a one-node graph gives back the start's own
         # ages, so its self-loop leads back to it: one state, not two.
         for depth in (1, 3):
             tg = assert_same_truncated(g, 0, depth)
             assert tg.states == ((0, (1,)),) and tg.state_graph.adjacency == ((0,),)
+
+    def test_every_state_of_a_level_leaves_one_known_vector(self):
+        # At depth 1 every age but the one just reset overflows to 0, so
+        # the two states at node 0 on level 2 both leave (1, 0, 0), the
+        # start's vector: the sort sees three equal columns and no key.
+        # No DP layer of two or more states on a 2- or 3-node graph leaves
+        # one vector up to horizon 6, so the case comes from the build.
+        g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
+        tg = assert_same_truncated(g, 0, 1)
+        assert tg.states == (
+            (0, (1, 1, 1)), (1, (1, 0, 0)), (2, (1, 0, 0)), (0, (0, 1, 0)), (0, (0, 0, 1))
+        )
+        equal = np.full((3, 4), 2, dtype=np.uint8)
+        order, fresh = _sort_columns(equal)
+        assert order.tolist() == [0, 1, 2, 3]
+        assert fresh.tolist() == [True, False, False, False]
+
+    def test_profile_error_comes_before_the_budget(self):
+        # Layer 4 would take the count past 40, and it also asks for
+        # profile entries past the tables: the profile error wins.
+        g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)])
+        lam = [0.0, 2.7038855643795645, 2.390489973992343]
+        profiles = [
+            DecayProfile((1.0, 0.2927001611519172, 0.1873364042287161, 0.152751952335329)),
+            DecayProfile((1.0, 0.4947755620958164, 0.25402015210918655)),
+            DecayProfile((1.0, 0.7891630250308297, 0.44663797716645876, 0.2705725435575218)),
+        ]
+        assert solve_finite_decay(g, lam, profiles, 1, 3).states_expanded == 28
+        with pytest.raises(ProfileTableExhaustedError):
+            solve_finite_decay(g, lam, profiles, 1, 8, state_budget=40)
+        with pytest.raises(ProfileTableExhaustedError):
+            oracles.layered_dp_reference(
+                g, 1, 8, make_step_reward(lam, profiles), 40, DEFAULT_HORIZON_CAP
+            )
 
     def test_horizon_zero(self):
         g = complete_graph(3)

@@ -64,3 +64,27 @@ def test_same_solves_names_each_field_that_differs():
         "seed 1 finite gamma: error, states_expanded, value, witness differ"
     ]
     assert tool.tally([record, refused]) == ["  finite gamma: 1 NoPathError, 1 answered"]
+
+
+def test_same_solves_says_whether_differing_witnesses_tie():
+    module_spec = importlib.util.spec_from_file_location("same_solves", SAME_SOLVES)
+    tool = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tool)
+    value = (24.5).hex()
+    result = {"value": value, "witness": [1, 0, 1], "replay": value, "states_expanded": 5}
+    record = {"solve": "seed 3 finite gamma", "result": result}
+    other = dict(result, witness=[1, 1, 0])
+    tied = {"solve": record["solve"], "result": other}
+    assert tool.differences([record], [tied]) == [
+        f"seed 3 finite gamma: witness differ (witness: a tie, both replay to {value})"
+    ]
+    worse = {"solve": record["solve"], "result": dict(other, replay=(24.0).hex())}
+    assert tool.differences([record], [worse]) == [
+        "seed 3 finite gamma: replay, witness differ (witness: not a tie, the replays differ)"
+    ]
+    lasso = {"r_under": value, "pi_under": [[0], [1, 2]], "r_over": value}
+    infinite = {"solve": "seed 3 infinite", "result": lasso}
+    turned = {"solve": "seed 3 infinite", "result": dict(lasso, pi_under=[[0, 1], [2, 1]])}
+    assert tool.differences([infinite], [turned]) == [
+        f"seed 3 infinite: pi_under differ (pi_under: a tie, both replay to {value})"
+    ]

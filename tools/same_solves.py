@@ -17,9 +17,12 @@ its own process:
 
 Each solve gets a state budget that the larger instances overflow. Values
 are compared bit for bit, together with depths, state counts and
-witnesses, and errors by type and message. Exits 0 when all agree, 1
-listing each solve that differs, and 2 when a checkout could not run the
-solves.
+witnesses, and errors by type and message. Each finite witness is also
+replayed by the checkout's ``decayed_path_reward``; an infinite
+``pi_under`` replays to ``r_under``. Where witnesses differ, the line says
+whether both replay to the same value, a tie between equally good
+witnesses. Exits 0 when all agree, 1 listing each solve that differs, and
+2 when a checkout could not run the solves.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from pathlib import Path
 
 SEEDS = "1-3000"
 BUDGETS = (40, 300, 5_000, 100_000)
+#: Each witness field, with the field that holds what the witness replays to.
+REPLAYS = {"witness": "replay", "pi_under": "r_under"}
 
 
 def instance(seed: int) -> dict:
@@ -101,6 +106,7 @@ def run_solves(root: Path, seeds: range) -> list[dict]:
         return {
             "value": s.value.value.hex(),
             "witness": list(s.witness.nodes),
+            "replay": rr.decayed_path_reward(decays, case["lam"], s.witness).value.hex(),
             "states_expanded": s.states_expanded,
         }
 
@@ -124,15 +130,27 @@ def run_solves(root: Path, seeds: range) -> list[dict]:
 
 
 def differences(left: list[dict], right: list[dict]) -> list[str]:
-    """One line per solve whose results differ, naming what differs."""
+    """One line per solve whose results differ, naming what differs.
+
+    Where a witness differs and both sides replay theirs, the line ends
+    with whether the two replays agree: a tie, or not.
+    """
     if [r["solve"] for r in left] != [r["solve"] for r in right]:
         return ["the two checkouts ran different solves"]
     lines = []
     for a, b in zip(left, right):
         x, y = a["result"], b["result"]
         fields = [key for key in sorted({*x, *y}) if x.get(key) != y.get(key)]
-        if fields:
-            lines.append(f"{a['solve']}: {', '.join(fields)} differ")
+        if not fields:
+            continue
+        line = f"{a['solve']}: {', '.join(fields)} differ"
+        for witness, replay in REPLAYS.items():
+            if witness in fields and replay in x and replay in y:
+                if x[replay] == y[replay]:
+                    line += f" ({witness}: a tie, both replay to {x[replay]})"
+                else:
+                    line += f" ({witness}: not a tie, the replays differ)"
+        lines.append(line)
     return lines
 
 
